@@ -111,29 +111,51 @@ def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float = 0.5,
             FloatGrid(w, h, cell_size, tuple(origin), data=scores))
 
 
+def _window(extent: float, step: float, limit: int) -> int:
+    """Cells within which a distance below `extent` can fall, one cell of
+    margin for rounding; `limit` when that reaches it (or extent is inf/nan)."""
+    n = extent / step
+    return int(n) + 1 if n < limit else limit
+
+
 def _greedy_nms(acc: np.ndarray, thetas: np.ndarray, diag: int, p: HoughParams):
-    """Vote-ordered greedy suppression; returns kept (rho, theta) line params."""
+    """Vote-ordered greedy suppression; returns kept (rho, theta) line params.
+
+    Each kept line marks the accumulator cells it suppresses in a boolean
+    raster, so a later candidate costs one lookup.  The suppression test is
+    evaluated exactly, on a window around the kept cell and around its mirror
+    across the theta wrap (where rho flips sign): a superset of the cells for
+    which it can hold.
+    """
     cand = np.argwhere(acc >= p.min_votes)
     if len(cand) == 0:
         return []
     votes = acc[cand[:, 0], cand[:, 1]]
     order = np.lexsort((cand[:, 1], cand[:, 0], -votes))
     nms_t = math.radians(p.nms_theta_deg)
+    nrho, ntheta = acc.shape
+    wr = _window(p.nms_rho_px, p.rho_res_px, nrho)
+    wt = _window(nms_t, math.pi / ntheta, ntheta)
+    all_cols = np.arange(ntheta)
+    suppressed = np.zeros(acc.shape, bool)
     kept = []
-    for ci in order:
-        rho = (cand[ci, 0] - diag) * p.rho_res_px
-        theta = thetas[cand[ci, 1]]
-        ok = True
-        for rho_k, theta_k in kept:
-            dth = abs(theta - theta_k)
-            # theta wraps mod pi; rho flips sign across the wrap
-            drho = abs(rho - rho_k) if dth <= math.pi / 2 else abs(rho + rho_k)
-            dth = min(dth, math.pi - dth)
-            if drho < p.nms_rho_px and dth < nms_t:
-                ok = False
-                break
-        if ok:
-            kept.append((rho, theta))
+    for ri, ti in cand[order].tolist():
+        if suppressed[ri, ti]:
+            continue
+        rho = (ri - diag) * p.rho_res_px
+        theta = thetas[ti]
+        kept.append((rho, theta))
+        near = np.arange(-wr, wr + 1)
+        rows = np.unique(np.concatenate([ri + near, 2 * diag - ri + near]))
+        rows = rows[(rows >= 0) & (rows < nrho)]
+        cols = (all_cols if 2 * wt + 1 >= ntheta
+                else np.unique((ti + np.arange(-wt, wt + 1)) % ntheta))
+        rho_c = ((rows - diag) * p.rho_res_px)[:, None]
+        dth = np.abs(thetas[cols][None, :] - theta)
+        # theta wraps mod pi; rho flips sign across the wrap
+        drho = np.where(dth <= math.pi / 2, np.abs(rho_c - rho), np.abs(rho_c + rho))
+        dth = np.minimum(dth, math.pi - dth)
+        suppressed[np.ix_(rows, cols)] |= (drho < p.nms_rho_px) & (dth < nms_t)
     return kept
 
 

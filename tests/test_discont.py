@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CELL, corpus_scene, scene_products
-from ironpath.discont import (EPS_REF, HoughParams, extract_segments,
-                              normalize, score_map)
+from ironpath.discont import (EPS_REF, HoughParams, _greedy_nms,
+                              extract_segments, normalize, score_map)
 from ironpath.gridio import GrayImage, LABEL_WRINKLE, WorldTransform
 
 
@@ -189,3 +190,56 @@ class TestExtractSegments:
         assert len(segs) >= 2
         first = segs[0]
         assert abs(math.degrees(first.theta)) < 1e-6   # vertical band: theta 0
+
+
+def pairwise_nms(acc, thetas, diag, p):
+    """Reference greedy NMS: each candidate against every kept line."""
+    cand = np.argwhere(acc >= p.min_votes)
+    if len(cand) == 0:
+        return []
+    votes = acc[cand[:, 0], cand[:, 1]]
+    order = np.lexsort((cand[:, 1], cand[:, 0], -votes))
+    nms_t = math.radians(p.nms_theta_deg)
+    kept = []
+    for ci in order:
+        rho = (cand[ci, 0] - diag) * p.rho_res_px
+        theta = thetas[cand[ci, 1]]
+        ok = True
+        for rho_k, theta_k in kept:
+            dth = abs(theta - theta_k)
+            drho = abs(rho - rho_k) if dth <= math.pi / 2 else abs(rho + rho_k)
+            dth = min(dth, math.pi - dth)
+            if drho < p.nms_rho_px and dth < nms_t:
+                ok = False
+                break
+        if ok:
+            kept.append((rho, theta))
+    return kept
+
+
+@st.composite
+def sparse_accumulators(draw):
+    """Sparse accumulators with tied votes, lines bunched near theta 0 and
+    pi and near rho 0, and non-default resolutions and NMS radii."""
+    p = HoughParams(
+        rho_res_px=draw(st.sampled_from([0.5, 0.7, 1.0, 1.5, 3.0])),
+        theta_res_deg=draw(st.sampled_from([0.5, 1.0, 2.5, 7.0, 30.0, 90.0])),
+        nms_rho_px=draw(st.floats(0.0, 25.0)),
+        nms_theta_deg=draw(st.floats(0.0, 120.0)))
+    ntheta = max(1, int(round(180.0 / p.theta_res_deg)))
+    diag = draw(st.integers(1, 40))
+    acc = np.zeros((2 * diag + 1, ntheta))
+    row = st.one_of(st.integers(0, 2 * diag), st.integers(diag - 3, diag + 3))
+    col = st.one_of(st.integers(0, ntheta - 1), st.sampled_from([0, 1, ntheta - 1, ntheta - 2]))
+    for r, c, v in draw(st.lists(st.tuples(row, col, st.sampled_from([9.0, 10.0, 10.0, 12.5, 30.0])),
+                                 max_size=60)):
+        acc[min(r, 2 * diag), c % ntheta] = v
+    return acc, np.arange(ntheta) * math.pi / ntheta, diag, p
+
+
+class TestGreedyNms:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_accumulators())
+    def test_raster_matches_pairwise_reference(self, case):
+        acc, thetas, diag, p = case
+        assert _greedy_nms(acc, thetas, diag, p) == pairwise_nms(acc, thetas, diag, p)
