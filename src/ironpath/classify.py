@@ -6,6 +6,12 @@ cells with 8 orientation bins each, Gaussian-weighted gradient magnitudes,
 L2-normalized, clamped at 0.2 and renormalized.  Gradient magnitude is split
 linearly between the two nearest orientation bins.
 
+Descriptors are computed densely, as a separable linear filter (the dense-SIFT
+construction): each raw bin is a Gaussian-weighted box sum over one of 8
+soft-binned orientation planes, taken as a horizontal pass over the whole
+image and a vertical pass over one band of rows at a time.  Scoring every
+pixel (dense_scores) and sampling chosen pixels (descriptors_at) share it.
+
 Training is Pegasos-style stochastic subgradient descent on the hinge loss.
 The example visited at step t is chosen by a counter hash of (seed, t), so
 training is deterministic and independent of platform.
@@ -30,12 +36,13 @@ NBINS = 8
 # low-contrast floor); keeps descriptor norms in {0, 1}
 MIN_PATCH_NORM = 0.01
 
-_offs = np.arange(-PATCH // 2, PATCH // 2)                    # -8..7
-_du, _dv = np.meshgrid(_offs, _offs)
-_CELL_KEY = ((((_dv + 8) // CELL_W) * 4 + (_du + 8) // CELL_W) * NBINS).ravel()
-_GAUSS_W = np.exp(-(_du**2 + _dv**2) / (2.0 * (PATCH / 2.0) ** 2)).ravel()
-_GAUSS_W_SUM = float(_GAUSS_W.sum())
-_DU, _DV = _du.ravel(), _dv.ravel()
+NCELLS = PATCH // CELL_W           # cells per patch side
+_BAND_ROWS = 16                    # rows per band of the vertical pass (bounds memory)
+
+# patch offsets -8..7 from the center pixel along each axis, and the 1-D
+# Gaussian g(d) = exp(-d^2 / (2 * 8^2)); the patch weight is g(du) * g(dv)
+_OFFS = np.arange(-PATCH // 2, PATCH // 2)
+_GAUSS_W = np.exp(-_OFFS**2 / (2.0 * (PATCH / 2.0) ** 2))
 
 
 def _image_array(img) -> np.ndarray:
@@ -54,45 +61,97 @@ def _gradient_bins(img: np.ndarray):
     return mag, b0 % NBINS, (b0 + 1) % NBINS, frac
 
 
-def _reflect(idx: np.ndarray, size: int) -> np.ndarray:
-    idx = np.abs(idx)
-    return np.where(idx >= size, 2 * size - 1 - idx, idx)
+def _pad_patch(planes: np.ndarray) -> np.ndarray:
+    """Pad the two image axes so every patch offset lands inside.
+
+    Index -i mirrors to i and index size-1+i to size-i (so the top/left edge
+    pixel is not repeated but the bottom/right one is)."""
+    half = PATCH // 2
+    planes = np.pad(planes, ((0, 0), (half, 0), (half, 0)), mode="reflect")
+    return np.pad(planes, ((0, 0), (0, half - 1), (0, half - 1)), mode="symmetric")
+
+
+def _cell_sums(taps: list[np.ndarray]) -> np.ndarray:
+    """Per cell, the g-weighted sum of its CELL_W taps: (NCELLS, *tap shape).
+
+    taps[j] is the source shifted to patch offset j - PATCH/2 along one axis;
+    cell c sums offsets j = c*CELL_W .. c*CELL_W+CELL_W-1 in that order.
+    """
+    out = np.empty((NCELLS,) + taps[0].shape)
+    scratch = np.empty(taps[0].shape)
+    for j, tap in enumerate(taps):
+        if j % CELL_W == 0:
+            np.multiply(tap, _GAUSS_W[j], out=out[j // CELL_W])
+        else:
+            out[j // CELL_W] += np.multiply(tap, _GAUSS_W[j], out=scratch)
+    return out
+
+
+def _cell_columns(a: np.ndarray) -> np.ndarray:
+    """Horizontal pass: (NCELLS*NBINS, h+PATCH-1, w), plane index cx*NBINS+o.
+
+    Gradient magnitude is split between the two nearest of NBINS orientation
+    planes, the planes are padded by half a patch, and each cell column cx
+    sums its CELL_W column offsets du weighted by g(du).
+    """
+    h, w = a.shape
+    mag, bin0, bin1, frac = _gradient_bins(a)
+    lo, hi = mag * (1.0 - frac), mag * frac
+    planes = np.empty((NBINS, h, w))
+    for o in range(NBINS):
+        planes[o] = np.where(bin0 == o, lo, 0.0) + np.where(bin1 == o, hi, 0.0)
+    planes = _pad_patch(planes)
+    cols = _cell_sums([planes[:, :, j:j + w] for j in range(PATCH)])
+    return cols.reshape(NCELLS * NBINS, planes.shape[1], w)
+
+
+def _sum_squares(d: np.ndarray) -> np.ndarray:
+    """Per pixel, the sum over bins (axis 0) of d^2, in bin order."""
+    total = np.square(d[0])
+    sq = np.empty_like(total)
+    for k in range(1, len(d)):
+        total += np.square(d[k], out=sq)
+    return total
+
+
+def _band_descriptors(cols: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Vertical pass and normalization for image rows r0..r1-1: (128, r1-r0, w).
+
+    Each cell row cy sums its CELL_W row offsets dv weighted by g(dv), giving
+    raw bin (cy*NCELLS+cx)*NBINS+o; then the contrast floor, the L2 norm, the
+    clamp at 0.2 and the renormalization.  Every step acts on each pixel
+    alone, so a descriptor does not depend on the band that holds it.
+    """
+    n, w = r1 - r0, cols.shape[2]
+    d = _cell_sums([cols[:, r0 + j:r1 + j] for j in range(PATCH)])
+    d = d.reshape(DESCRIPTOR_SIZE, n, w)
+    norm = np.sqrt(_sum_squares(d))
+    nz = norm > MIN_PATCH_NORM
+    d /= np.where(nz, norm, np.inf)             # below the floor: the zero descriptor
+    np.minimum(d, 0.2, out=d)
+    d /= np.where(nz, np.sqrt(_sum_squares(d)), np.inf)
+    return d
+
+
+def _bands(h: int):
+    return ((r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS))
 
 
 def descriptors_at(img, uu, vv) -> np.ndarray:
-    """Descriptors for pixel coordinates (uu[i], vv[i]); shape (N, 128)."""
+    """Descriptors for pixel coordinates (uu[i], vv[i]); shape (N, 128).
+
+    Only the bands of rows holding a requested pixel are computed."""
     a = _image_array(img)
-    h, w = a.shape
-    mag, bin0, bin1, frac = _gradient_bins(a)
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
-    n = len(uu)
-    desc = np.zeros((n, DESCRIPTOR_SIZE))
-    # chunked so patch gathers stay within a bounded working set
-    chunk = max(1, 2**22 // (PATCH * PATCH))
-    for lo in range(0, n, chunk):
-        cu = uu[lo:lo + chunk]
-        cv = vv[lo:lo + chunk]
-        m = len(cu)
-        pu = _reflect(cu[:, None] + _DU[None, :], w)
-        pv = _reflect(cv[:, None] + _DV[None, :], h)
-        wmag = mag[pv, pu] * _GAUSS_W[None, :]
-        f = frac[pv, pu]
-        rows = np.repeat(np.arange(m), PATCH * PATCH) * DESCRIPTOR_SIZE
-        k0 = (_CELL_KEY[None, :] + bin0[pv, pu]).ravel()
-        k1 = (_CELL_KEY[None, :] + bin1[pv, pu]).ravel()
-        flat = np.bincount(rows + k0, weights=(wmag * (1.0 - f)).ravel(),
-                           minlength=m * DESCRIPTOR_SIZE)
-        flat += np.bincount(rows + k1, weights=(wmag * f).ravel(),
-                            minlength=m * DESCRIPTOR_SIZE)
-        d = flat.reshape(m, DESCRIPTOR_SIZE)
-        norm = np.linalg.norm(d, axis=1)
-        nz = norm > MIN_PATCH_NORM
-        d[~nz] = 0.0
-        d[nz] /= norm[nz, None]
-        d[nz] = np.minimum(d[nz], 0.2)
-        d[nz] /= np.linalg.norm(d[nz], axis=1, keepdims=True)
-        desc[lo:lo + m] = d
+    desc = np.empty((len(uu), DESCRIPTOR_SIZE))
+    if len(uu) == 0:
+        return desc
+    cols = _cell_columns(a)
+    for r0, r1 in _bands(a.shape[0]):
+        sel = np.nonzero((vv >= r0) & (vv < r1))[0]
+        if len(sel):
+            desc[sel] = _band_descriptors(cols, r0, r1)[:, vv[sel] - r0, uu[sel]].T
     return desc
 
 
@@ -119,14 +178,15 @@ def build_training_set(img, mask: LabelMask, negatives_per_positive: int = 3,
     pv, pu = np.nonzero(lab == LABEL_WRINKLE)
     if len(pu) == 0:
         raise ValueError("mask contains no wrinkle pixels")
-    pos = descriptors_at(img, pu, pv)
     cv, cu = np.nonzero(lab != LABEL_WRINKLE)
     want = min(negatives_per_positive * len(pu), len(cu))
     rng = np.random.Generator(np.random.Philox(key=seed))
     pick = rng.choice(len(cu), size=want, replace=False)
     pick.sort()
-    neg = descriptors_at(img, cu[pick], cv[pick])
-    return TrainingSet(pos, neg, [provenance] if provenance else [])
+    desc = descriptors_at(img, np.concatenate([pu, cu[pick]]),
+                          np.concatenate([pv, cv[pick]]))
+    return TrainingSet(desc[:len(pu)], desc[len(pu):],
+                       [provenance] if provenance else [])
 
 
 def merge_training_sets(sets: list[TrainingSet]) -> TrainingSet:
@@ -231,9 +291,23 @@ def score_pixel(model: SvmModel, descriptor: np.ndarray) -> float:
     return 1.0 / (1.0 + math.exp(-(model.slope * m + model.offset)))
 
 
+def _sigmoid(model: SvmModel, margins: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-(model.slope * margins + model.offset)))
+
+
 def score_margins(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    z = model.slope * (X @ model.weights + model.bias) + model.offset
-    return 1.0 / (1.0 + np.exp(-z))
+    return _sigmoid(model, X @ model.weights + model.bias)
+
+
+def dense_scores(img, model: SvmModel) -> np.ndarray:
+    """Classifier score S of every pixel of img, shape (h, w)."""
+    a = _image_array(img)
+    cols = _cell_columns(a)
+    out = np.empty(a.shape)
+    for r0, r1 in _bands(a.shape[0]):
+        d = _band_descriptors(cols, r0, r1)
+        out[r0:r1] = _sigmoid(model, np.tensordot(model.weights, d, axes=1) + model.bias)
+    return out
 
 
 def accuracy(model: SvmModel, X: np.ndarray, y: np.ndarray,

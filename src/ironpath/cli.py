@@ -300,14 +300,14 @@ def evaluate_scenes(scene_dirs: list[str], model: classify.SvmModel,
         lab = np.asarray(labels.data)
         valid = nimg.valid
         pv, pu = np.nonzero((lab == gridio.LABEL_WRINKLE) & valid)
-        sp = classify.score_margins(model, classify.descriptors_at(nimg.combined, pu, pv))
         cv, cu = np.nonzero((lab != gridio.LABEL_WRINKLE) & valid)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed + 7000 + idx))
         take = min(cfg.negatives_per_positive * len(pu), len(cu))
         pick = rng.choice(len(cu), size=take, replace=False)
         pick.sort()
-        sn = classify.score_margins(model, classify.descriptors_at(
-            nimg.combined, cu[pick], cv[pick]))
+        s = classify.score_margins(model, classify.descriptors_at(
+            nimg.combined, np.concatenate([pu, cu[pick]]), np.concatenate([pv, cv[pick]])))
+        sp, sn = s[:len(pu)], s[len(pu):]
         thr = cfg.score_threshold
         correct += int(np.sum(sp >= thr)) + int(np.sum(sn < thr))
         total += len(sp) + len(sn)

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import math
 import numpy as np
-from scipy import ndimage
 
-from .classify import (MIN_PATCH_NORM, PATCH, SvmModel, _GAUSS_W_SUM,
-                       _gradient_bins, descriptors_at, score_margins)
+from .classify import SvmModel, dense_scores
 from .gridio import FloatGrid, GrayImage, LabelMask, WorldTransform, LABEL_WRINKLE
 
 EPS_REF = 1.0 / 255.0
@@ -88,23 +86,12 @@ def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float = 0.5,
               cell_size: float = 1.0, origin=(0.0, 0.0)) -> tuple[LabelMask, FloatGrid]:
     """Per-pixel classifier scores over the combined image and the mask S >= threshold.
 
-    Pixels whose patch cannot reach the descriptor contrast floor (patch max
-    gradient times total Gaussian weight below MIN_PATCH_NORM) provably get
-    the zero descriptor, whose score depends only on the model bias; they are
-    scored in one shot instead of through the descriptor path, bit-identical
-    to the full computation.
+    Every pixel is scored from its dense descriptor (classify.dense_scores);
+    pixels with an invalid reference score 0.
     """
     img = nimg.combined
     h, w = img.shape
-    mag = _gradient_bins(img)[0]
-    patch_has_grad = (ndimage.maximum_filter(mag, size=PATCH, mode="reflect")
-                      * _GAUSS_W_SUM > MIN_PATCH_NORM)
-    flat_score = 1.0 / (1.0 + math.exp(-(model.slope * model.bias + model.offset)))
-    scores = np.full((h, w), flat_score)
-    vv, uu = np.nonzero(patch_has_grad)
-    if len(uu):
-        desc = descriptors_at(img, uu, vv)
-        scores[vv, uu] = score_margins(model, desc)
+    scores = dense_scores(img, model)
     scores[~nimg.valid] = 0.0
     lab = np.where((scores >= threshold) & nimg.valid, LABEL_WRINKLE, 0)
     return (LabelMask(w, h, data=lab),

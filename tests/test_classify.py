@@ -9,6 +9,48 @@ from ironpath.classify import (SvmModel, TrainHyper, TrainingSet,
 from ironpath.gridio import LabelMask
 
 
+def mirror(i, n):
+    """Patch sample index i folded into 0..n-1 at the image borders."""
+    if i < 0:
+        return -i
+    return 2 * n - 1 - i if i >= n else i
+
+
+def brute_force_descriptors(img):
+    """Reference descriptor of every pixel, patch sample by patch sample.
+
+    Central-difference gradients (edge pixel repeated), magnitude split
+    linearly between the two nearest of 8 orientation bins, weight
+    exp(-(du^2 + dv^2) / 128), 4x4 cells of 4x4 samples, contrast floor,
+    L2 norm, clamp at 0.2, renormalization.  Returns (h, w, 128).
+    """
+    h, w = img.shape
+    ip = np.pad(img, 1, mode="symmetric")
+    gx = (ip[1:-1, 2:] - ip[1:-1, :-2]) / 2.0
+    gy = (ip[2:, 1:-1] - ip[:-2, 1:-1]) / 2.0
+    mag = np.hypot(gx, gy)
+    pos = (np.arctan2(gy, gx) + np.pi) / (2.0 * np.pi) * 8 - 0.5
+    vv, uu = np.mgrid[0:h, 0:w]
+    hist = np.zeros((h, w, 4, 4, 8))
+    for dv in range(-8, 8):
+        for du in range(-8, 8):
+            py = np.vectorize(mirror)(vv + dv, h)
+            px = np.vectorize(mirror)(uu + du, w)
+            m = mag[py, px] * np.exp(-(du * du + dv * dv) / 128.0)
+            b = np.floor(pos[py, px])
+            f = pos[py, px] - b
+            cell = hist[:, :, (dv + 8) // 4, (du + 8) // 4]
+            b0 = b.astype(int) % 8
+            np.add.at(cell, (vv, uu, b0), m * (1.0 - f))
+            np.add.at(cell, (vv, uu, (b0 + 1) % 8), m * f)
+    d = hist.reshape(h, w, 128)
+    norm = np.sqrt((d * d).sum(axis=2, keepdims=True))
+    d = np.where(norm > 0.01, d / np.where(norm > 0.01, norm, 1.0), 0.0)
+    d = np.minimum(d, 0.2)
+    norm = np.sqrt((d * d).sum(axis=2, keepdims=True))
+    return np.where(norm > 0, d / np.where(norm > 0, norm, 1.0), 0.0)
+
+
 def step_edge(w=48, h=48, col=24, lo=0.2, hi=0.8):
     img = np.full((h, w), lo)
     img[:, col:] = hi
@@ -49,6 +91,28 @@ class TestDescriptor:
         d1 = descriptor_at(img, 20, 20)
         d2 = descriptor_at(moved, 27, 24)
         assert np.allclose(d1, d2, atol=1e-12)
+
+    def test_every_pixel_matches_brute_force(self):
+        # 19 rows: one full band of rows and a partial one
+        rng = np.random.default_rng(12)
+        img = rng.uniform(0, 1, (19, 40))
+        img[:, 12:] = 0.4                 # flat: zero descriptors from column 21 on
+        ref = brute_force_descriptors(img)
+        vv, uu = np.mgrid[0:19, 0:40]
+        d = descriptors_at(img, uu.ravel(), vv.ravel()).reshape(19, 40, 128)
+        assert np.abs(d - ref).max() <= 1e-12
+        assert (np.linalg.norm(ref, axis=2) == 0).any()
+
+    def test_independent_of_requested_subset(self):
+        rng = np.random.default_rng(13)
+        img = rng.uniform(0, 1, (45, 31))
+        vv, uu = np.mgrid[0:45, 0:31]
+        full = descriptors_at(img, uu.ravel(), vv.ravel())
+        for _ in range(4):
+            pick = rng.choice(full.shape[0], size=int(rng.integers(1, 60)))
+            sub = descriptors_at(img, uu.ravel()[pick], vv.ravel()[pick])
+            assert np.array_equal(sub, full[pick])
+        assert descriptors_at(img, [], []).shape == (0, 128)
 
     def test_single_matches_batch(self):
         rng = np.random.default_rng(10)

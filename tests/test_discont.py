@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import CELL, corpus_scene, scene_products
 from ironpath.discont import (EPS_REF, HoughParams, _greedy_nms,
                               extract_segments, normalize, score_map)
+from ironpath.classify import descriptors_at, score_margins
 from ironpath.gridio import GrayImage, LABEL_WRINKLE, WorldTransform
 
 
@@ -81,6 +82,22 @@ class TestScoreMap:
         mask1, _ = score_map(nimg, trained_model, threshold=1.0)
         assert not (mask1.data == LABEL_WRINKLE).any()
         assert scores.data.min() >= 0.0 and scores.data.max() < 1.0
+
+    def test_matches_per_pixel_descriptors_on_noisy_scene(self, trained_model):
+        spec = corpus_scene(3300)
+        assert spec.noise.height_sigma > 0 and spec.noise.image_sigma > 0
+        _, nimg, _ = scene_products(spec)
+        nimg.valid[5, 7] = False
+        mask, scores = score_map(nimg, trained_model, threshold=0.5)
+        h, w = nimg.shape
+        vv, uu = np.mgrid[0:h, 0:w]
+        ref = score_margins(trained_model, descriptors_at(nimg.combined, uu.ravel(),
+                                                          vv.ravel())).reshape(h, w)
+        ref[~nimg.valid] = 0.0
+        assert np.abs(scores.data - ref).max() <= 1e-12
+        ref_mask = (ref >= 0.5) & nimg.valid
+        assert np.array_equal(mask.data == LABEL_WRINKLE, ref_mask)
+        assert 0 < ref_mask.sum() < ref_mask.size
 
     def test_ridge_scene_recall(self, trained_model):
         spec = corpus_scene(3200)
