@@ -65,7 +65,6 @@ class HoughParams:
     nms_rho_px: float = 5.0
     nms_theta_deg: float = 5.0
     consume_pad_px: float = 2.0   # extra radius when retiring supporting pixels
-    binary_votes: bool = False
 
 
 def normalize(i1: GrayImage, i2: GrayImage, ref1: GrayImage,
@@ -194,7 +193,7 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
 
     `mask` is a LabelMask (wrinkle label) or boolean array; `scores` a
     FloatGrid or array of per-pixel classifier scores used as Hough vote
-    weights (unless binary_votes).  Endpoints are reported in world meters
+    weights.  Endpoints are reported in world meters
     via `transform` (identity cell by default).
     """
     p = params or HoughParams()
@@ -206,7 +205,7 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
     vv, uu = np.nonzero(m)
     if len(uu) == 0:
         return []
-    wts = np.ones(len(uu)) if p.binary_votes else s[vv, uu]
+    wts = s[vv, uu]
     uu = uu.astype(np.float64)
     vv = vv.astype(np.float64)
 
