@@ -305,9 +305,9 @@ def evaluate_scenes(scene_dirs: list[str], model: classify.SvmModel,
         take = min(cfg.negatives_per_positive * len(pu), len(cu))
         pick = rng.choice(len(cu), size=take, replace=False)
         pick.sort()
-        s = classify.score_margins(model, classify.descriptors_at(
+        scores = classify.score_margins(model, classify.descriptors_at(
             nimg.combined, np.concatenate([pu, cu[pick]]), np.concatenate([pv, cv[pick]])))
-        sp, sn = s[:len(pu)], s[len(pu):]
+        sp, sn = scores[:len(pu)], scores[len(pu):]
         thr = cfg.score_threshold
         correct += int(np.sum(sp >= thr)) + int(np.sum(sn < thr))
         total += len(sp) + len(sn)

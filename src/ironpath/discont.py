@@ -193,8 +193,8 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
 
     `mask` is a LabelMask (wrinkle label) or boolean array; `scores` a
     FloatGrid or array of per-pixel classifier scores used as Hough vote
-    weights.  Endpoints are reported in world meters
-    via `transform` (identity cell by default).
+    weights.  Endpoints are reported in world meters via `transform`
+    (identity cell by default).
     """
     p = params or HoughParams()
     t = transform or WorldTransform(1.0)
