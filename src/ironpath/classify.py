@@ -9,8 +9,9 @@ linearly between the two nearest orientation bins.
 Descriptors are computed densely, as a separable linear filter (the dense-SIFT
 construction): each raw bin is a Gaussian-weighted box sum over one of 8
 soft-binned orientation planes, taken as a horizontal pass over the whole
-image and a vertical pass over one band of rows at a time.  Scoring every
-pixel (dense_scores) and sampling chosen pixels (descriptors_at) share it.
+image and a vertical pass: over one band of rows at a time when every pixel
+is scored (dense_scores), at the requested pixels only when pixels are
+sampled (descriptors_at).  Both run the same arithmetic per pixel.
 
 Training is Pegasos-style stochastic subgradient descent on the hinge loss.
 The example visited at step t is chosen by a counter hash of (seed, t), so
@@ -37,7 +38,8 @@ NBINS = 8
 MIN_PATCH_NORM = 0.01
 
 NCELLS = PATCH // CELL_W           # cells per patch side
-_BAND_ROWS = 16                    # rows per band of the vertical pass (bounds memory)
+_BAND_ROWS = 16                    # rows per band of dense_scores (bounds memory)
+_CHUNK_PX = 4096                   # pixels per chunk of descriptors_at (bounds memory)
 
 # patch offsets -8..7 from the center pixel along each axis, and the 1-D
 # Gaussian g(d) = exp(-d^2 / (2 * 8^2)); the patch weight is g(du) * g(dv)
@@ -117,17 +119,9 @@ def _sum_squares(d: np.ndarray) -> np.ndarray:
     return total
 
 
-def _band_descriptors(cols: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Vertical pass and normalization for image rows r0..r1-1: (128, r1-r0, w).
-
-    Each cell row cy sums its CELL_W row offsets dv weighted by g(dv), giving
-    raw bin (cy*NCELLS+cx)*NBINS+o; then the contrast floor, the L2 norm, the
-    clamp at 0.2 and the renormalization.  Every step acts on each pixel
-    alone, so a descriptor does not depend on the band that holds it.
-    """
-    n, w = r1 - r0, cols.shape[2]
-    d = _cell_sums([cols[:, r0 + j:r1 + j] for j in range(PATCH)])
-    d = d.reshape(DESCRIPTOR_SIZE, n, w)
+def _normalize(d: np.ndarray) -> np.ndarray:
+    """Contrast floor, L2 norm, clamp at 0.2 and renormalization of raw
+    descriptors d (bins on axis 0), in place."""
     norm = np.sqrt(_sum_squares(d))
     nz = norm > MIN_PATCH_NORM
     d /= np.where(nz, norm, np.inf)             # below the floor: the zero descriptor
@@ -136,23 +130,23 @@ def _band_descriptors(cols: np.ndarray, r0: int, r1: int) -> np.ndarray:
     return d
 
 
-def _bands(h: int):
-    return ((r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS))
-
-
 def descriptors_at(img, uu, vv) -> np.ndarray:
     """Descriptors for pixel coordinates (uu[i], vv[i]); shape (N, 128).
 
-    Only the bands of rows holding a requested pixel are computed."""
-    a = _image_array(img)
+    The vertical pass runs at the requested pixels only, with the same
+    arithmetic as a band of dense_scores, so each descriptor is the one the
+    dense engine computes for its pixel, whichever pixels are requested.
+    """
+    cols = _cell_columns(_image_array(img))
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
     desc = np.empty((len(uu), DESCRIPTOR_SIZE))
-    cols = _cell_columns(a)
-    for r0, r1 in _bands(a.shape[0]):
-        sel = np.nonzero((vv >= r0) & (vv < r1))[0]
-        if len(sel):
-            desc[sel] = _band_descriptors(cols, r0, r1)[:, vv[sel] - r0, uu[sel]].T
+    for lo in range(0, len(uu), _CHUNK_PX):      # bounds the gathered taps
+        cu, cv = uu[lo:lo + _CHUNK_PX], vv[lo:lo + _CHUNK_PX]
+        # vertical pass: cell row cy sums its row offsets dv weighted by g(dv),
+        # giving raw bin (cy*NCELLS+cx)*NBINS+o
+        d = _cell_sums([cols[:, cv + j, cu] for j in range(PATCH)])
+        desc[lo:lo + len(cu)] = _normalize(d.reshape(DESCRIPTOR_SIZE, len(cu))).T
     return desc
 
 
@@ -303,10 +297,14 @@ def score_margins(model: SvmModel, X: np.ndarray) -> np.ndarray:
 def dense_scores(img, model: SvmModel) -> np.ndarray:
     """Classifier score S of every pixel of img, shape (h, w)."""
     a = _image_array(img)
+    h, w = a.shape
     cols = _cell_columns(a)
     out = np.empty(a.shape)
-    for r0, r1 in _bands(a.shape[0]):
-        d = _band_descriptors(cols, r0, r1)
+    for r0 in range(0, h, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, h)
+        # the vertical pass of descriptors_at, over a band of rows
+        d = _cell_sums([cols[:, r0 + j:r1 + j] for j in range(PATCH)])
+        d = _normalize(d.reshape(DESCRIPTOR_SIZE, r1 - r0, w))
         out[r0:r1] = _sigmoid(model, np.tensordot(model.weights, d, axes=1) + model.bias)
     return out
 
