@@ -15,7 +15,10 @@ sampled (descriptors_at).  Both run the same arithmetic per pixel.
 
 Training is Pegasos-style stochastic subgradient descent on the hinge loss.
 The example visited at step t is chosen by a counter hash of (seed, t), so
-training is deterministic and independent of platform.
+training is deterministic and independent of platform.  The solver takes
+the margin dot products of the steps between two hinge violations in one
+matrix-vector product, and its model is bit for bit the one of the plain
+per-step loop (see train_arrays).
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ MIN_PATCH_NORM = 0.01
 NCELLS = PATCH // CELL_W           # cells per patch side
 _BAND_ROWS = 16                    # rows per band of dense_scores (bounds memory)
 _CHUNK_PX = 4096                   # pixels per chunk of descriptors_at (bounds memory)
+_BLOCK_STEPS = 1024                # Pegasos steps per gathered block of examples
+_WINDOW_STEPS = 32                 # Pegasos margins per matrix-vector product
 
 # patch offsets -8..7 from the center pixel along each axis, and the 1-D
 # Gaussian g(d) = exp(-d^2 / (2 * 8^2)); the patch weight is g(du) * g(dv)
@@ -222,25 +227,76 @@ def _sample_indices(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
 
 
 def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
-    """Pegasos on (X, y) with y in {-1, +1}; bias unregularized."""
+    """Pegasos on (X, y) with y in {-1, +1}; bias unregularized.
+
+    Step t visits example i = hash(seed, t) mod n with eta = 1/(lambda t):
+    the margin y_i (scale w.x_i + b) is taken, scale shrinks by
+    1 - eta lambda (folded into w before it underflows), and on a hinge
+    violation (margin < 1) w += (eta y_i / scale) x_i and b += eta y_i.
+
+    w changes only on violations and folds, so the dot products w.x_i of
+    the steps up to the next change are taken in one matrix-vector product
+    over a window of steps, and the steps run as scalar Python.  A batched
+    dot product may round differently from the single one, so a margin
+    within rounding of 1 is recomputed with w @ x_i: every hinge decision,
+    and with it every bit of the model, is that of the plain per-step loop.
+    """
     n, dim = X.shape
     lam = hyper.reg_lambda
+    if not lam > 0:
+        raise ValueError(f"reg_lambda must be > 0, got {lam}")
     T = hyper.epochs * n
-    idx = _sample_indices(hyper.seed, 1, T + 1, n)
     w = np.zeros(dim)
     scale = 1.0
     b = 0.0
-    for t in range(1, T + 1):
-        i = idx[t - 1]
-        eta = 1.0 / (lam * t)
-        margin = y[i] * (scale * (w @ X[i]) + b)
-        scale *= 1.0 - eta * lam
-        if scale < 1e-9:                     # fold the scalar in before underflow
-            w *= scale
-            scale = 1.0
-        if margin < 1.0:
-            w += (eta * y[i] / scale) * X[i]
-            b += eta * y[i]
+    # Any order of summing dim products lies within dim * 2^-53 * |w| |x| of
+    # the exact dot product, so a batched and a single one differ by at most
+    # twice that.  rel covers it with room for the roundings of
+    # scale * d + b and of the bounds xmax >= |x_i| and wmax >= |w|; margins
+    # within band of 1 are recomputed, band being at least an ulp of 1.
+    rel = 4.0 * (dim + 4) * 2.0**-53
+    xmax = float(np.sqrt(np.einsum("ij,ij->i", X, X).max(initial=0.0)))
+    wmax = 0.0
+    for t0 in range(1, T + 1, _BLOCK_STEPS):
+        t1 = min(t0 + _BLOCK_STEPS, T + 1)
+        idx = _sample_indices(hyper.seed, t0, t1, n)
+        Xb, yb = X[idx], y[idx]
+        eta = 1.0 / (lam * np.arange(t0, t1, dtype=np.float64))
+        shrink = (1.0 - eta * lam).tolist()
+        step = (eta * yb).tolist()
+        ys = yb.tolist()
+        k = 0
+        while k < t1 - t0:
+            band = rel * (scale * wmax * xmax + abs(b)) + 2.0**-52
+            if not band < math.inf:              # non-finite: check every step
+                band = math.inf
+            upper = 1.0 + band
+            end = min(k + _WINDOW_STEPS, t1 - t0)
+            for j, d in enumerate(Xb[k:end].dot(w).tolist(), k):
+                margin = ys[j] * (scale * d + b)
+                if margin < upper:
+                    break
+                scale *= shrink[j]
+                if scale < 1e-9:
+                    break
+            else:
+                k = end
+                continue
+            # step j may violate the hinge, or its shrink needs a fold
+            if margin < upper:
+                if margin >= 1.0 - band:
+                    margin = ys[j] * (scale * (w @ X[idx[j]]) + b)
+                scale *= shrink[j]
+            if scale < 1e-9:                     # fold the scalar in before underflow
+                w *= scale
+                wmax *= abs(scale) * (1.0 + rel)
+                scale = 1.0
+            if margin < 1.0:
+                coef = step[j] / scale
+                w += coef * Xb[j]
+                b += step[j]
+                wmax = (wmax + abs(coef) * xmax) * (1.0 + rel)
+            k = j + 1
     w *= scale
     if not (np.all(np.isfinite(w)) and math.isfinite(b)):
         raise FloatingPointError(
@@ -341,6 +397,8 @@ def load_model(path) -> SvmModel:
                                bool(int(parts[5])))
         except ValueError as e:
             raise GridFormatError(f"{path}: bad SVMW header {header!r}") from e
+        if n != DESCRIPTOR_SIZE:
+            raise GridFormatError(f"{path}: {n} weights, expected {DESCRIPTOR_SIZE}")
         payload = f.read()
     if len(payload) != (n + 3) * 8:
         raise GridFormatError(f"{path}: payload {len(payload)} bytes, "

@@ -151,11 +151,11 @@ def _json_ready(x):
     if isinstance(x, (list, tuple)):
         return [_json_ready(v) for v in x]
     if isinstance(x, (np.floating, np.integer)):
-        return x.item()
+        return _json_ready(x.item())
     if isinstance(x, np.ndarray):
         return _json_ready(x.tolist())
     if isinstance(x, float) and math.isinf(x):
-        return "inf"
+        return "inf" if x > 0 else "-inf"
     return x
 
 
@@ -313,6 +313,8 @@ def evaluate_scenes(scene_dirs: list[str], model: classify.SvmModel,
         total += len(sp) + len(sn)
         hit += int(np.sum(sp >= thr))
         positives += len(sp)
+    if positives == 0:          # no wrinkle pixel, so no negatives sampled either
+        raise ValueError("held-out scenes contain no wrinkle pixels")
     return correct / total, hit / positives
 
 
@@ -345,6 +347,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config) if args.config else PipelineConfig()
+    eval_dirs = _scene_dirs(args.eval_dir) if args.eval_dir else []
+    if args.eval_dir and not eval_dirs:
+        print(f"no scene directories under {args.eval_dir}", file=sys.stderr)
+        return 2
     try:
         ts = build_corpus_training_set(args.corpus, cfg)
         model = classify.train(ts, cfg.train_hyper())
@@ -354,8 +360,12 @@ def cmd_train(args) -> int:
     gridio.write_atomic(args.model_out, lambda p: classify.save_model(model, p))
     print(f"trained on {len(ts.positives)} positive / {len(ts.negatives)} negative "
           f"pixels; model written to {args.model_out}")
-    if args.eval_dir:
-        acc, rec = evaluate_scenes(_scene_dirs(args.eval_dir), model, cfg)
+    if eval_dirs:
+        try:
+            acc, rec = evaluate_scenes(eval_dirs, model, cfg)
+        except (ValueError, OSError) as e:
+            print(f"stage evaluate failed: {e}", file=sys.stderr)
+            return 1
         print(f"held-out accuracy {acc:.4f} recall {rec:.4f}")
     return 0
 

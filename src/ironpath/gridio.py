@@ -12,7 +12,9 @@ PGM     Binary P5.  Grayscale images use maxval 65535 (two bytes per sample,
 
 from __future__ import annotations
 
+import contextlib
 import os
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,7 +216,15 @@ def read_labels(path) -> LabelMask:
 
 
 def write_atomic(path, writer) -> None:
-    """Write via tmp file + rename so partial files never appear."""
-    tmp = f"{path}.tmp"
-    writer(tmp)
-    os.replace(tmp, path)
+    """Write via a uniquely named temporary file in the same directory, then
+    rename, so partial files never appear; if the writer raises, the
+    temporary file is removed and path is left as it was."""
+    # a fresh random name, not mkstemp, so the file gets the usual permissions
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ironpath import classify
 from ironpath.classify import (SvmModel, TrainHyper, TrainingSet,
                                build_training_set, descriptor_at,
                                descriptors_at, load_model, save_model,
                                score_pixel, train, train_arrays)
-from ironpath.gridio import LabelMask
+from ironpath.gridio import GridFormatError, LabelMask
 
 
 def mirror(i, n):
@@ -175,6 +176,118 @@ def separable_set(n=60, seed=0):
     return TrainingSet(pos, neg)
 
 
+def pegasos_reference(X, y, hyper):
+    """The plain per-step Pegasos loop, one dot product per step.
+
+    Returns (weights, bias, steps that violated the hinge)."""
+    n, dim = X.shape
+    lam = hyper.reg_lambda
+    T = hyper.epochs * n
+    idx = classify._sample_indices(hyper.seed, 1, T + 1, n)
+    w = np.zeros(dim)
+    scale = 1.0
+    b = 0.0
+    violations = []
+    for t in range(1, T + 1):
+        i = idx[t - 1]
+        eta = 1.0 / (lam * t)
+        margin = y[i] * (scale * (w @ X[i]) + b)
+        scale *= 1.0 - eta * lam
+        if scale < 1e-9:
+            w *= scale
+            scale = 1.0
+        if margin < 1.0:
+            w += (eta * y[i] / scale) * X[i]
+            b += eta * y[i]
+            violations.append(t)
+    w *= scale
+    return w, b, violations
+
+
+def assert_matches_reference(X, y, hyper):
+    w, b, violations = pegasos_reference(X, y, hyper)
+    model = train_arrays(X, y, hyper)
+    assert np.array_equal(model.weights, w)
+    assert model.bias == b
+    return violations
+
+
+@st.composite
+def pegasos_cases(draw):
+    """(X, y, hyper): random, descriptor-like, quantized (exact dot
+    products) and all-identical (tied) sets, one-class-heavy or not."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["normal", "descriptor", "quantized", "tie"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        X = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 30.0])), (n, 128))
+    elif kind == "descriptor":
+        X = np.abs(rng.normal(size=(n, 128)))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X[rng.random(n) < 0.1] = 0.0
+    elif kind == "quantized":
+        X = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, 128), p=[0.9, 0.04, 0.03, 0.03])
+    else:
+        X = np.tile(rng.normal(size=128), (n, 1))
+    p_pos = draw(st.sampled_from([0.0, 0.02, 0.5, 0.98, 1.0]))
+    y = np.where(rng.random(n) < p_pos, 1.0, -1.0)
+    hyper = TrainHyper(reg_lambda=10.0 ** draw(st.floats(-5.0, -2.0)),
+                       epochs=draw(st.integers(1, 12)),
+                       seed=draw(st.integers(0, 2**63 - 1)))
+    return X, y, hyper
+
+
+class TestSolverOracle:
+    """train_arrays against the plain per-step loop, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pegasos_cases())
+    def test_bit_identical_to_per_step_loop(self, case):
+        assert_matches_reference(*case)
+
+    def test_violations_on_block_and_window_boundaries(self):
+        # two overlapping classes, 3600 steps, a few hundred violations; with
+        # these two seeds they fall on the last and on the first step of a
+        # block, and on the last step of a full window of margins
+        rng = np.random.default_rng(0)
+        mu = np.zeros(128)
+        mu[:4] = 0.5
+        even = np.arange(300)[:, None] % 2 == 0
+        X = np.abs(rng.normal(0, 0.2, (300, 128)) + np.where(even, mu, mu[::-1]))
+        y = np.where(even[:, 0], 1.0, -1.0)
+        block, window = classify._BLOCK_STEPS, classify._WINDOW_STEPS
+        steps, gaps = [], []
+        for seed in (8, 9):
+            hits = assert_matches_reference(X, y, TrainHyper(epochs=12, seed=seed))
+            steps += hits
+            gaps += np.diff(hits).tolist()
+        assert any(t % block == 0 for t in steps)
+        assert any(t % block == 1 and t > 1 for t in steps)
+        assert window in gaps and max(gaps) > window
+
+    def test_margins_within_rounding_of_one(self):
+        # Two examples: step 1 visits x1 (w = x1 / lambda, b = 1 / lambda),
+        # step 2 visits x2, scaled so that w.x2 + b is 1 give or take a few
+        # ulps.  A batched dot product can then fall on the other side of 1
+        # from the single one; the decision must still be the single one's.
+        seed = next(s for s in range(1000)
+                    if list(classify._sample_indices(s, 1, 3, 2)) == [0, 1])
+        hyper = TrainHyper(reg_lambda=0.01, epochs=20, seed=seed)
+        rng = np.random.default_rng(3)
+        y = np.ones(2)
+        for _ in range(2):
+            x1, v = rng.normal(size=128), rng.normal(size=128)
+            alpha = (1.0 - 1.0 / 0.01) / ((x1 / 0.01) @ v)
+            for k in range(-40, 41):
+                X = np.vstack([x1, v * (alpha * (1.0 + k * 2.0**-52))])
+                assert_matches_reference(X, y, hyper)
+
+    def test_nonpositive_lambda_rejected(self):
+        X = np.eye(2, 128)
+        with pytest.raises(ValueError, match="reg_lambda"):
+            train_arrays(X, np.array([1.0, -1.0]), TrainHyper(reg_lambda=0.0))
+
+
 class TestTrain:
     def test_separable_reaches_full_accuracy(self):
         ts = separable_set()
@@ -250,4 +363,11 @@ class TestModelFile:
         p = tmp_path / "junk.svmw"
         p.write_bytes(b"SVMX 128\n" + b"\x00" * 8)
         with pytest.raises(Exception):
+            load_model(p)
+
+    def test_wrong_weight_count_rejected(self, tmp_path):
+        model = SvmModel(np.ones(64), 0.5, TrainHyper())
+        p = tmp_path / "short.svmw"
+        save_model(model, p)
+        with pytest.raises(GridFormatError, match="64 weights, expected 128"):
             load_model(p)

@@ -134,6 +134,29 @@ class TestTrainCommand:
         out = capsys.readouterr().out
         assert "held-out accuracy" in out and "recall" in out
 
+    def test_eval_dir_without_scenes_exit_2_before_training(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        write_scene_dir(corpus, "scene0", corpus_scene(530, width=140, height=100))
+        holdout = tmp_path / "holdout"
+        holdout.mkdir()
+        model = tmp_path / "m.svmw"
+        assert main(["train", str(corpus), str(model), "--eval-dir", str(holdout)]) == 2
+        err = capsys.readouterr().err
+        assert f"no scene directories under {holdout}" in err
+        assert not model.exists()
+
+    def test_eval_dir_without_wrinkle_pixels_exit_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        write_scene_dir(corpus, "scene0", corpus_scene(540, width=140, height=100))
+        holdout = tmp_path / "holdout"
+        write_scene_dir(holdout, "flat", synth.SceneSpec(96, 72, CELL))
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("svm_epochs 1\n")
+        assert main(["train", str(corpus), str(tmp_path / "m.svmw"),
+                     "--eval-dir", str(holdout), "--config", str(cfg)]) == 1
+        assert "stage evaluate failed: held-out scenes contain no wrinkle pixels" \
+            in capsys.readouterr().err
+
 
 def detect_args(scene_dir, model_file, extra=()):
     return ["detect",
@@ -186,6 +209,14 @@ class TestDetectCommand:
                 "--model", str(model_file)]
         assert main(args) == 1
         assert "stage inputs failed" in capsys.readouterr().err
+
+    def test_model_of_wrong_size_exit_1(self, tmp_path, capsys):
+        d = write_scene_dir(tmp_path, "flat4", synth.SceneSpec(96, 72, CELL))
+        short = tmp_path / "short.svmw"
+        classify.save_model(classify.SvmModel(np.zeros(64), 0.0, classify.TrainHyper()), short)
+        assert main(detect_args(d, short)) == 1
+        err = capsys.readouterr().err
+        assert "stage inputs failed" in err and "64 weights, expected 128" in err
 
     def test_bad_config_exit_2(self, tmp_path, model_file):
         spec = synth.SceneSpec(96, 72, CELL)
@@ -251,6 +282,13 @@ class TestOverlayCommand:
         assert tags.count("ellipse") == 2 * len(report["mixture"])
         assert set(tags) <= self.SVG_ELEMENTS
         assert root.get("version") == "1.1"
+
+
+def test_dump_report_keeps_sign_of_infinity():
+    text = dump_report({"a": -math.inf, "b": math.inf, "c": np.float64(-np.inf),
+                        "d": [np.float32(np.inf)], "e": np.array([-np.inf])})
+    assert json.loads(text) == {"a": "-inf", "b": "inf", "c": "-inf",
+                                "d": ["inf"], "e": ["-inf"]}
 
 
 class TestRunDetection:

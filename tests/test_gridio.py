@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,31 @@ class TestLabelMask:
     def test_bad_label_value(self):
         with pytest.raises(ValueError):
             LabelMask(3, 3, data=[3] + [0] * 8)
+
+
+class TestWriteAtomic:
+    def test_failed_writer_leaves_nothing_behind(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+
+        def writer(p):
+            with open(p, "wb") as f:
+                f.write(b"partial")
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            gridio.write_atomic(target, writer)
+        assert target.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["out.bin"]
+
+    def test_temporary_name_is_not_fixed(self, tmp_path):
+        target = tmp_path / "out.bin"
+        other = tmp_path / "out.bin.tmp"
+        other.write_bytes(b"someone else's")
+        gridio.write_atomic(target, lambda p: open(p, "wb").close())
+        assert target.read_bytes() == b""
+        assert other.read_bytes() == b"someone else's"
+        assert sorted(os.listdir(tmp_path)) == ["out.bin", "out.bin.tmp"]
 
 
 class TestWorldTransform:
