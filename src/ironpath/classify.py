@@ -8,10 +8,16 @@ linearly between the two nearest orientation bins.
 
 Descriptors are computed densely, as a separable linear filter (the dense-SIFT
 construction): each raw bin is a Gaussian-weighted box sum over one of 8
-soft-binned orientation planes, taken as a horizontal pass over the whole
-image and a vertical pass: over one band of rows at a time when every pixel
-is scored (dense_scores), at the requested pixels only when pixels are
-sampled (descriptors_at).  Both run the same arithmetic per pixel.
+soft-binned orientation planes, taken as a horizontal pass and a vertical
+pass.  When pixels are sampled (descriptors_at), the horizontal pass covers
+the whole image and the vertical pass runs at the requested pixels only.
+When every pixel is scored (dense_scores), the image is split into bands of
+_BAND_ROWS rows, scored on worker threads: each band takes its own
+horizontal pass over its rows and the PATCH-1 halo rows below them, then the
+vertical pass, normalization, SVM dot product and sigmoid run on tiles of
+_TILE_ROWS x _TILE_COLS pixels whose descriptors fit in cache.  Both paths run the same arithmetic per
+pixel, and the band and tile grid does not depend on the thread count, so
+neither do the scores.
 
 Training is Pegasos-style stochastic subgradient descent on the hinge loss.
 The example visited at step t is chosen by a counter hash of (seed, t), so
@@ -24,6 +30,7 @@ per-step loop (see train_arrays).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +48,9 @@ NBINS = 8
 MIN_PATCH_NORM = 0.01
 
 NCELLS = PATCH // CELL_W           # cells per patch side
-_BAND_ROWS = 16                    # rows per band of dense_scores (bounds memory)
+_BAND_ROWS = 64                    # rows per band of dense_scores: one thread's work
+_TILE_ROWS = 16                    # a tile of dense_scores' vertical pass onward,
+_TILE_COLS = 64                    # sized so its descriptors (1 MiB) stay in cache
 _CHUNK_PX = 4096                   # pixels per chunk of descriptors_at (bounds memory)
 _BLOCK_STEPS = 1024                # Pegasos steps per gathered block of examples
 _WINDOW_STEPS = 32                 # Pegasos margins per matrix-vector product
@@ -97,12 +106,11 @@ def _cell_sums(taps: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _cell_columns(a: np.ndarray) -> np.ndarray:
-    """Horizontal pass: (NCELLS*NBINS, h+PATCH-1, w), plane index cx*NBINS+o.
+def _orientation_planes(a: np.ndarray) -> np.ndarray:
+    """Orientation planes, padded by half a patch: (NBINS, h+PATCH-1, w+PATCH-1).
 
     Gradient magnitude is split between the two nearest of NBINS orientation
-    planes, the planes are padded by half a patch, and each cell column cx
-    sums its CELL_W column offsets du weighted by g(du).
+    planes.
     """
     h, w = a.shape
     mag, bin0, bin1, frac = _gradient_bins(a)
@@ -110,18 +118,32 @@ def _cell_columns(a: np.ndarray) -> np.ndarray:
     planes = np.empty((NBINS, h, w))
     for o in range(NBINS):
         planes[o] = np.where(bin0 == o, lo, 0.0) + np.where(bin1 == o, hi, 0.0)
-    planes = _pad_patch(planes)
-    cols = _cell_sums([planes[:, :, j:j + w] for j in range(PATCH)])
-    return cols.reshape(NCELLS * NBINS, planes.shape[1], w)
+    return _pad_patch(planes)
+
+
+def _cell_columns(planes: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Horizontal pass over padded rows r0..r1-1 of the orientation planes:
+    (NCELLS*NBINS, r1-r0, w), plane index cx*NBINS+o.
+
+    Each cell column cx sums its CELL_W column offsets du weighted by g(du).
+    The pass is row-local, so any range of rows gives the same values there.
+    """
+    w = planes.shape[2] - (PATCH - 1)
+    rows = planes[:, r0:r1]
+    cols = _cell_sums([rows[:, :, j:j + w] for j in range(PATCH)])
+    return cols.reshape(NCELLS * NBINS, r1 - r0, w)
 
 
 def _sum_squares(d: np.ndarray) -> np.ndarray:
-    """Per pixel, the sum over bins (axis 0) of d^2, in bin order."""
-    total = np.square(d[0])
-    sq = np.empty_like(total)
-    for k in range(1, len(d)):
-        total += np.square(d[k], out=sq)
-    return total
+    """Per pixel, the sum over bins (axis 0) of d^2, in bin order.
+
+    Reducing along the outer axis adds whole bin planes in order; the bins
+    of a lone pixel are contiguous, and np.add.reduce would sum them
+    pairwise, so that case accumulates."""
+    sq = np.square(d)
+    if sq[0].size == 1:
+        return np.add.accumulate(sq, axis=0)[-1]
+    return np.add.reduce(sq, axis=0)
 
 
 def _normalize(d: np.ndarray) -> np.ndarray:
@@ -139,10 +161,11 @@ def descriptors_at(img, uu, vv) -> np.ndarray:
     """Descriptors for pixel coordinates (uu[i], vv[i]); shape (N, 128).
 
     The vertical pass runs at the requested pixels only, with the same
-    arithmetic as a band of dense_scores, so each descriptor is the one the
+    arithmetic as a tile of dense_scores, so each descriptor is the one the
     dense engine computes for its pixel, whichever pixels are requested.
     """
-    cols = _cell_columns(_image_array(img))
+    planes = _orientation_planes(_image_array(img))
+    cols = _cell_columns(planes, 0, planes.shape[1])
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
     desc = np.empty((len(uu), DESCRIPTOR_SIZE))
@@ -350,18 +373,44 @@ def score_margins(model: SvmModel, X: np.ndarray) -> np.ndarray:
     return _sigmoid(model, X @ model.weights + model.bias)
 
 
-def dense_scores(img, model: SvmModel) -> np.ndarray:
-    """Classifier score S of every pixel of img, shape (h, w)."""
+def _score_band(planes: np.ndarray, model: SvmModel, out: np.ndarray,
+                 r0: int, r1: int) -> None:
+    """Scores of rows r0..r1-1 into out[r0:r1]: the horizontal pass over the
+    band and its PATCH-1 halo rows, then the vertical pass, normalization,
+    SVM dot product and sigmoid tile by tile."""
+    cols = _cell_columns(planes, r0, r1 + PATCH - 1)
+    w = out.shape[1]
+    # the last column tile takes a lone last column: a 1x1 tile would send
+    # the dot product to a kernel that rounds differently from the others
+    col_edges = list(range(0, max(w - 1, 1), _TILE_COLS)) + [w]
+    for t0 in range(0, r1 - r0, _TILE_ROWS):
+        t1 = min(t0 + _TILE_ROWS, r1 - r0)
+        for c0, c1 in zip(col_edges, col_edges[1:]):
+            # the vertical pass of descriptors_at, over one tile
+            d = _cell_sums([cols[:, t0 + j:t1 + j, c0:c1] for j in range(PATCH)])
+            d = _normalize(d.reshape(DESCRIPTOR_SIZE, t1 - t0, c1 - c0))
+            out[r0 + t0:r0 + t1, c0:c1] = _sigmoid(
+                model, np.tensordot(model.weights, d, axes=1) + model.bias)
+
+
+def dense_scores(img, model: SvmModel, threads: int = 1) -> np.ndarray:
+    """Classifier score S of every pixel of img, shape (h, w).
+
+    Bands of _BAND_ROWS rows are scored on up to `threads` worker threads,
+    each band into its own rows of the result.  The band and tile grid does
+    not depend on `threads`, so neither does any score.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     a = _image_array(img)
-    h, w = a.shape
-    cols = _cell_columns(a)
+    h = a.shape[0]
+    planes = _orientation_planes(a)
     out = np.empty(a.shape)
-    for r0 in range(0, h, _BAND_ROWS):
-        r1 = min(r0 + _BAND_ROWS, h)
-        # the vertical pass of descriptors_at, over a band of rows
-        d = _cell_sums([cols[:, r0 + j:r1 + j] for j in range(PATCH)])
-        d = _normalize(d.reshape(DESCRIPTOR_SIZE, r1 - r0, w))
-        out[r0:r1] = _sigmoid(model, np.tensordot(model.weights, d, axes=1) + model.bias)
+    bands = [(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]
+    with ThreadPoolExecutor(max(1, min(threads, len(bands)))) as pool:
+        for done in [pool.submit(_score_band, planes, model, out, r0, r1)
+                     for r0, r1 in bands]:
+            done.result()
     return out
 
 

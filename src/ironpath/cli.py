@@ -2,9 +2,10 @@
 
 The JSON report (UTF-8, sorted keys) is the single machine interface; the
 SVG overlay is derived from it.  For fixed inputs, config and seed the report
-is byte-identical across reruns: every stage is deterministic and
-single-threaded, and timing diagnostics go to stderr unless --timing
-explicitly adds them to the report.
+is byte-identical across reruns: every stage is deterministic, the score
+stage gives the same bits on any number of threads (IRONPATH_THREADS), and
+timing diagnostics go to stderr unless --timing explicitly adds them to the
+report.
 """
 
 from __future__ import annotations
@@ -138,6 +139,8 @@ def parse_config(path) -> PipelineConfig:
                     values[key] = int(sval)
                 elif ftype == "float":
                     values[key] = float(sval)
+                    if math.isnan(values[key]):      # inf stays: max_len_px defaults to it
+                        raise ValueError("not a number")
                 else:
                     values[key] = sval
             except ValueError as e:
@@ -180,8 +183,11 @@ def _sha256(path) -> str:
 
 def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
                   model: classify.SvmModel, cfg: PipelineConfig,
-                  timings: dict | None = None) -> dict:
-    """Full detection pipeline on in-memory inputs; returns the report body."""
+                  timings: dict | None = None, threads: int = 1) -> dict:
+    """Full detection pipeline on in-memory inputs; returns the report body.
+
+    The score stage runs on up to `threads` threads; the report does not
+    depend on their number."""
     def stage(name, fn):
         t0 = time.perf_counter()
         try:
@@ -201,7 +207,7 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
     mix = stage("mixture", lambda: mixture.build_mixture(bumps))
     nimg = stage("normalize", lambda: discont.normalize(i1, i2, ref1, ref2))
     mask, scores = stage("score", lambda: discont.score_map(
-        nimg, model, cfg.score_threshold, height.cell_size, height.origin))
+        nimg, model, cfg.score_threshold, height.cell_size, height.origin, threads))
     segments = stage("segments", lambda: discont.extract_segments(
         mask, scores, cfg.hough_params(), height.transform))
     fused = stage("fusion", lambda: fusion.fuse(
@@ -370,8 +376,24 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _thread_count() -> int:
+    """Threads for the score stage: IRONPATH_THREADS, or when it is unset,
+    the number of CPUs this process may run on."""
+    raw = os.environ.get("IRONPATH_THREADS")
+    if raw is None:
+        return len(os.sched_getaffinity(0))
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"IRONPATH_THREADS must be an integer >= 1, got {raw!r}")
+    return n
+
+
 def cmd_detect(args) -> int:
     cfg = parse_config(args.config) if args.config else PipelineConfig()
+    threads = _thread_count()
     try:
         height = gridio.read_grid(args.height)
         imgs = [gridio.read_gray(p) for p in (args.i1, args.i2, args.ref1, args.ref2)]
@@ -380,7 +402,7 @@ def cmd_detect(args) -> int:
         print(f"stage inputs failed: {e}", file=sys.stderr)
         return 1
     timings: dict = {}
-    report = run_detection(height, *imgs, model, cfg, timings)
+    report = run_detection(height, *imgs, model, cfg, timings, threads)
     report["inputs"] = {
         "height": {"path": args.height, "sha256": _sha256(args.height)},
         "light1": {"path": args.i1, "sha256": _sha256(args.i1)},
@@ -401,18 +423,38 @@ def cmd_detect(args) -> int:
     return 0
 
 
+def _read_report(path) -> dict:
+    """A detection report; ValueError when it is not a JSON object."""
+    with open(path, "r", encoding="utf-8") as f:
+        report = json.load(f)
+    if not isinstance(report, dict):
+        raise ValueError("not a JSON object")
+    return report
+
+
+# what a malformed report raises where it is read
+_REPORT_ERRORS = (ValueError, KeyError, TypeError, IndexError)
+
+
+def _report_failed(path, e: Exception) -> int:
+    what = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+    print(f"stage inputs failed: {path}: {what}", file=sys.stderr)
+    return 1
+
+
 def cmd_plan(args) -> int:
     cfg = parse_config(args.config) if args.config else PipelineConfig()
-    with open(args.report, "r", encoding="utf-8") as f:
-        report = json.load(f)
-    fused = []
-    for wk in report.get("wrinkles", []):
-        d = discont.Discontinuity(
-            id=wk["id"], endpoints=(tuple(wk["endpoints_m"][0]), tuple(wk["endpoints_m"][1])),
-            pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
-            length=wk["length_m"], direction=wk["direction_rad"])
-        p = wk["q"] * wk["r"]
-        fused.append(fusion.FusedWrinkle(d, wk["q"], wk["r"], p, p >= cfg.p_min))
+    try:
+        report = _read_report(args.report)
+        fused = []
+        for wk in report.get("wrinkles", []):
+            d = discont.Discontinuity(
+                id=wk["id"], endpoints=(tuple(wk["endpoints_m"][0]), tuple(wk["endpoints_m"][1])),
+                pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
+                length=wk["length_m"], direction=wk["direction_rad"])
+            fused.append(fusion.fuse_one(d, wk["q"], wk["r"], cfg.p_min))
+    except _REPORT_ERRORS as e:
+        return _report_failed(args.report, e)
     surface = gridio.read_grid(args.height) if args.height else None
     try:
         plan, waypoints = planner.plan_ironing(fused, cfg.iron_spec(), cfg.home(),
@@ -422,8 +464,8 @@ def cmd_plan(args) -> int:
         return 1
     report["plan"] = _plan_dict(plan, waypoints)
     report["config"] = dataclasses.asdict(cfg)
-    for wk in report.get("wrinkles", []):
-        wk["accepted"] = wk["q"] * wk["r"] >= cfg.p_min
+    for wk, f in zip(report.get("wrinkles", []), fused):
+        wk["accepted"] = f.accepted
     text = dump_report(report)
     if args.out:
         gridio.write_atomic(args.out, lambda p: _write_text(p, text))
@@ -433,14 +475,15 @@ def cmd_plan(args) -> int:
 
 
 def cmd_overlay(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as f:
-        report = json.load(f)
     try:
         height = gridio.read_grid(args.height)
     except (OSError, ValueError) as e:
         print(f"stage overlay failed: {e}", file=sys.stderr)
         return 1
-    svg = overlay.render_overlay(report, height)
+    try:
+        svg = overlay.render_overlay(_read_report(args.report), height)
+    except _REPORT_ERRORS as e:
+        return _report_failed(args.report, e)
     gridio.write_atomic(args.out, lambda p: _write_text(p, svg))
     print(f"wrote {args.out}")
     return 0

@@ -82,15 +82,17 @@ def normalize(i1: GrayImage, i2: GrayImage, ref1: GrayImage,
 
 
 def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float = 0.5,
-              cell_size: float = 1.0, origin=(0.0, 0.0)) -> tuple[LabelMask, FloatGrid]:
+              cell_size: float = 1.0, origin=(0.0, 0.0),
+              threads: int = 1) -> tuple[LabelMask, FloatGrid]:
     """Per-pixel classifier scores over the combined image and the mask S >= threshold.
 
-    Every pixel is scored from its dense descriptor (classify.dense_scores);
-    pixels with an invalid reference score 0.
+    Every pixel is scored from its dense descriptor (classify.dense_scores,
+    on up to `threads` worker threads); pixels with an invalid reference
+    score 0.
     """
     img = nimg.combined
     h, w = img.shape
-    scores = dense_scores(img, model)
+    scores = dense_scores(img, model, threads)
     scores[~nimg.valid] = 0.0
     lab = np.where((scores >= threshold) & nimg.valid, LABEL_WRINKLE, 0)
     return (LabelMask(w, h, data=lab),

@@ -31,14 +31,16 @@ def confidence(d: Discontinuity) -> float:
     return float(np.mean(d.scores))
 
 
+def fuse_one(d: Discontinuity, q: float, r: float, p_min: float) -> FusedWrinkle:
+    """The fusion rule: p = q * r, accepted when p reaches p_min."""
+    p = q * r
+    return FusedWrinkle(d, q, r, p, p >= p_min)
+
+
 def fuse(ds: list[Discontinuity], mix: BumpMixture, p_min: float = 0.3,
          samples: int = 16) -> list[FusedWrinkle]:
     """Score every discontinuity; sort by p descending, ties broken by id."""
-    fused = []
-    for d in ds:
-        q = clearance(mix, d.endpoints, samples)
-        r = confidence(d)
-        p = q * r
-        fused.append(FusedWrinkle(d, q, r, p, p >= p_min))
+    fused = [fuse_one(d, clearance(mix, d.endpoints, samples), confidence(d), p_min)
+             for d in ds]
     fused.sort(key=lambda f: (-f.p, f.discontinuity.id))
     return fused

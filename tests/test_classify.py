@@ -328,6 +328,25 @@ class TestTrain:
         assert score_pixel(model, ts.negatives[0]) < 0.5
 
 
+class TestDenseScores:
+    # sizes that are no multiple of a band (64 rows) or a tile (16 x 64)
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (17, 9), (65, 129),
+                                       (97, 301), (200, 7)])
+    def test_independent_of_thread_count(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        img = rng.uniform(0, 1, shape)
+        model = SvmModel(rng.normal(size=128), 0.1, TrainHyper())
+        one = classify.dense_scores(img, model)
+        assert one.shape == shape
+        for threads in (2, 3):
+            assert np.array_equal(classify.dense_scores(img, model, threads), one)
+
+    def test_thread_count_below_one_rejected(self):
+        model = SvmModel(np.zeros(128), 0.0, TrainHyper())
+        with pytest.raises(ValueError, match="threads"):
+            classify.dense_scores(np.zeros((4, 4)), model, threads=0)
+
+
 class TestScore:
     def test_zero_margin_is_half(self):
         model = SvmModel(np.zeros(128), 0.0, TrainHyper())

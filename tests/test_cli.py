@@ -73,6 +73,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(p)
 
+    @pytest.mark.parametrize("line", ["p_min nan", "max_len_px NaN", "gap_px -nan",
+                                      "hough_min_votes nan"])
+    def test_nan_rejected(self, tmp_path, line):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="not a number"):
+            parse_config(p)
+
 
 class TestSynthCommand:
     def test_writes_six_files_deterministically(self, tmp_path):
@@ -225,6 +233,46 @@ class TestDetectCommand:
         cfg.write_text("nonsense 1\n")
         assert main(detect_args(d, model_file, ["--config", str(cfg)])) == 2
 
+    def test_nan_p_min_exit_2_and_report_is_strict_json(self, tmp_path, model_file, capsys):
+        d = write_scene_dir(tmp_path, "flat5", synth.SceneSpec(96, 72, CELL))
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("p_min nan\n")
+        out = tmp_path / "r.json"
+        assert main(detect_args(d, model_file, ["--config", str(cfg), "--out", str(out)])) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text("max_len_px inf\n")
+        assert main(detect_args(d, model_file, ["--config", str(cfg), "--out", str(out)])) == 0
+
+        def reject(name):
+            raise ValueError(f"bare {name} in report")
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["config"]["max_len_px"] == "inf"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "", "2.5"])
+    def test_bad_thread_count_exit_2(self, tmp_path, model_file, monkeypatch, capsys, value):
+        d = write_scene_dir(tmp_path, "flat6", synth.SceneSpec(96, 72, CELL))
+        monkeypatch.setenv("IRONPATH_THREADS", value)
+        assert main(detect_args(d, model_file)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: IRONPATH_THREADS") and "Traceback" not in err
+
+    def test_reports_identical_for_every_thread_count(self, tmp_path, model_file, monkeypatch):
+        # 150 rows: three bands of rows, so up to three threads take part
+        spec = synth.SceneSpec(
+            200, 150, CELL,
+            bumps=[synth.BumpSpec((0.10, 0.15), 0.036, 0.018, 0.9, 0.018)],
+            wrinkles=[synth.WrinkleSpec([(0.22, 0.06), (0.34, 0.20)], 0.003, 0.0025)])
+        d = write_scene_dir(tmp_path, "scene", spec)
+        reports = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("IRONPATH_THREADS", threads)
+            out = tmp_path / f"r{threads}.json"
+            assert main(detect_args(d, model_file, ["--out", str(out)])) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        assert json.loads(reports[0])["wrinkles"]
+
 
 class TestPlanCommand:
     def test_replan_with_new_threshold(self, tmp_path, model_file):
@@ -242,6 +290,33 @@ class TestPlanCommand:
         replanned = json.loads(out.read_text())
         assert replanned["plan"]["actions"] == []
         assert all(not w["accepted"] for w in replanned["wrinkles"])
+
+
+WRINKLE = {"id": 0, "endpoints_m": [[0.01, 0.01], [0.05, 0.02]], "length_m": 0.041,
+           "direction_rad": 0.24, "support": 30, "q": 0.9, "r": 0.8, "p": 0.72,
+           "accepted": True}
+
+
+def malformed_reports(tmp_path):
+    """A truncated report, and one whose wrinkle lacks endpoints_m."""
+    whole = dump_report({"bumps": [], "mixture": [], "wrinkles": [WRINKLE],
+                         "plan": {"actions": []}})
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(whole[:len(whole) // 2])
+    partial = tmp_path / "partial.json"
+    wk = {k: v for k, v in WRINKLE.items() if k != "endpoints_m"}
+    partial.write_text(dump_report({"bumps": [], "mixture": [], "wrinkles": [wk],
+                                    "plan": {"actions": []}}))
+    return {"truncated": (truncated, "truncated.json"), "partial": (partial, "endpoints_m")}
+
+
+@pytest.mark.parametrize("kind", ["truncated", "partial"])
+def test_plan_on_malformed_report_exit_1(tmp_path, capsys, kind):
+    rpt, why = malformed_reports(tmp_path)[kind]
+    assert main(["plan", str(rpt), "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stage inputs failed: ") and why in err
+    assert "Traceback" not in err and not (tmp_path / "o.json").exists()
 
 
 class TestOverlayCommand:
@@ -282,6 +357,17 @@ class TestOverlayCommand:
         assert tags.count("ellipse") == 2 * len(report["mixture"])
         assert set(tags) <= self.SVG_ELEMENTS
         assert root.get("version") == "1.1"
+
+    @pytest.mark.parametrize("kind", ["truncated", "partial"])
+    def test_malformed_report_exit_1(self, tmp_path, capsys, kind):
+        rpt, why = malformed_reports(tmp_path)[kind]
+        g = gridio.FloatGrid(64, 48, CELL, data=np.zeros(64 * 48))
+        gridio.write_grid(g, tmp_path / "h.fgrid")
+        out = tmp_path / "o.svg"
+        assert main(["overlay", str(rpt), str(tmp_path / "h.fgrid"), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage inputs failed: ") and why in err
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_dump_report_keeps_sign_of_infinity():
