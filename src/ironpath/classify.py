@@ -164,8 +164,8 @@ def descriptors_at(img, uu, vv) -> np.ndarray:
     arithmetic as a tile of dense_scores, so each descriptor is the one the
     dense engine computes for its pixel, whichever pixels are requested.
     """
-    planes = _orientation_planes(_image_array(img))
-    cols = _cell_columns(planes, 0, planes.shape[1])
+    a = _image_array(img)
+    cols = _cell_columns(_orientation_planes(a), 0, a.shape[0] + PATCH - 1)
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
     desc = np.empty((len(uu), DESCRIPTOR_SIZE))

@@ -331,7 +331,7 @@ class TestTrain:
 class TestDenseScores:
     # sizes that are no multiple of a band (64 rows) or a tile (16 x 64)
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (17, 9), (65, 129),
-                                       (97, 301), (200, 7)])
+                                       (97, 301), (200, 7)], ids="{0[0]}x{0[1]}".format)
     def test_independent_of_thread_count(self, shape):
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         img = rng.uniform(0, 1, shape)

@@ -274,24 +274,6 @@ class TestDetectCommand:
         assert json.loads(reports[0])["wrinkles"]
 
 
-class TestPlanCommand:
-    def test_replan_with_new_threshold(self, tmp_path, model_file):
-        spec = synth.SceneSpec(
-            200, 150, CELL,
-            wrinkles=[synth.WrinkleSpec([(0.08, 0.10), (0.30, 0.18)], 0.003, 0.0025)])
-        d = write_scene_dir(tmp_path, "scene", spec)
-        rpt = tmp_path / "r.json"
-        assert main(detect_args(d, model_file, ["--out", str(rpt)])) == 0
-        strict = tmp_path / "strict.cfg"
-        strict.write_text("p_min 0.999\n")
-        out = tmp_path / "replanned.json"
-        assert main(["plan", str(rpt), "--config", str(strict),
-                     "--height", str(d / "height.fgrid"), "--out", str(out)]) == 0
-        replanned = json.loads(out.read_text())
-        assert replanned["plan"]["actions"] == []
-        assert all(not w["accepted"] for w in replanned["wrinkles"])
-
-
 WRINKLE = {"id": 0, "endpoints_m": [[0.01, 0.01], [0.05, 0.02]], "length_m": 0.041,
            "direction_rad": 0.24, "support": 30, "q": 0.9, "r": 0.8, "p": 0.72,
            "accepted": True}
@@ -310,13 +292,30 @@ def malformed_reports(tmp_path):
     return {"truncated": (truncated, "truncated.json"), "partial": (partial, "endpoints_m")}
 
 
-@pytest.mark.parametrize("kind", ["truncated", "partial"])
-def test_plan_on_malformed_report_exit_1(tmp_path, capsys, kind):
-    rpt, why = malformed_reports(tmp_path)[kind]
-    assert main(["plan", str(rpt), "--out", str(tmp_path / "o.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("stage inputs failed: ") and why in err
-    assert "Traceback" not in err and not (tmp_path / "o.json").exists()
+class TestPlanCommand:
+    def test_replan_with_new_threshold(self, tmp_path, model_file):
+        spec = synth.SceneSpec(
+            200, 150, CELL,
+            wrinkles=[synth.WrinkleSpec([(0.08, 0.10), (0.30, 0.18)], 0.003, 0.0025)])
+        d = write_scene_dir(tmp_path, "scene", spec)
+        rpt = tmp_path / "r.json"
+        assert main(detect_args(d, model_file, ["--out", str(rpt)])) == 0
+        strict = tmp_path / "strict.cfg"
+        strict.write_text("p_min 0.999\n")
+        out = tmp_path / "replanned.json"
+        assert main(["plan", str(rpt), "--config", str(strict),
+                     "--height", str(d / "height.fgrid"), "--out", str(out)]) == 0
+        replanned = json.loads(out.read_text())
+        assert replanned["plan"]["actions"] == []
+        assert all(not w["accepted"] for w in replanned["wrinkles"])
+
+    @pytest.mark.parametrize("kind", ["truncated", "partial"])
+    def test_malformed_report_exit_1(self, tmp_path, capsys, kind):
+        rpt, why = malformed_reports(tmp_path)[kind]
+        assert main(["plan", str(rpt), "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage inputs failed: ") and why in err
+        assert "Traceback" not in err and not (tmp_path / "o.json").exists()
 
 
 class TestOverlayCommand:
