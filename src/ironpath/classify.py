@@ -15,9 +15,9 @@ When every pixel is scored (dense_scores), the image is split into bands of
 _BAND_ROWS rows, scored on worker threads: each band takes its own
 horizontal pass over its rows and the PATCH-1 halo rows below them, then the
 vertical pass, normalization, SVM dot product and sigmoid run on tiles of
-_TILE_ROWS x _TILE_COLS pixels whose descriptors fit in cache.  Both paths run the same arithmetic per
-pixel, and the band and tile grid does not depend on the thread count, so
-neither do the scores.
+_TILE_ROWS x _TILE_COLS pixels whose descriptors fit in cache.  Both paths
+run the same arithmetic per pixel, and the band and tile grid does not
+depend on the thread count, so neither do the scores.
 
 Training is Pegasos-style stochastic subgradient descent on the hinge loss.
 The example visited at step t is chosen by a counter hash of (seed, t), so
