@@ -145,7 +145,12 @@ def parse_config(path) -> PipelineConfig:
                     values[key] = sval
             except ValueError as e:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from e
-    return PipelineConfig(**values)
+    cfg = PipelineConfig(**values)
+    try:
+        cfg.bump_params()
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    return cfg
 
 
 def _json_ready(x):

@@ -1,8 +1,23 @@
 """Curvature scan: find smooth height bumps via the Hessian shape-index rule.
 
 Pipeline: optional Gaussian pre-smooth, per-pixel Hessian eigenvalues, shape
-index, threshold to bump points, 8-connected components, volume ranking and
-per-bump Gaussian parameter estimates (center, principal axes, orientation).
+index, threshold to bump points, morphological closing and hole filling,
+8-connected components, volume ranking and per-bump Gaussian parameter
+estimates (center, principal axes, orientation).
+
+The image operations are plain numpy with a fixed arithmetic order, so their
+bits are part of the report's byte identity:
+
+- the Gaussian is a separable correlation, down the columns and then along
+  the rows, over a symmetrically padded array, with a kernel truncated at
+  3 sigma; each output starts from the centre tap and adds the symmetric
+  tap pairs from the outermost inward;
+- closing and erosion use the 3x3 square with a zero border;
+- hole filling keeps everything but the 4-connected background components
+  that touch the border;
+- components are 8-connected and numbered in the raster order of their
+  first pixel, each with its bounding box, so the per-component work reads
+  only that box.
 """
 
 from __future__ import annotations
@@ -12,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .gridio import FloatGrid
 
@@ -22,7 +36,10 @@ log = logging.getLogger(__name__)
 BUMP_INDEX_LO = -1.0 / 8.0
 BUMP_INDEX_HI = 5.0 / 8.0
 
-_S8 = np.ones((3, 3), bool)   # 8-connectivity structuring element
+# Largest accepted pre-smoothing sigma.  At 1000 px the kernel (6001 taps)
+# already spans any scan several times over and flattens it; wider kernels
+# only cost time and, far enough out, cannot be allocated at all.
+MAX_SMOOTH_SIGMA_PX = 1000.0
 
 
 @dataclass
@@ -65,6 +82,40 @@ class BumpParams:
     fit_floor: float = 0.05       # relative-height floor for the Gaussian fit
     min_minor_axis_m: float = 0.008   # thinner components are ridge ghosts, not bumps
 
+    def __post_init__(self):
+        if not 0.0 <= self.smooth_sigma_px <= MAX_SMOOTH_SIGMA_PX:
+            raise ValueError(f"smooth_sigma_px must be in [0, {MAX_SMOOTH_SIGMA_PX:g}], "
+                             f"got {self.smooth_sigma_px}")
+        if self.polarity not in ("up", "down"):
+            raise ValueError(f"polarity must be 'up' or 'down', got {self.polarity!r}")
+
+
+def _gaussian_filter(z: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian, truncated at 3 sigma, with symmetric boundaries."""
+    r = int(3.0 * sigma + 0.5)
+    if r == 0:
+        return z.copy()
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = phi / phi.sum()
+    out = z
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (r, r)
+        zp = np.pad(out, pad, mode="symmetric")
+        n = out.shape[axis]
+
+        def tap(j):
+            return zp[r + j:r + j + n] if axis == 0 else zp[:, r + j:r + j + n]
+
+        out = tap(0) * w[r]
+        pair = np.empty_like(out)
+        for j in range(r, 0, -1):
+            np.add(tap(-j), tap(j), out=pair)
+            pair *= w[r - j]
+            out += pair
+    return out
+
 
 def smooth(grid: FloatGrid, sigma_px: float) -> FloatGrid:
     """Gaussian blur truncated at 3 sigma with reflect boundaries; 0 = identity."""
@@ -72,9 +123,95 @@ def smooth(grid: FloatGrid, sigma_px: float) -> FloatGrid:
         raise ValueError(f"sigma must be >= 0, got {sigma_px}")
     if sigma_px == 0:
         return grid
-    out = ndimage.gaussian_filter(np.asarray(grid.data, np.float64),
-                                  sigma_px, mode="reflect", truncate=3.0)
+    out = _gaussian_filter(np.asarray(grid.data, np.float64), sigma_px)
     return FloatGrid(grid.width, grid.height, grid.cell_size, grid.origin, data=out)
+
+
+def _dilate(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
+    """Binary dilation by the 3x3 square; pixels outside the image are 0."""
+    for _ in range(iterations):
+        p = np.pad(mask, 1)
+        rows = p[:, :-2] | p[:, 1:-1] | p[:, 2:]
+        mask = rows[:-2] | rows[1:-1] | rows[2:]
+    return mask
+
+
+def _erode(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
+    """Binary erosion by the 3x3 square; pixels outside the image are 0."""
+    for _ in range(iterations):
+        p = np.pad(mask, 1)
+        rows = p[:, :-2] & p[:, 1:-1] & p[:, 2:]
+        mask = rows[:-2] & rows[1:-1] & rows[2:]
+    return mask
+
+
+def _label(mask: np.ndarray, diagonal: bool = True):
+    """Connected components of a 2-D mask by run-length union-find.
+
+    Components are 8-connected (``diagonal``) or 4-connected and numbered
+    1..n in the raster order of their first pixel.  Returns the int32 label
+    image, n, and an (n, 4) array of half-open bounding boxes
+    (row0, row1, col0, col1).
+    """
+    h, w = mask.shape
+    labels = np.zeros((h, w), np.int32)
+    edges = np.diff(np.pad(mask.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    rows, starts = np.nonzero(edges == 1)     # runs in raster order
+    ends = np.nonzero(edges == -1)[1]         # exclusive
+    n = len(rows)
+    if n == 0:
+        return labels, 0, np.zeros((0, 4), np.intp)
+    # Runs a (row above) and b touch when their column spans overlap, widened
+    # by one column for diagonal contact.  Row keys make the touching runs of
+    # the row above one contiguous index range [lo, hi) for each b.
+    stride = w + 2
+    slack = 1 if diagonal else 0
+    key = rows * stride
+    above = key - stride
+    lo = np.searchsorted(key + ends, above + starts - slack, side="right")
+    hi = np.searchsorted(key + starts, above + ends + slack, side="left")
+    counts = np.maximum(hi - lo, 0)
+    b = np.repeat(np.arange(n), counts)
+    a = lo[b] + np.arange(len(b)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # Hook each root onto the smaller root across an edge, then compress;
+    # every root ends as its component's first run.
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    is_root = parent == np.arange(n)
+    run_label = np.cumsum(is_root)[parent]
+    ncomp = int(is_root.sum())
+    labels.flat[np.flatnonzero(mask)] = np.repeat(run_label, ends - starts)
+    k = run_label - 1
+    row1 = np.zeros(ncomp, np.intp)
+    np.maximum.at(row1, k, rows + 1)
+    col0 = np.full(ncomp, w, np.intp)
+    np.minimum.at(col0, k, starts)
+    col1 = np.zeros(ncomp, np.intp)
+    np.maximum.at(col1, k, ends)
+    return labels, ncomp, np.column_stack([rows[is_root], row1, col0, col1])
+
+
+def _fill_holes(mask: np.ndarray) -> np.ndarray:
+    """The mask plus every background region that does not reach the border.
+
+    Background regions are 4-connected, so a diagonal gap in the mask's
+    8-connected outline does not let them out."""
+    bg, n, _ = _label(~mask, diagonal=False)
+    outside = np.zeros(n + 1, bool)
+    for edge in (bg[0], bg[-1], bg[:, 0], bg[:, -1]):
+        outside[edge] = True
+    outside[0] = False
+    return ~outside[bg]
 
 
 def _hessian_components(z: np.ndarray, cell: float):
@@ -160,8 +297,6 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
     unbiased by the annular shape of the in-range region.
     """
     p = params or BumpParams()
-    if p.polarity not in ("up", "down"):
-        raise ValueError(f"polarity must be 'up' or 'down', got {p.polarity!r}")
     cell = grid.cell_size
     smoothed = smooth(grid, p.smooth_sigma_px)
     hs = np.asarray(smoothed.data, np.float64)
@@ -172,28 +307,29 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
     s = field_.shape_index
     mask = (s >= BUMP_INDEX_LO) & (s < BUMP_INDEX_HI)
     if p.close_iterations > 0:
-        mask = ndimage.binary_closing(mask, structure=_S8,
-                                      iterations=p.close_iterations, border_value=0)
-    mask = ndimage.binary_fill_holes(mask)
-    labels, ncomp = ndimage.label(mask, structure=_S8.astype(int))
+        mask = _erode(_dilate(mask, p.close_iterations), p.close_iterations)
+    labels, _, boxes = _label(_fill_holes(mask))
     n_degenerate = 0
     bumps = []
     ox, oy = grid.origin
-    for k in range(1, ncomp + 1):
-        comp = labels == k
+    for k, (r0, r1, c0, c1) in enumerate(boxes, 1):
+        # the component lies inside its box, so the box is all the work reads
+        comp = labels[r0:r1, c0:c1] == k
         npx = int(comp.sum())
         if npx < p.min_pixels:
             n_degenerate += 1
             continue
-        interior = ndimage.binary_erosion(comp, structure=_S8, border_value=0)
-        boundary = comp & ~interior
-        base = hs[boundary].min()
-        rel = hs - base
-        volume = float(rel[comp].sum() * cell * cell)
+        boundary = comp & ~_erode(comp)
+        hbox = hs[r0:r1, c0:c1]
+        base = hbox[boundary].min()
+        rel = hbox[comp] - base
+        volume = float(rel.sum() * cell * cell)
         if volume < p.min_volume_m3:
             continue
         vv, uu = np.nonzero(comp)
-        w = np.maximum(rel[vv, uu], 0.0)
+        vv += r0
+        uu += c0
+        w = np.maximum(rel, 0.0)
         peak = w.max()
         if peak <= 0:
             n_degenerate += 1

@@ -63,14 +63,9 @@ def build_mixture(bumps: list[HeightBump]) -> BumpMixture:
     return BumpMixture(comps)
 
 
-def component_proximity(mix: BumpMixture, j: int, point) -> float:
-    """exp(-0.5 * (p-mu)^T Sigma^-1 (p-mu)): 1 at the bump center, ->0 far away."""
-    c = mix.components[j]
-    d = np.asarray(point, float) - c.mean
-    return float(np.exp(-0.5 * d @ c.prec @ d))
-
-
-def _proximity_batch(c: MixtureComponent, pts: np.ndarray) -> np.ndarray:
+def proximity(c: MixtureComponent, pts: np.ndarray) -> np.ndarray:
+    """exp(-0.5 * (p-mu)^T Sigma^-1 (p-mu)) for each row p of `pts`: 1 at the
+    bump center, ->0 far away."""
     d = pts - c.mean
     return np.exp(-0.5 * np.einsum("ni,ij,nj->n", d, c.prec, d))
 
@@ -91,5 +86,5 @@ def clearance(mix: BumpMixture, endpoints, samples: int = 16) -> float:
     pts = p0[None, :] * (1.0 - t) + p1[None, :] * t
     keep = np.ones(samples)
     for c in mix.components:
-        keep *= 1.0 - _proximity_batch(c, pts)
+        keep *= 1.0 - proximity(c, pts)
     return float(keep.mean())

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from conftest import CELL, corpus_scene
+import ironpath
 from ironpath import classify, gridio, synth
 from ironpath.cli import (ConfigError, PipelineConfig, dump_report, main,
                           parse_config, run_detection)
@@ -249,6 +252,17 @@ class TestDetectCommand:
         report = json.loads(out.read_text(), parse_constant=reject)
         assert report["config"]["max_len_px"] == "inf"
 
+    @pytest.mark.parametrize("line", ["smooth_sigma_px -1", "smooth_sigma_px inf",
+                                      "smooth_sigma_px 1e300", "polarity sideways"])
+    def test_bad_curvature_value_exit_2(self, tmp_path, model_file, capsys, line):
+        d = write_scene_dir(tmp_path, "flat7", synth.SceneSpec(96, 72, CELL))
+        cfg = tmp_path / "curv.cfg"
+        cfg.write_text(line + "\n")
+        assert main(detect_args(d, model_file, ["--config", str(cfg)])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and line.split()[0] in err
+        assert "stage curvature failed" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "", "2.5"])
     def test_bad_thread_count_exit_2(self, tmp_path, model_file, monkeypatch, capsys, value):
         d = write_scene_dir(tmp_path, "flat6", synth.SceneSpec(96, 72, CELL))
@@ -385,3 +399,12 @@ class TestRunDetection:
         with pytest.raises(StageError, match="inputs"):
             run_detection(height, img_bad, img_ok, img_ok, img_ok,
                           trained_model, PipelineConfig())
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.ndimage alone costs about 0.4 s of every command's start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ironpath.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import ironpath.cli, sys; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

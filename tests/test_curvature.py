@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CELL, single_bump_scene
 from ironpath import curvature, synth
@@ -192,3 +193,157 @@ class TestDetectBumps:
                   and abs(d.d2 / b.sigma_minor - 1) <= 0.15)
             hits += ok
         assert hits >= 5
+
+
+# --- equivalence with scipy.ndimage, the reference these operations follow ---
+
+S8 = np.ones((3, 3), bool)
+
+
+@pytest.fixture(scope="module")
+def ndimage():
+    return pytest.importorskip("scipy.ndimage")
+
+
+@st.composite
+def masks(draw):
+    """Random masks from 1x1 to 60x60 at any fill density."""
+    h = draw(st.integers(1, 60))
+    w = draw(st.integers(1, 60))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random((h, w)) < density
+
+
+def scipy_reference_bumps(ndimage, grid, p):
+    """detect_bumps built on scipy.ndimage, each component over the whole image."""
+    cell = grid.cell_size
+    hs = ndimage.gaussian_filter(np.asarray(grid.data, np.float64), p.smooth_sigma_px,
+                                 mode="reflect", truncate=3.0)
+    if p.polarity == "down":
+        hs = -hs
+    s = hessian(FloatGrid(grid.width, grid.height, cell, grid.origin, data=-hs),
+                p.eps_umbilic_rel).shape_index
+    mask = (s >= curvature.BUMP_INDEX_LO) & (s < curvature.BUMP_INDEX_HI)
+    if p.close_iterations > 0:
+        mask = ndimage.binary_closing(mask, structure=S8, iterations=p.close_iterations,
+                                      border_value=0)
+    labels, ncomp = ndimage.label(ndimage.binary_fill_holes(mask), structure=S8)
+    out = []
+    for k in range(1, ncomp + 1):
+        comp = labels == k
+        if comp.sum() < p.min_pixels:
+            continue
+        boundary = comp & ~ndimage.binary_erosion(comp, structure=S8, border_value=0)
+        rel = hs - hs[boundary].min()
+        volume = float(rel[comp].sum() * cell * cell)
+        if volume < p.min_volume_m3:
+            continue
+        vv, uu = np.nonzero(comp)
+        w = np.maximum(rel[vv, uu], 0.0)
+        if w.max() <= 0:
+            continue
+        sel = w >= p.fit_floor * w.max()
+        x = grid.origin[0] + uu[sel] * cell
+        y = grid.origin[1] + vv[sel] * cell
+        fit = None
+        if sel.sum() >= 6:
+            try:
+                fit = curvature._fit_gaussian(x, y, w[sel])
+            except np.linalg.LinAlgError:
+                fit = None
+        if fit is None:
+            fit = curvature._pca_moments(x, y, w[sel])
+        if fit is None or fit[2] < p.min_minor_axis_m:
+            continue
+        out.append((np.column_stack([uu, vv]), volume, fit))
+    out.sort(key=lambda b: -b[1])
+    return out
+
+
+def many_bump_grid(seed=0, n=150, width=240, height=180):
+    """Random anisotropic Gaussian bumps, some centred just outside the grid."""
+    r = np.random.default_rng(seed)
+    y, x = np.mgrid[0:height, 0:width] * CELL
+    z = np.zeros((height, width))
+    for _ in range(n):
+        cx = r.uniform(-0.01, width * CELL + 0.01)
+        cy = r.uniform(-0.01, height * CELL + 0.01)
+        s1 = r.uniform(0.004, 0.02)
+        s2 = s1 / r.uniform(1.0, 3.0)
+        th = r.uniform(0, np.pi)
+        u = (x - cx) * np.cos(th) + (y - cy) * np.sin(th)
+        v = -(x - cx) * np.sin(th) + (y - cy) * np.cos(th)
+        z += r.uniform(0.002, 0.01) * np.exp(-0.5 * (u * u / s1**2 + v * v / s2**2))
+    return FloatGrid(width, height, CELL, data=z)
+
+
+class TestScipyEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(masks())
+    def test_label(self, ndimage, m):
+        ref, n_ref = ndimage.label(m, structure=S8)
+        labels, n, boxes = curvature._label(m)
+        assert n == n_ref
+        assert np.array_equal(labels, ref)
+        objects = ndimage.find_objects(ref)
+        assert [tuple(b) for b in boxes] == [
+            (r.start, r.stop, c.start, c.stop) for r, c in objects]
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks())
+    def test_fill_holes(self, ndimage, m):
+        assert np.array_equal(curvature._fill_holes(m), ndimage.binary_fill_holes(m))
+        assert (curvature._label(~m, diagonal=False)[1]
+                == ndimage.label(~m)[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks(), st.integers(1, 3))
+    def test_closing(self, ndimage, m, iterations):
+        ours = curvature._erode(curvature._dilate(m, iterations), iterations)
+        ref = ndimage.binary_closing(m, structure=S8, iterations=iterations, border_value=0)
+        assert np.array_equal(ours, ref)
+        assert ndimage.label(ours, structure=S8)[1] == ndimage.label(ref, structure=S8)[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks())
+    def test_erosion(self, ndimage, m):
+        ours = curvature._erode(m)
+        ref = ndimage.binary_erosion(m, structure=S8, border_value=0)
+        assert np.array_equal(ours, ref)
+        assert ndimage.label(ours, structure=S8)[1] == ndimage.label(ref, structure=S8)[1]
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (37, 11), (480, 640)])
+    @pytest.mark.parametrize("sigma", [1.3, 2.0, 10.0])
+    def test_gaussian(self, ndimage, shape, sigma):
+        z = np.random.default_rng(sum(shape)).normal(0.0, 0.01, shape)
+        ref = ndimage.gaussian_filter(z, sigma, mode="reflect", truncate=3.0)
+        g = FloatGrid(shape[1], shape[0], CELL, data=z)
+        assert np.array_equal(smooth(g, sigma).data, ref)
+
+    @pytest.mark.parametrize("close_iterations", [0, 2])
+    def test_detect_bumps_many_components(self, ndimage, close_iterations):
+        g = many_bump_grid()
+        p = BumpParams(min_pixels=1, min_volume_m3=0.0, close_iterations=close_iterations)
+        if close_iterations == 0:
+            # the scene exercises what the bounding-box loop must get right
+            s = hessian(FloatGrid(g.width, g.height, CELL,
+                                  data=-smooth(g, p.smooth_sigma_px).data)).shape_index
+            labels, n, boxes = curvature._label(curvature._fill_holes(
+                (s >= curvature.BUMP_INDEX_LO) & (s < curvature.BUMP_INDEX_HI)))
+            assert n >= 50
+            for edge in (labels[0], labels[-1], labels[:, 0], labels[:, -1]):
+                assert edge.any()
+            r0, r1, c0, c1 = boxes.T
+            overlap = ((r0[:, None] < r1[None]) & (r0[None] < r1[:, None])
+                       & (c0[:, None] < c1[None]) & (c0[None] < c1[:, None]))
+            assert np.triu(overlap, 1).any()
+        ref = scipy_reference_bumps(ndimage, g, p)
+        found = detect_bumps(g, p)
+        assert len(found) == len(ref) >= 10
+        for b, (pixels, volume, (center, d1, d2, orientation)) in zip(found, ref):
+            assert np.array_equal(b.pixels, pixels)
+            assert b.volume == volume
+            assert b.center == (center[0], center[1])
+            assert (b.d1, b.d2, b.orientation) == (d1, d2, orientation)
+

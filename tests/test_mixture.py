@@ -5,7 +5,7 @@ import pytest
 
 from ironpath.curvature import HeightBump
 from ironpath.mixture import (BumpMixture, MixtureComponent, build_mixture,
-                              clearance, component_proximity)
+                              clearance, proximity)
 
 
 def bump(center=(0.3, 0.2), d1=0.04, d2=0.02, orientation=0.0, bump_id=0):
@@ -43,19 +43,19 @@ class TestBuildMixture:
 class TestComponentProximity:
     def test_peak_one_at_center(self):
         mix = build_mixture([bump()])
-        assert component_proximity(mix, 0, (0.3, 0.2)) == 1.0
+        assert proximity(mix.components[0], np.array([[0.3, 0.2]]))[0] == 1.0
 
     def test_one_sigma_along_major_axis(self):
         mix = build_mixture([bump()])
-        assert component_proximity(mix, 0, (0.3 + 0.04, 0.2)) == pytest.approx(
+        assert proximity(mix.components[0], np.array([[0.3 + 0.04, 0.2]]))[0] == pytest.approx(
             math.exp(-0.5), abs=1e-12)
 
     def test_monotone_decay_along_rays(self):
         mix = build_mixture([bump(orientation=0.4)])
         for ang in np.linspace(0, 2 * math.pi, 7):
             d = np.array([math.cos(ang), math.sin(ang)])
-            vals = [component_proximity(mix, 0, np.array([0.3, 0.2]) + t * d)
-                    for t in np.linspace(0, 0.2, 30)]
+            pts = np.array([0.3, 0.2]) + np.linspace(0, 0.2, 30)[:, None] * d
+            vals = proximity(mix.components[0], pts)
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
