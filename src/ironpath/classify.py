@@ -19,24 +19,27 @@ _TILE_ROWS x _TILE_COLS pixels whose descriptors fit in cache.  Both paths
 run the same arithmetic per pixel, and the band and tile grid does not
 depend on the thread count, so neither do the scores.
 
-Training is Pegasos-style stochastic subgradient descent on the hinge loss.
-The example visited at step t is chosen by a counter hash of (seed, t), so
-training is deterministic and independent of platform.  The solver takes
-the margin dot products of the steps between two hinge violations in one
-matrix-vector product, and its model is bit for bit the one of the plain
-per-step loop (see train_arrays).
+Training minimizes the primal linear-SVM objective
+lambda/2 |w|^2 + mean l(y (w.x + b)) with the Huber-smoothed hinge l
+(Chapelle 2007, "Training a support vector machine in the primal"): zero
+for margins m >= 1, (1-m)^2 / 2h on the band 1-h < m < 1, and 1-m-h/2 below
+it.  The bias is not regularized.  Newton steps (Keerthi & DeCoste 2005)
+with a backtracking line search reach the minimizer in about ten steps.
+The solver draws nothing at random, and none of its sums depends on the
+BLAS thread count, so the model depends on the training matrix alone (see
+train_arrays).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gridio import GridFormatError, LabelMask, LABEL_WRINKLE
-from .synth import _splitmix64
 
 DESCRIPTOR_SIZE = 128
 PATCH = 16
@@ -52,8 +55,10 @@ _BAND_ROWS = 64                    # rows per band of dense_scores: one thread's
 _TILE_ROWS = 16                    # a tile of dense_scores' vertical pass onward,
 _TILE_COLS = 64                    # sized so its descriptors (1 MiB) stay in cache
 _CHUNK_PX = 4096                   # pixels per chunk of descriptors_at (bounds memory)
-_BLOCK_STEPS = 1024                # Pegasos steps per gathered block of examples
-_WINDOW_STEPS = 32                 # Pegasos margins per matrix-vector product
+_GRAM_ROWS = 1024                  # band rows per gathered chunk of a Newton system
+HUBER_H = 0.5                      # width of the smoothed hinge's quadratic band
+_GRAD_TOL = 1e-12                  # converged: gradient norm below this share of the first
+_MAX_HALVINGS = 60                 # line search: halvings before the step is given up
 
 # patch offsets -8..7 from the center pixel along each axis, and the 1-D
 # Gaussian g(d) = exp(-d^2 / (2 * 8^2)); the patch weight is g(du) * g(dv)
@@ -90,15 +95,18 @@ def _pad_patch(planes: np.ndarray) -> np.ndarray:
     return np.pad(planes, ((0, 0), (0, half - 1), (0, half - 1)), mode="symmetric")
 
 
-def _cell_sums(taps: list[np.ndarray]) -> np.ndarray:
+def _cell_sums(taps: Iterator[np.ndarray]) -> np.ndarray:
     """Per cell, the g-weighted sum of its CELL_W taps: (NCELLS, *tap shape).
 
-    taps[j] is the source shifted to patch offset j - PATCH/2 along one axis;
-    cell c sums offsets j = c*CELL_W .. c*CELL_W+CELL_W-1 in that order.
+    The j-th tap is the source shifted to patch offset j - PATCH/2 along one
+    axis; cell c sums offsets j = c*CELL_W .. c*CELL_W+CELL_W-1 in that
+    order.  Taps are consumed one at a time, so a gathered tap is freed
+    before the next one is taken.
     """
-    out = np.empty((NCELLS,) + taps[0].shape)
-    scratch = np.empty(taps[0].shape)
     for j, tap in enumerate(taps):
+        if j == 0:
+            out = np.empty((NCELLS,) + tap.shape)
+            scratch = np.empty(tap.shape)
         if j % CELL_W == 0:
             np.multiply(tap, _GAUSS_W[j], out=out[j // CELL_W])
         else:
@@ -130,7 +138,7 @@ def _cell_columns(planes: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """
     w = planes.shape[2] - (PATCH - 1)
     rows = planes[:, r0:r1]
-    cols = _cell_sums([rows[:, :, j:j + w] for j in range(PATCH)])
+    cols = _cell_sums(rows[:, :, j:j + w] for j in range(PATCH))
     return cols.reshape(NCELLS * NBINS, r1 - r0, w)
 
 
@@ -169,11 +177,11 @@ def descriptors_at(img, uu, vv) -> np.ndarray:
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
     desc = np.empty((len(uu), DESCRIPTOR_SIZE))
-    for lo in range(0, len(uu), _CHUNK_PX):      # bounds the gathered taps
+    for lo in range(0, len(uu), _CHUNK_PX):      # bounds each gathered tap
         cu, cv = uu[lo:lo + _CHUNK_PX], vv[lo:lo + _CHUNK_PX]
         # vertical pass: cell row cy sums its row offsets dv weighted by g(dv),
         # giving raw bin (cy*NCELLS+cx)*NBINS+o
-        d = _cell_sums([cols[:, cv + j, cu] for j in range(PATCH)])
+        d = _cell_sums(cols[:, cv + j, cu] for j in range(PATCH))
         desc[lo:lo + len(cu)] = _normalize(d.reshape(DESCRIPTOR_SIZE, len(cu))).T
     return desc
 
@@ -185,45 +193,78 @@ def descriptor_at(img, u: int, v: int) -> np.ndarray:
 
 @dataclass
 class TrainingSet:
-    positives: np.ndarray                 # (P, 128)
-    negatives: np.ndarray                 # (N, 128)
-    provenance: list[str] = None
+    """Training examples as the rows of one matrix: the positives, then the
+    negatives."""
+    X: np.ndarray                         # (P + N, 128)
+    n_pos: int                            # P
 
-    def __post_init__(self):
-        if self.provenance is None:
-            self.provenance = []
+    @property
+    def positives(self) -> np.ndarray:
+        return self.X[:self.n_pos]
+
+    @property
+    def negatives(self) -> np.ndarray:
+        return self.X[self.n_pos:]
 
 
-def build_training_set(img, mask: LabelMask, negatives_per_positive: int = 3,
-                       seed: int = 0, provenance: str = "") -> TrainingSet:
-    """Positives at every wrinkle-labeled pixel; seeded-uniform negatives elsewhere."""
-    lab = np.asarray(mask.data)
-    pv, pu = np.nonzero(lab == LABEL_WRINKLE)
-    if len(pu) == 0:
-        raise ValueError("mask contains no wrinkle pixels")
-    cv, cu = np.nonzero(lab != LABEL_WRINKLE)
-    want = min(negatives_per_positive * len(pu), len(cu))
+def sample_pixels(mask: LabelMask, negatives_per_positive: int, seed: int,
+                  valid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The pixels one scene gives a training or held-out set: (uu, vv, P).
+
+    Every wrinkle pixel (P of them), then min(negatives_per_positive * P, C)
+    of the C other pixels, drawn uniformly without replacement by a Philox
+    generator keyed by `seed`; each group in raster order.  With `valid`,
+    pixels where it is false are left out of both groups.
+    """
+    wrinkle = np.asarray(mask.data) == LABEL_WRINKLE
+    other = ~wrinkle
+    if valid is not None:
+        wrinkle &= valid
+        other &= valid
+    pv, pu = np.nonzero(wrinkle)
+    cv, cu = np.nonzero(other)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pick = rng.choice(len(cu), size=want, replace=False)
+    pick = rng.choice(len(cu), size=min(negatives_per_positive * len(pu), len(cu)),
+                      replace=False)
     pick.sort()
-    desc = descriptors_at(img, np.concatenate([pu, cu[pick]]),
-                          np.concatenate([pv, cv[pick]]))
-    return TrainingSet(desc[:len(pu)], desc[len(pu):],
-                       [provenance] if provenance else [])
+    return np.concatenate([pu, cu[pick]]), np.concatenate([pv, cv[pick]]), len(pu)
 
 
-def merge_training_sets(sets: list[TrainingSet]) -> TrainingSet:
-    return TrainingSet(np.vstack([s.positives for s in sets]),
-                       np.vstack([s.negatives for s in sets]),
-                       sum((s.provenance for s in sets), []))
+def build_training_set(scenes: list[tuple[np.ndarray, LabelMask, int]],
+                       negatives_per_positive: int = 3) -> TrainingSet:
+    """The training set of a corpus of (img, mask, seed) scenes.
+
+    Every scene's pixels are drawn first (sample_pixels), so that the matrix
+    is allocated once at its final size; then each scene's descriptors are
+    written into place: the positives of all scenes in scene order, then
+    their negatives.
+    """
+    picks = [sample_pixels(mask, negatives_per_positive, seed) for _, mask, seed in scenes]
+    if any(n_pos == 0 for _, _, n_pos in picks):
+        raise ValueError("mask contains no wrinkle pixels")
+    n_pos = sum(k for _, _, k in picks)
+    X = np.empty((sum(len(uu) for uu, _, _ in picks), DESCRIPTOR_SIZE))
+    pos, neg = 0, n_pos
+    for (img, _, _), (uu, vv, k) in zip(scenes, picks):
+        d = descriptors_at(img, uu, vv)
+        X[pos:pos + k] = d[:k]
+        X[neg:neg + len(d) - k] = d[k:]
+        pos, neg = pos + k, neg + len(d) - k
+    return TrainingSet(X, n_pos)
 
 
 @dataclass
 class TrainHyper:
     reg_lambda: float = 1e-4
-    epochs: int = 20
-    seed: int = 7
+    epochs: int = 20            # cap on Newton steps
+    seed: int = 7               # kept in the model header; the solver draws nothing
     calibrate: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.reg_lambda) and self.reg_lambda > 0):
+            raise ValueError(f"reg_lambda must be finite and > 0, got {self.reg_lambda}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -234,110 +275,121 @@ class SvmModel:
     slope: float = 1.0        # sigmoid calibration
     offset: float = 0.0
 
-    def margins(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights + self.bias
+
+def _smoothed_hinge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smoothed hinge at margins m, and its derivative: -1 below the
+    band, -(1-m)/h on it, 0 from m = 1 on."""
+    z = np.maximum(1.0 - m, 0.0)
+    zb = np.minimum(z, HUBER_H)
+    return zb * zb / (2.0 * HUBER_H) + (z - zb), zb / -HUBER_H
 
 
-def _sample_indices(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
-    """Example index for steps t0..t1-1: hash(seed, t) mod n.
+def _cholesky_solve(A: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
+    """x with A x = rhs, A symmetric positive definite (its lower triangle
+    is read), by a Cholesky factorization.
 
-    Taking the hash modulo the set size means a training set duplicated
-    in-place (X tiled) visits the same underlying examples in the same order
-    when the epoch count is halved.
+    The factorization runs column by column, each column's update one einsum
+    over the columns before it, and the substitutions are elementwise numpy
+    steps: LAPACK's blocked kernels round differently on different BLAS
+    thread counts.  A pivot that is not positive is replaced by `floor`.
     """
-    t = np.arange(t0, t1, dtype=np.uint64) ^ np.uint64(seed & ((1 << 64) - 1))
-    return (_splitmix64(t) % np.uint64(n)).astype(np.int64)
+    L = np.tril(A)
+    k = len(rhs)
+    for j in range(k):
+        L[j:, j] -= np.einsum("ik,k->i", L[j:, :j], L[j, :j])
+        L[j, j] = math.sqrt(L[j, j] if L[j, j] > 0 else floor)
+        L[j + 1:, j] /= L[j, j]
+    x = rhs.copy()
+    for j in range(k):                    # L z = rhs
+        x[j] /= L[j, j]
+        x[j + 1:] -= L[j + 1:, j] * x[j]
+    for j in reversed(range(k)):          # L^T x = z
+        x[j] /= L[j, j]
+        x[:j] -= L[j, :j] * x[j]
+    return x
 
 
 def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
-    """Pegasos on (X, y) with y in {-1, +1}; bias unregularized.
+    """Minimizer of lambda/2 |w|^2 + mean l(y (X w + b)) for y in {-1, +1},
+    l the smoothed hinge (see the module docstring), by Newton steps.
 
-    Step t visits example i = hash(seed, t) mod n with eta = 1/(lambda t):
-    the margin y_i (scale w.x_i + b) is taken, scale shrinks by
-    1 - eta lambda (folded into w before it underflows), and on a hinge
-    violation (margin < 1) w += (eta y_i / scale) x_i and b += eta y_i.
+    The Hessian is lambda I on w plus 1/(n h) times the Gram matrix of the
+    examples on the band, with the bias as the last row and column of the
+    system; it is summed over chunks of _GRAM_ROWS band rows, so no copy of
+    X is made.  Without band examples the bias pivot is lambda.
 
-    w changes only on violations and folds, so the dot products w.x_i of
-    the steps up to the next change are taken in one matrix-vector product
-    over a window of steps, and the steps run as scalar Python.  A batched
-    dot product may round differently from the single one, so a margin
-    within rounding of 1 is recomputed with w @ x_i: every hinge decision,
-    and with it every bit of the model, is that of the plain per-step loop.
+    A backtracking line search halves each step until the objective falls
+    by the Armijo rule, or until the objective's slope along the step is not
+    positive: the objective is convex, so such a step lands within a factor
+    2 of the minimum along the line, and the sign of the slope stays
+    reliable where rounding hides the fall of the objective.  The solver
+    stops when the gradient norm falls below _GRAD_TOL times the first one,
+    when no halving is accepted, or after hyper.epochs steps.
+
+    The model does not depend on the BLAS thread count: the gradient's
+    c @ X and the Gram matrices of the chunks come out bit-identical on any
+    number of threads, X @ w and LAPACK's solvers do not, so the outputs
+    X w are an einsum and the system is solved by _cholesky_solve.
     """
     n, dim = X.shape
     lam = hyper.reg_lambda
-    if not lam > 0:
-        raise ValueError(f"reg_lambda must be > 0, got {lam}")
-    T = hyper.epochs * n
-    w = np.zeros(dim)
-    scale = 1.0
-    b = 0.0
-    # Any order of summing dim products lies within dim * 2^-53 * |w| |x| of
-    # the exact dot product, so a batched and a single one differ by at most
-    # twice that.  rel covers it with room for the roundings of
-    # scale * d + b and of the bounds xmax >= |x_i| and wmax >= |w|; margins
-    # within band of 1 are recomputed, band being at least an ulp of 1.
-    rel = 4.0 * (dim + 4) * 2.0**-53
-    xmax = float(np.sqrt(np.einsum("ij,ij->i", X, X).max(initial=0.0)))
-    wmax = 0.0
-    for t0 in range(1, T + 1, _BLOCK_STEPS):
-        t1 = min(t0 + _BLOCK_STEPS, T + 1)
-        idx = _sample_indices(hyper.seed, t0, t1, n)
-        Xb, yb = X[idx], y[idx]
-        eta = 1.0 / (lam * np.arange(t0, t1, dtype=np.float64))
-        shrink = (1.0 - eta * lam).tolist()
-        step = (eta * yb).tolist()
-        ys = yb.tolist()
-        k = 0
-        while k < t1 - t0:
-            band = rel * (scale * wmax * xmax + abs(b)) + 2.0**-52
-            if not band < math.inf:              # non-finite: check every step
-                band = math.inf
-            upper = 1.0 + band
-            end = min(k + _WINDOW_STEPS, t1 - t0)
-            for j, d in enumerate(Xb[k:end].dot(w).tolist(), k):
-                margin = ys[j] * (scale * d + b)
-                if margin < upper:
-                    break
-                scale *= shrink[j]
-                if scale < 1e-9:
-                    break
-            else:
-                k = end
-                continue
-            # step j may violate the hinge, or its shrink needs a fold
-            if margin < upper:
-                if margin >= 1.0 - band:
-                    margin = ys[j] * (scale * (w @ X[idx[j]]) + b)
-                scale *= shrink[j]
-            if scale < 1e-9:                     # fold the scalar in before underflow
-                w *= scale
-                wmax *= abs(scale) * (1.0 + rel)
-                scale = 1.0
-            if margin < 1.0:
-                coef = step[j] / scale
-                w += coef * Xb[j]
-                b += step[j]
-                wmax = (wmax + abs(coef) * xmax) * (1.0 + rel)
-            k = j + 1
-    w *= scale
+    w, b = np.zeros(dim), 0.0
+    out = np.zeros(n)                     # X w + b
+    g0 = None
+    for _ in range(hyper.epochs):
+        m = y * out
+        loss, slope = _smoothed_hinge(m)
+        c = slope * y                     # d loss_i / d out_i
+        g = np.append(lam * w + (c @ X) / n, c.sum() / n)
+        gnorm = math.sqrt(np.sum(g * g))
+        g0 = gnorm if g0 is None else g0
+        if gnorm <= _GRAD_TOL * g0:
+            break
+        band = np.flatnonzero((m > 1.0 - HUBER_H) & (m < 1.0))
+        A = np.zeros((dim + 1, dim + 1))
+        for lo in range(0, len(band), _GRAM_ROWS):
+            Xc = X[band[lo:lo + _GRAM_ROWS]]
+            A[:dim, :dim] += Xc.T @ Xc
+            A[dim, :dim] += Xc.sum(axis=0)
+        A[dim, dim] = len(band)
+        A /= n * HUBER_H
+        A[range(dim), range(dim)] += lam
+        d = -_cholesky_solve(A, g, lam)
+        dw, db = d[:dim], d[dim]
+        dout = np.einsum("ij,j->i", X, dw) + db
+        ww, wd, dd = np.sum(w * w), np.sum(w * dw), np.sum(dw * dw)
+        f, gd = 0.5 * lam * ww + np.sum(loss) / n, np.sum(g * d)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            loss, slope = _smoothed_hinge(y * (out + t * dout))
+            if (0.5 * lam * (ww + t * (2.0 * wd + t * dd)) + np.sum(loss) / n
+                    <= f + 1e-4 * t * gd                                  # Armijo
+                    or lam * (wd + t * dd) + np.sum(slope * y * dout) / n <= 0.0):
+                break
+            t *= 0.5
+        else:
+            break                         # no step along d lowers the objective
+        w += t * dw
+        b += t * db
+        out += t * dout
     if not (np.all(np.isfinite(w)) and math.isfinite(b)):
         raise FloatingPointError(
             f"training diverged (lambda={lam}, epochs={hyper.epochs})")
-    model = SvmModel(w, b, hyper)
+    model = SvmModel(w, float(b), hyper)
     if hyper.calibrate:
-        slope, offset = _fit_sigmoid(model.margins(X), y)
+        slope, offset = _fit_sigmoid(np.einsum("ij,j->i", X, w) + b, y)
         model = replace(model, slope=slope, offset=offset)
     return model
 
 
 def train(ts: TrainingSet, hyper: TrainHyper | None = None) -> SvmModel:
+    """The SVM of a training set, trained on its matrix without a copy."""
     hyper = hyper or TrainHyper()
     if len(ts.positives) == 0 or len(ts.negatives) == 0:
         raise ValueError("both classes must be non-empty")
-    X = np.vstack([ts.positives, ts.negatives])
-    y = np.concatenate([np.ones(len(ts.positives)), -np.ones(len(ts.negatives))])
-    return train_arrays(X, y, hyper)
+    y = np.ones(len(ts.X))
+    y[ts.n_pos:] = -1.0
+    return train_arrays(ts.X, y, hyper)
 
 
 def _fit_sigmoid(margins: np.ndarray, y: np.ndarray, iters: int = 25):
@@ -387,7 +439,7 @@ def _score_band(planes: np.ndarray, model: SvmModel, out: np.ndarray,
         t1 = min(t0 + _TILE_ROWS, r1 - r0)
         for c0, c1 in zip(col_edges, col_edges[1:]):
             # the vertical pass of descriptors_at, over one tile
-            d = _cell_sums([cols[:, t0 + j:t1 + j, c0:c1] for j in range(PATCH)])
+            d = _cell_sums(cols[:, t0 + j:t1 + j, c0:c1] for j in range(PATCH))
             d = _normalize(d.reshape(DESCRIPTOR_SIZE, t1 - t0, c1 - c0))
             out[r0 + t0:r0 + t1, c0:c1] = _sigmoid(
                 model, np.tensordot(model.weights, d, axes=1) + model.bias)

@@ -148,6 +148,10 @@ def parse_config(path) -> PipelineConfig:
     cfg = PipelineConfig(**values)
     try:
         cfg.bump_params()
+        cfg.train_hyper()
+        if cfg.negatives_per_positive < 1:
+            raise ValueError("negatives_per_positive must be >= 1, "
+                             f"got {cfg.negatives_per_positive}")
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
     return cfg
@@ -290,14 +294,12 @@ def build_corpus_training_set(corpus_dir: str, cfg: PipelineConfig) -> classify.
     dirs = _scene_dirs(corpus_dir)
     if not dirs:
         raise ValueError(f"no scene directories under {corpus_dir}")
-    sets = []
+    scenes = []
     for idx, d in enumerate(dirs):
         _, i1, i2, r1, r2, labels = load_scene_dir(d)
-        nimg = discont.normalize(i1, i2, r1, r2)
-        sets.append(classify.build_training_set(
-            nimg.combined, labels, cfg.negatives_per_positive,
-            seed=cfg.seed + 1000 * idx, provenance=os.path.basename(d)))
-    return classify.merge_training_sets(sets)
+        scenes.append((discont.normalize(i1, i2, r1, r2).combined, labels,
+                       cfg.seed + 1000 * idx))
+    return classify.build_training_set(scenes, cfg.negatives_per_positive)
 
 
 def evaluate_scenes(scene_dirs: list[str], model: classify.SvmModel,
@@ -308,17 +310,10 @@ def evaluate_scenes(scene_dirs: list[str], model: classify.SvmModel,
     for idx, d in enumerate(scene_dirs):
         _, i1, i2, r1, r2, labels = load_scene_dir(d)
         nimg = discont.normalize(i1, i2, r1, r2)
-        lab = np.asarray(labels.data)
-        valid = nimg.valid
-        pv, pu = np.nonzero((lab == gridio.LABEL_WRINKLE) & valid)
-        cv, cu = np.nonzero((lab != gridio.LABEL_WRINKLE) & valid)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed + 7000 + idx))
-        take = min(cfg.negatives_per_positive * len(pu), len(cu))
-        pick = rng.choice(len(cu), size=take, replace=False)
-        pick.sort()
-        scores = classify.score_margins(model, classify.descriptors_at(
-            nimg.combined, np.concatenate([pu, cu[pick]]), np.concatenate([pv, cv[pick]])))
-        sp, sn = scores[:len(pu)], scores[len(pu):]
+        uu, vv, n_pos = classify.sample_pixels(labels, cfg.negatives_per_positive,
+                                               cfg.seed + 7000 + idx, valid=nimg.valid)
+        scores = classify.score_margins(model, classify.descriptors_at(nimg.combined, uu, vv))
+        sp, sn = scores[:n_pos], scores[n_pos:]
         thr = cfg.score_threshold
         correct += int(np.sum(sp >= thr)) + int(np.sum(sn < thr))
         total += len(sp) + len(sn)
@@ -371,6 +366,7 @@ def cmd_train(args) -> int:
     gridio.write_atomic(args.model_out, lambda p: classify.save_model(model, p))
     print(f"trained on {len(ts.positives)} positive / {len(ts.negatives)} negative "
           f"pixels; model written to {args.model_out}")
+    del ts                      # evaluation needs the model only
     if eval_dirs:
         try:
             acc, rec = evaluate_scenes(eval_dirs, model, cfg)

@@ -12,7 +12,6 @@ import base64
 import math
 import struct
 import zlib
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -101,6 +100,6 @@ def render_overlay(report: dict, height: FloatGrid) -> str:
                          f'y2="{v1:.2f}" stroke="white" stroke-width="1.5" '
                          f'marker-end="url(#arrow)"/>')
         parts.append(f'<text x="{u0 + 4:.2f}" y="{v0 - 4:.2f}" fill="white" '
-                     f'font-size="10">{escape(str(i + 1))}</text>')
+                     f'font-size="10">{i + 1}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

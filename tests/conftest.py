@@ -81,12 +81,11 @@ def single_bump_scene(seed, width=320, height=240):
 
 def build_training_arrays(specs, cfg=None):
     cfg = cfg or PipelineConfig()
-    sets = []
+    scenes = []
     for idx, spec in enumerate(specs):
         _, nimg, labels = scene_products(spec)
-        sets.append(classify.build_training_set(
-            nimg.combined, labels, cfg.negatives_per_positive, seed=1000 * idx))
-    return classify.merge_training_sets(sets)
+        scenes.append((nimg.combined, labels, 1000 * idx))
+    return classify.build_training_set(scenes, cfg.negatives_per_positive)
 
 
 @pytest.fixture(scope="session")

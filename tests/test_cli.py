@@ -156,6 +156,20 @@ class TestTrainCommand:
         assert f"no scene directories under {holdout}" in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("line", ["svm_epochs 0", "svm_epochs -3", "svm_lambda 0",
+                                      "svm_lambda -1", "svm_lambda inf",
+                                      "negatives_per_positive 0", "negatives_per_positive -2"])
+    def test_bad_training_value_exit_2(self, tmp_path, capsys, line):
+        corpus = tmp_path / "corpus"
+        write_scene_dir(corpus, "scene0", corpus_scene(550, width=140, height=100))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        model = tmp_path / "m.svmw"
+        assert main(["train", str(corpus), str(model), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not model.exists()
+
     def test_eval_dir_without_wrinkle_pixels_exit_1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         write_scene_dir(corpus, "scene0", corpus_scene(540, width=140, height=100))
@@ -402,9 +416,11 @@ class TestRunDetection:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.ndimage alone costs about 0.4 s of every command's start-up
+    # scipy.ndimage alone costs about 0.4 s of every command's start-up, and
+    # xml.sax about 28 ms
     src = os.path.dirname(os.path.dirname(os.path.abspath(ironpath.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import ironpath.cli, sys; "
-            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules); "
+            "assert not any(m.startswith('xml.sax') for m in sys.modules)")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
