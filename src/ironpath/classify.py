@@ -494,8 +494,9 @@ def load_model(path) -> SvmModel:
             raise GridFormatError(f"{path}: bad SVMW header {header!r}")
         try:
             n = int(parts[1])
-            hyper = TrainHyper(float(parts[2]), int(parts[3]), int(parts[4]),
-                               bool(int(parts[5])))
+            if parts[5] not in ("0", "1"):
+                raise ValueError("calibrate flag must be 0 or 1")
+            hyper = TrainHyper(float(parts[2]), int(parts[3]), int(parts[4]), parts[5] == "1")
         except ValueError as e:
             raise GridFormatError(f"{path}: bad SVMW header {header!r}") from e
         if n != DESCRIPTOR_SIZE:
@@ -505,5 +506,7 @@ def load_model(path) -> SvmModel:
         raise GridFormatError(f"{path}: payload {len(payload)} bytes, "
                               f"expected {(n + 3) * 8}")
     vals = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(vals)):
+        raise GridFormatError(f"{path}: non-finite value in payload")
     return SvmModel(vals[:n].copy(), float(vals[n]), hyper,
                     float(vals[n + 1]), float(vals[n + 2]))

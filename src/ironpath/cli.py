@@ -11,14 +11,15 @@ report.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import hashlib
 import json
 import math
 import os
+import pathlib
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -29,11 +30,18 @@ SYNTH_FILES = ("height.fgrid", "light1.pgm", "light2.pgm",
                "ref1.pgm", "ref2.pgm", "labels.pgm")
 
 
+# Largest accepted `clearance_samples`: more points along one segment than a
+# 1280x960 scan has pixels along its diagonal (1600), several times over.
+MAX_CLEARANCE_SAMPLES = 10_000
+
+
 class ConfigError(ValueError):
-    pass
+    """A bad config file, config value, argument or environment value (exit 2)."""
 
 
 class StageError(RuntimeError):
+    """A failed pipeline stage (exit 1); `inputs` is a missing or malformed data input."""
+
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage} failed: {cause}")
         self.stage = stage
@@ -41,120 +49,133 @@ class StageError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
-    """Every tunable parameter, parseable from a plain-text key/value file."""
+    """The pipeline's own values and one parameter object per stage.
+
+    CONFIG_KEYS names every value as a config-file key; each value's type,
+    default and range come from the class that holds it."""
 
     seed: int = 0
-    # curvature scan
-    smooth_sigma_px: float = 2.0
-    polarity: str = "up"
-    eps_umbilic_rel: float = 1e-9
-    min_volume_m3: float = 1e-6
-    min_pixels: int = 5
-    close_iterations: int = 2
-    min_minor_axis_m: float = 0.008
-    # classifier
     score_threshold: float = 0.5
     negatives_per_positive: int = 3
-    svm_lambda: float = 1e-4
-    svm_epochs: int = 20
-    svm_seed: int = 7
-    svm_calibrate: bool = False
-    # segment extraction
-    hough_rho_px: float = 1.0
-    hough_theta_deg: float = 1.0
-    hough_min_votes: float = 10.0
-    gating_px: float = 2.0
-    gap_px: float = 5.0
-    min_len_px: float = 15.0
-    max_len_px: float = math.inf
-    nms_rho_px: float = 5.0
-    nms_theta_deg: float = 5.0
-    # fusion
     clearance_samples: int = 16
     p_min: float = 0.3
-    # ironing
-    iron_long_axis_m: float = 0.20
-    iron_short_axis_m: float = 0.10
-    press_depth_m: float = 0.01
-    foam_stiffness_n_per_m: float = 1200.0
-    foam_thickness_m: float = 0.06
-    lift_height_m: float = 0.05
-    travel_speed_m_per_s: float = 0.20
-    slide_speed_m_per_s: float = 0.10
     home_x_m: float = 0.0
     home_y_m: float = 0.0
+    bump: curvature.BumpParams = field(default_factory=curvature.BumpParams)
+    hough: discont.HoughParams = field(default_factory=discont.HoughParams)
+    train: classify.TrainHyper = field(default_factory=classify.TrainHyper)
+    iron: planner.IronSpec = field(default_factory=planner.IronSpec)
 
-    def bump_params(self) -> curvature.BumpParams:
-        return curvature.BumpParams(
-            smooth_sigma_px=self.smooth_sigma_px, polarity=self.polarity,
-            eps_umbilic_rel=self.eps_umbilic_rel, min_volume_m3=self.min_volume_m3,
-            min_pixels=self.min_pixels, close_iterations=self.close_iterations,
-            min_minor_axis_m=self.min_minor_axis_m)
+    def __post_init__(self):
+        # seed plus a small scene offset keys a Philox generator (keys < 2**128)
+        for name, lo, hi in (("seed", 0, 2**64 - 1), ("score_threshold", 0, 1), ("p_min", 0, 1),
+                             ("negatives_per_positive", 1, math.inf),
+                             ("clearance_samples", 2, MAX_CLEARANCE_SAMPLES)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)}")
+        for name in ("home_x_m", "home_y_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
-    def hough_params(self) -> discont.HoughParams:
-        return discont.HoughParams(
-            rho_res_px=self.hough_rho_px, theta_res_deg=self.hough_theta_deg,
-            min_votes=self.hough_min_votes, gating_px=self.gating_px,
-            gap_px=self.gap_px, min_len_px=self.min_len_px,
-            max_len_px=self.max_len_px, nms_rho_px=self.nms_rho_px,
-            nms_theta_deg=self.nms_theta_deg)
 
-    def train_hyper(self) -> classify.TrainHyper:
-        return classify.TrainHyper(self.svm_lambda, self.svm_epochs,
-                                   self.svm_seed, self.svm_calibrate)
+# stage section of PipelineConfig -> its parameter class
+SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)
+            if f.default_factory is not MISSING}
 
-    def iron_spec(self) -> planner.IronSpec:
-        return planner.IronSpec(
-            long_axis=self.iron_long_axis_m, short_axis=self.iron_short_axis_m,
-            press_depth=self.press_depth_m, foam_stiffness=self.foam_stiffness_n_per_m,
-            foam_thickness=self.foam_thickness_m, lift_height=self.lift_height_m,
-            travel_speed=self.travel_speed_m_per_s, slide_speed=self.slide_speed_m_per_s)
+# config-file key -> (section, field); section None is PipelineConfig itself
+CONFIG_KEYS = {
+    "seed": (None, "seed"),
+    "smooth_sigma_px": ("bump", "smooth_sigma_px"),
+    "polarity": ("bump", "polarity"),
+    "eps_umbilic_rel": ("bump", "eps_umbilic_rel"),
+    "min_volume_m3": ("bump", "min_volume_m3"),
+    "min_pixels": ("bump", "min_pixels"),
+    "close_iterations": ("bump", "close_iterations"),
+    "min_minor_axis_m": ("bump", "min_minor_axis_m"),
+    "score_threshold": (None, "score_threshold"),
+    "negatives_per_positive": (None, "negatives_per_positive"),
+    "svm_lambda": ("train", "reg_lambda"),
+    "svm_epochs": ("train", "epochs"),
+    "svm_seed": ("train", "seed"),
+    "svm_calibrate": ("train", "calibrate"),
+    "hough_rho_px": ("hough", "rho_res_px"),
+    "hough_theta_deg": ("hough", "theta_res_deg"),
+    "hough_min_votes": ("hough", "min_votes"),
+    "gating_px": ("hough", "gating_px"),
+    "gap_px": ("hough", "gap_px"),
+    "min_len_px": ("hough", "min_len_px"),
+    "max_len_px": ("hough", "max_len_px"),
+    "nms_rho_px": ("hough", "nms_rho_px"),
+    "nms_theta_deg": ("hough", "nms_theta_deg"),
+    "clearance_samples": (None, "clearance_samples"),
+    "p_min": (None, "p_min"),
+    "iron_long_axis_m": ("iron", "long_axis"),
+    "iron_short_axis_m": ("iron", "short_axis"),
+    "press_depth_m": ("iron", "press_depth"),
+    "foam_stiffness_n_per_m": ("iron", "foam_stiffness"),
+    "foam_thickness_m": ("iron", "foam_thickness"),
+    "lift_height_m": ("iron", "lift_height"),
+    "travel_speed_m_per_s": ("iron", "travel_speed"),
+    "slide_speed_m_per_s": ("iron", "slide_speed"),
+    "home_x_m": (None, "home_x_m"),
+    "home_y_m": (None, "home_y_m"),
+}
 
-    def home(self) -> tuple[float, float]:
-        return (self.home_x_m, self.home_y_m)
+
+def config_values(cfg: PipelineConfig) -> dict:
+    """Every config key with its value in `cfg`: the report's `config` block."""
+    return {key: getattr(cfg if section is None else getattr(cfg, section), name)
+            for key, (section, name) in CONFIG_KEYS.items()}
 
 
 def parse_config(path) -> PipelineConfig:
-    """Read `key value` lines; unknown keys are rejected."""
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'key value'")
-            key, sval = parts
-            if key not in fields:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = fields[key].type
-            try:
-                if ftype == "bool":
-                    if sval.lower() not in ("true", "false", "0", "1"):
-                        raise ValueError("expected true/false")
-                    values[key] = sval.lower() in ("true", "1")
-                elif ftype == "int":
-                    values[key] = int(sval)
-                elif ftype == "float":
-                    values[key] = float(sval)
-                    if math.isnan(values[key]):      # inf stays: max_len_px defaults to it
-                        raise ValueError("not a number")
-                else:
-                    values[key] = sval
-            except ValueError as e:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from e
-    cfg = PipelineConfig(**values)
+    """Read `key value` lines; unknown keys are rejected.  Every stage object
+    is built here, so a value out of its class's range is a ConfigError."""
     try:
-        cfg.bump_params()
-        cfg.train_hyper()
-        if cfg.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be >= 1, "
-                             f"got {cfg.negatives_per_positive}")
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
-    return cfg
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    given: dict = {section: {} for section in (None, *SECTIONS)}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ConfigError(f"{path}:{lineno}: expected 'key value'")
+        key, sval = parts
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        section, name = CONFIG_KEYS[key]
+        ftype = next(f.type for f in fields(SECTIONS.get(section, PipelineConfig))
+                     if f.name == name)
+        try:
+            if ftype == "bool":
+                if sval.lower() not in ("true", "false", "0", "1"):
+                    raise ValueError("expected true/false")
+                value = sval.lower() in ("true", "1")
+            elif ftype == "int":
+                value = int(sval)
+            elif ftype == "float":
+                value = float(sval)
+                if math.isnan(value):      # inf stays: max_len_px defaults to it
+                    raise ValueError("not a number")
+            else:
+                value = sval
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from e
+        given[section][name] = value
+
+    def build(section, cls, **stages):
+        try:
+            return cls(**given[section], **stages)
+        except ValueError as e:     # name the keys that set the failing object
+            keys = ", ".join(k for k, (s, n) in CONFIG_KEYS.items()
+                             if s == section and n in given[section])
+            raise ConfigError(f"{path}: {keys}: {e}") from e
+    return build(None, PipelineConfig,
+                 **{section: build(section, cls) for section, cls in SECTIONS.items()})
 
 
 def _json_ready(x):
@@ -175,9 +196,37 @@ def dump_report(report: dict) -> str:
     return json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n"
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+# what a stage, a malformed data input or a failed write can raise
+_STAGE_ERRORS = (OSError, ValueError, ArithmeticError, KeyError, TypeError, IndexError,
+                 RecursionError)
+
+
+@contextlib.contextmanager
+def _stage(name: str, path=None):
+    """Errors of the block fail as stage `name`.  With `path`, the file the
+    block reads or writes, the message starts with it."""
+    try:
+        yield
+    except _STAGE_ERRORS as e:
+        what = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        if path is not None:
+            what = f"{path}: {what.removeprefix(f'{path}: ')}"
+        raise StageError(name, ValueError(what)) from e
+
+
+def _read_input(reader, path):
+    """reader(path); a missing or malformed data input fails as stage inputs."""
+    with _stage("inputs", path):
+        return reader(path)
+
+
+def _emit(text: str, out) -> None:
+    """Write `text` to the file `out`, or to stdout when there is none."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    with _stage("outputs", out):
+        gridio.write_atomic(out, lambda p: pathlib.Path(p).write_text(text, encoding="utf-8"))
 
 
 def _sha256(path) -> str:
@@ -212,21 +261,21 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
             raise StageError("inputs", ValueError(
                 f"image {img.data.shape} does not match height {height.data.shape}"))
 
-    bumps = stage("curvature", lambda: curvature.detect_bumps(height, cfg.bump_params()))
+    bumps = stage("curvature", lambda: curvature.detect_bumps(height, cfg.bump))
     mix = stage("mixture", lambda: mixture.build_mixture(bumps))
     nimg = stage("normalize", lambda: discont.normalize(i1, i2, ref1, ref2))
     mask, scores = stage("score", lambda: discont.score_map(
         nimg, model, cfg.score_threshold, height.cell_size, height.origin, threads))
     segments = stage("segments", lambda: discont.extract_segments(
-        mask, scores, cfg.hough_params(), height.transform))
+        mask, scores, cfg.hough, height.transform))
     fused = stage("fusion", lambda: fusion.fuse(
         segments, mix, cfg.p_min, cfg.clearance_samples))
     plan, waypoints = stage("plan", lambda: planner.plan_ironing(
-        fused, cfg.iron_spec(), cfg.home(), surface=height))
+        fused, cfg.iron, (cfg.home_x_m, cfg.home_y_m), surface=height))
 
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": dataclasses.asdict(cfg),
+        "config": config_values(cfg),
         "grid": {"width": height.width, "height": height.height,
                  "cell_size_m": height.cell_size, "origin_m": list(height.origin)},
         "bumps": [{
@@ -272,13 +321,10 @@ def _plan_dict(plan: planner.IroningPlan, waypoints) -> dict:
 
 def load_scene_dir(scene_dir: str):
     """Read the six synth outputs of one scene directory."""
-    paths = {name: os.path.join(scene_dir, name) for name in SYNTH_FILES}
-    return (gridio.read_grid(paths["height.fgrid"]),
-            gridio.read_gray(paths["light1.pgm"]),
-            gridio.read_gray(paths["light2.pgm"]),
-            gridio.read_gray(paths["ref1.pgm"]),
-            gridio.read_gray(paths["ref2.pgm"]),
-            gridio.read_labels(paths["labels.pgm"]))
+    readers = (gridio.read_grid, gridio.read_gray, gridio.read_gray,
+               gridio.read_gray, gridio.read_gray, gridio.read_labels)
+    return tuple(_read_input(reader, os.path.join(scene_dir, name))
+                 for name, reader in zip(SYNTH_FILES, readers))
 
 
 def _scene_dirs(corpus_dir: str) -> list[str]:
@@ -287,13 +333,13 @@ def _scene_dirs(corpus_dir: str) -> list[str]:
         d = os.path.join(corpus_dir, name)
         if os.path.isdir(d) and os.path.exists(os.path.join(d, "height.fgrid")):
             out.append(d)
+    if not out:
+        raise ValueError(f"no scene directories under {corpus_dir}")
     return out
 
 
 def build_corpus_training_set(corpus_dir: str, cfg: PipelineConfig) -> classify.TrainingSet:
     dirs = _scene_dirs(corpus_dir)
-    if not dirs:
-        raise ValueError(f"no scene directories under {corpus_dir}")
     scenes = []
     for idx, d in enumerate(dirs):
         _, i1, i2, r1, r2, labels = load_scene_dir(d)
@@ -324,18 +370,15 @@ def evaluate_scenes(scene_dirs: list[str], model: classify.SvmModel,
     return correct / total, hit / positives
 
 
-# --- subcommands ---
+# --- subcommands: each raises ConfigError or StageError, and main alone exits ---
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     if not os.path.exists(args.scene):
-        print(f"scene file not found: {args.scene}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"scene file not found: {args.scene}")
     try:
         spec = synth.load_scene(args.scene)
-    except ValueError as e:
-        print(f"bad scene file: {e}", file=sys.stderr)
-        return 2
-    os.makedirs(args.outdir, exist_ok=True)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"bad scene file: {e}") from e
     height = synth.generate_height(spec)
     outputs = {
         "height.fgrid": lambda p: gridio.write_grid(height, p),
@@ -345,36 +388,32 @@ def cmd_synth(args) -> int:
         "ref2.pgm": lambda p: gridio.write_gray(synth.render_reference(spec, 2), p),
         "labels.pgm": lambda p: gridio.write_labels(synth.ground_truth(spec), p),
     }
-    for name, writer in outputs.items():
-        gridio.write_atomic(os.path.join(args.outdir, name), writer)
+    with _stage("outputs", args.outdir):
+        os.makedirs(args.outdir, exist_ok=True)
+        for name, writer in outputs.items():
+            gridio.write_atomic(os.path.join(args.outdir, name), writer)
     print(f"wrote {len(outputs)} files to {args.outdir}")
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     cfg = parse_config(args.config) if args.config else PipelineConfig()
-    eval_dirs = _scene_dirs(args.eval_dir) if args.eval_dir else []
-    if args.eval_dir and not eval_dirs:
-        print(f"no scene directories under {args.eval_dir}", file=sys.stderr)
-        return 2
-    try:
+    try:        # checked before training starts, like an argument
+        eval_dirs = _scene_dirs(args.eval_dir) if args.eval_dir else []
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"--eval-dir: {e}") from e
+    with _stage("inputs", args.corpus):
         ts = build_corpus_training_set(args.corpus, cfg)
-        model = classify.train(ts, cfg.train_hyper())
-    except (ValueError, FloatingPointError, OSError) as e:
-        print(f"stage train failed: {e}", file=sys.stderr)
-        return 1
-    gridio.write_atomic(args.model_out, lambda p: classify.save_model(model, p))
+    with _stage("train"):
+        model = classify.train(ts, cfg.train)
+    with _stage("outputs", args.model_out):
+        gridio.write_atomic(args.model_out, lambda p: classify.save_model(model, p))
     print(f"trained on {len(ts.positives)} positive / {len(ts.negatives)} negative "
           f"pixels; model written to {args.model_out}")
     del ts                      # evaluation needs the model only
     if eval_dirs:
-        try:
+        with _stage("evaluate"):
             acc, rec = evaluate_scenes(eval_dirs, model, cfg)
-        except (ValueError, OSError) as e:
-            print(f"stage evaluate failed: {e}", file=sys.stderr)
-            return 1
         print(f"held-out accuracy {acc:.4f} recall {rec:.4f}")
-    return 0
 
 
 def _thread_count() -> int:
@@ -392,36 +431,22 @@ def _thread_count() -> int:
     return n
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> None:
     cfg = parse_config(args.config) if args.config else PipelineConfig()
     threads = _thread_count()
-    try:
-        height = gridio.read_grid(args.height)
-        imgs = [gridio.read_gray(p) for p in (args.i1, args.i2, args.ref1, args.ref2)]
-        model = classify.load_model(args.model)
-    except (OSError, ValueError) as e:
-        print(f"stage inputs failed: {e}", file=sys.stderr)
-        return 1
+    height = _read_input(gridio.read_grid, args.height)
+    imgs = [_read_input(gridio.read_gray, p) for p in (args.i1, args.i2, args.ref1, args.ref2)]
+    model = _read_input(classify.load_model, args.model)
     timings: dict = {}
     report = run_detection(height, *imgs, model, cfg, timings, threads)
-    report["inputs"] = {
-        "height": {"path": args.height, "sha256": _sha256(args.height)},
-        "light1": {"path": args.i1, "sha256": _sha256(args.i1)},
-        "light2": {"path": args.i2, "sha256": _sha256(args.i2)},
-        "ref1": {"path": args.ref1, "sha256": _sha256(args.ref1)},
-        "ref2": {"path": args.ref2, "sha256": _sha256(args.ref2)},
-        "model": {"path": args.model, "sha256": _sha256(args.model)},
-    }
+    paths = {"height": args.height, "light1": args.i1, "light2": args.i2,
+             "ref1": args.ref1, "ref2": args.ref2, "model": args.model}
+    report["inputs"] = {k: {"path": p, "sha256": _sha256(p)} for k, p in paths.items()}
     for name, dt in timings.items():
         print(f"stage {name}: {dt:.3f} s", file=sys.stderr)
     if args.timing:
         report["timing_s"] = timings
-    text = dump_report(report)
-    if args.out:
-        gridio.write_atomic(args.out, lambda p: _write_text(p, text))
-    else:
-        sys.stdout.write(text)
-    return 0
+    _emit(dump_report(report), args.out)
 
 
 def _read_report(path) -> dict:
@@ -433,61 +458,35 @@ def _read_report(path) -> dict:
     return report
 
 
-# what a malformed report raises where it is read
-_REPORT_ERRORS = (ValueError, KeyError, TypeError, IndexError)
-
-
-def _report_failed(path, e: Exception) -> int:
-    what = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-    print(f"stage inputs failed: {path}: {what}", file=sys.stderr)
-    return 1
-
-
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> None:
     cfg = parse_config(args.config) if args.config else PipelineConfig()
-    try:
+    with _stage("inputs", args.report):
         report = _read_report(args.report)
         fused = []
         for wk in report.get("wrinkles", []):
+            (x0, y0), (x1, y1) = wk["endpoints_m"]
             d = discont.Discontinuity(
-                id=wk["id"], endpoints=(tuple(wk["endpoints_m"][0]), tuple(wk["endpoints_m"][1])),
+                id=int(wk["id"]), endpoints=((float(x0), float(y0)), (float(x1), float(y1))),
                 pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
-                length=wk["length_m"], direction=wk["direction_rad"])
-            fused.append(fusion.fuse_one(d, wk["q"], wk["r"], cfg.p_min))
-    except _REPORT_ERRORS as e:
-        return _report_failed(args.report, e)
-    surface = gridio.read_grid(args.height) if args.height else None
-    try:
-        plan, waypoints = planner.plan_ironing(fused, cfg.iron_spec(), cfg.home(),
+                length=float(wk["length_m"]), direction=float(wk["direction_rad"]))
+            fused.append(fusion.fuse_one(d, float(wk["q"]), float(wk["r"]), cfg.p_min))
+    surface = _read_input(gridio.read_grid, args.height) if args.height else None
+    with _stage("plan"):
+        plan, waypoints = planner.plan_ironing(fused, cfg.iron, (cfg.home_x_m, cfg.home_y_m),
                                                surface=surface)
-    except ValueError as e:
-        print(f"stage plan failed: {e}", file=sys.stderr)
-        return 1
     report["plan"] = _plan_dict(plan, waypoints)
-    report["config"] = dataclasses.asdict(cfg)
+    report["config"] = config_values(cfg)
     for wk, f in zip(report.get("wrinkles", []), fused):
         wk["accepted"] = f.accepted
-    text = dump_report(report)
-    if args.out:
-        gridio.write_atomic(args.out, lambda p: _write_text(p, text))
-    else:
-        sys.stdout.write(text)
-    return 0
+    _emit(dump_report(report), args.out)
 
 
-def cmd_overlay(args) -> int:
-    try:
-        height = gridio.read_grid(args.height)
-    except (OSError, ValueError) as e:
-        print(f"stage overlay failed: {e}", file=sys.stderr)
-        return 1
-    try:
+def cmd_overlay(args) -> None:
+    height = _read_input(gridio.read_grid, args.height)
+    with _stage("inputs", args.report):
         svg = overlay.render_overlay(_read_report(args.report), height)
-    except _REPORT_ERRORS as e:
-        return _report_failed(args.report, e)
-    gridio.write_atomic(args.out, lambda p: _write_text(p, svg))
+    _emit(svg, args.out)
     print(f"wrote {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,18 +536,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: exit 0 on success, 1 when a stage fails (named on
+    stderr), 2 on a usage or config error."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"missing input: {e}", file=sys.stderr)
         return 2
     except StageError as e:
         print(e, file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

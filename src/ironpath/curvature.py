@@ -41,6 +41,16 @@ BUMP_INDEX_HI = 5.0 / 8.0
 # only cost time and, far enough out, cannot be allocated at all.
 MAX_SMOOTH_SIGMA_PX = 1000.0
 
+# Largest accepted closing count.  n passes bridge gaps up to 2n px wide; at
+# 100 that is 200 px, a sixth of a 1280x960 scan and a third of a 640x480
+# one, so any bumps on it merge.  Each pass is a dilation and an erosion
+# over the whole image.
+MAX_CLOSE_ITERATIONS = 100
+
+# Relative-height floor for the Gaussian fit: only pixels at or above this
+# fraction of a component's peak take part.
+FIT_FLOOR = 0.05
+
 
 @dataclass
 class CurvatureField:
@@ -79,7 +89,6 @@ class BumpParams:
     min_volume_m3: float = 1e-6
     min_pixels: int = 5
     close_iterations: int = 2     # morphological closing passes on the bump mask
-    fit_floor: float = 0.05       # relative-height floor for the Gaussian fit
     min_minor_axis_m: float = 0.008   # thinner components are ridge ghosts, not bumps
 
     def __post_init__(self):
@@ -88,6 +97,15 @@ class BumpParams:
                              f"got {self.smooth_sigma_px}")
         if self.polarity not in ("up", "down"):
             raise ValueError(f"polarity must be 'up' or 'down', got {self.polarity!r}")
+        if not 0.0 <= self.eps_umbilic_rel < math.inf:
+            raise ValueError(f"eps_umbilic_rel must be finite and >= 0, "
+                             f"got {self.eps_umbilic_rel}")
+        if not 0 <= self.close_iterations <= MAX_CLOSE_ITERATIONS:
+            raise ValueError(f"close_iterations must be in [0, {MAX_CLOSE_ITERATIONS}], "
+                             f"got {self.close_iterations}")
+        for name in ("min_volume_m3", "min_pixels", "min_minor_axis_m"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def _gaussian_filter(z: np.ndarray, sigma: float) -> np.ndarray:
@@ -334,7 +352,7 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
         if peak <= 0:
             n_degenerate += 1
             continue
-        sel = w >= p.fit_floor * peak
+        sel = w >= FIT_FLOOR * peak
         x = ox + uu[sel] * cell
         y = oy + vv[sel] * cell
         fit = None

@@ -19,6 +19,20 @@ from .gridio import FloatGrid, GrayImage, LabelMask, WorldTransform, LABEL_WRINK
 
 EPS_REF = 1.0 / 255.0
 
+# Finest accepted Hough resolutions.  The accumulator has 2*diag/rho_res + 1
+# rows of 180/theta_res cells: at these bounds 12801 x 720 float64 cells
+# (74 MB) on a 1280x960 image.  Finer bins only split the votes of one line,
+# whose final rho and theta come from the total-least-squares refit anyway.
+MIN_RHO_RES_PX = 0.25
+MIN_THETA_RES_DEG = 0.25
+# Shortest accepted piece length: a run of L px is cut into ceil(L/max_len_px)
+# pieces, so at least one pixel per piece bounds their number by the image
+# diagonal.
+MIN_MAX_LEN_PX = 1.0
+# Extra radius, beyond the gating distance, within which the supporting
+# pixels of an extracted line are retired from later lines.
+CONSUME_PAD_PX = 2.0
+
 
 @dataclass
 class NormalizedImage:
@@ -64,7 +78,20 @@ class HoughParams:
     max_len_px: float = math.inf
     nms_rho_px: float = 5.0
     nms_theta_deg: float = 5.0
-    consume_pad_px: float = 2.0   # extra radius when retiring supporting pixels
+
+    def __post_init__(self):
+        if not MIN_RHO_RES_PX <= self.rho_res_px < math.inf:
+            raise ValueError(f"rho_res_px must be finite and >= {MIN_RHO_RES_PX:g}, "
+                             f"got {self.rho_res_px}")
+        if not MIN_THETA_RES_DEG <= self.theta_res_deg <= 180.0:
+            raise ValueError(f"theta_res_deg must be in [{MIN_THETA_RES_DEG:g}, 180], "
+                             f"got {self.theta_res_deg}")
+        if not self.max_len_px >= MIN_MAX_LEN_PX:
+            raise ValueError(f"max_len_px must be >= {MIN_MAX_LEN_PX:g}, got {self.max_len_px}")
+        for name in ("min_votes", "gating_px", "gap_px", "min_len_px",
+                     "nms_rho_px", "nms_theta_deg"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def normalize(i1: GrayImage, i2: GrayImage, ref1: GrayImage,
@@ -267,5 +294,5 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
                     length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
                     direction=float(math.atan2(d[1], d[0]) % math.pi),
                     rho=rho_f, theta=theta_f))
-        consumed |= np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px + p.consume_pad_px
+        consumed |= np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px + CONSUME_PAD_PX
     return segs

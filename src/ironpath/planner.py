@@ -10,7 +10,7 @@ foam underlay (force = stiffness * depth in the spring model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -35,14 +35,13 @@ class IronSpec:
     slide_speed: float = 0.10
 
     def __post_init__(self):
-        if not (self.long_axis > self.short_axis > 0):
-            raise ValueError("require long_axis > short_axis > 0")
-        if not (0 < self.press_depth < self.foam_thickness):
-            raise ValueError("require 0 < press_depth < foam_thickness")
-        if not (self.lift_height > 0):
-            raise ValueError("lift_height must be > 0")
-        if not (self.travel_speed > 0 and self.slide_speed > 0):
-            raise ValueError("speeds must be > 0")
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and > 0, got {getattr(self, f.name)}")
+        if not self.long_axis > self.short_axis:
+            raise ValueError("require long_axis > short_axis")
+        if not self.press_depth < self.foam_thickness:
+            raise ValueError("require press_depth < foam_thickness")
 
 
 @dataclass

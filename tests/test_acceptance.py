@@ -111,7 +111,7 @@ def test_criterion_5_classifier_corpus(tmp_path):
     for i, seed in enumerate(EVAL_SEEDS):
         write_scene_dir(eval_dir, f"scene{i:02d}", corpus_scene(seed))
     ts = build_corpus_training_set(str(train_dir), cfg)
-    model = classify.train(ts, cfg.train_hyper())
+    model = classify.train(ts, cfg.train)
     dirs = sorted(str(p) for p in eval_dir.iterdir())
     acc, rec = evaluate_scenes(dirs, model, cfg)
     dt = time.perf_counter() - t0

@@ -427,3 +427,21 @@ class TestModelFile:
         save_model(model, p)
         with pytest.raises(GridFormatError, match="64 weights, expected 128"):
             load_model(p)
+
+    @pytest.mark.parametrize("index", [0, 127, 128, 129, 130])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, index, value):
+        # weights, bias, sigmoid slope and offset
+        payload = np.zeros(131)
+        payload[index] = value
+        p = tmp_path / "nan.svmw"
+        p.write_bytes(b"SVMW 128 0.0001 20 7 0\n" + payload.astype("<f8").tobytes())
+        with pytest.raises(GridFormatError, match="non-finite value in payload"):
+            load_model(p)
+
+    @pytest.mark.parametrize("flag", [b"5", b"-1", b"01", b"true"])
+    def test_calibrate_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        p = tmp_path / "flag.svmw"
+        p.write_bytes(b"SVMW 128 0.0001 20 7 " + flag + b"\n" + b"\x00" * (131 * 8))
+        with pytest.raises(GridFormatError, match="bad SVMW header"):
+            load_model(p)

@@ -1,17 +1,20 @@
+import dataclasses
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CELL, corpus_scene
 import ironpath
 from ironpath import classify, gridio, synth
-from ironpath.cli import (ConfigError, PipelineConfig, dump_report, main,
+from ironpath.cli import (CONFIG_KEYS, ConfigError, PipelineConfig, dump_report, main,
                           parse_config, run_detection)
 
 SCENE_TEXT = """\
@@ -59,10 +62,10 @@ class TestConfig:
                      "polarity down\nmax_len_px inf\n")
         cfg = parse_config(p)
         assert cfg.p_min == 0.4
-        assert cfg.svm_epochs == 5
-        assert cfg.svm_calibrate is True
-        assert cfg.polarity == "down"
-        assert math.isinf(cfg.max_len_px)
+        assert cfg.train.epochs == 5
+        assert cfg.train.calibrate is True
+        assert cfg.bump.polarity == "down"
+        assert math.isinf(cfg.hough.max_len_px)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -83,6 +86,181 @@ class TestConfig:
         p.write_text(line + "\n")
         with pytest.raises(ConfigError, match="not a number"):
             parse_config(p)
+
+    @pytest.mark.parametrize("line", [
+        "seed 0", "seed 18446744073709551615", "score_threshold 0", "p_min 1",
+        "clearance_samples 2", "clearance_samples 10000", "close_iterations 0",
+        "close_iterations 100", "hough_rho_px 0.25", "hough_theta_deg 0.25",
+        "hough_theta_deg 180", "max_len_px 1", "min_pixels 0", "gap_px inf",
+        "nms_rho_px 0", "svm_seed -1"])
+    def test_range_bounds_accepted(self, tmp_path, line):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        parse_config(p)
+
+    def test_error_names_the_key_set(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("hough_rho_px 0\n")
+        with pytest.raises(ConfigError, match="hough_rho_px: rho_res_px must be"):
+            parse_config(p)
+
+
+# integers, floats, words the parser knows and any other text without spaces
+TOKENS = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "false", "up", "down", "inf", "-inf", "nan", "-0",
+                     "1e-300", "1e300", "0.25", "180"]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")),
+            min_size=1, max_size=8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(key=st.sampled_from(sorted(CONFIG_KEYS)), token=TOKENS)
+def test_any_key_and_token_give_a_valid_config_or_a_config_error(tmp_path_factory, key, token):
+    p = tmp_path_factory.getbasetemp() / "property.cfg"
+    p.write_text(f"{key} {token}\n", encoding="utf-8")
+    try:
+        cfg = parse_config(p)
+    except ConfigError:
+        return
+    for obj in (cfg, cfg.bump, cfg.hough, cfg.train, cfg.iron):
+        dataclasses.replace(obj)        # runs the range checks again
+
+
+def test_readme_config_block_lists_every_key_with_its_default(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("**Config file**", 1)[1].split("```\n", 2)[1]
+    keys = [line.split()[0] for line in block.splitlines()
+            if line.split("#", 1)[0].strip()]
+    assert sorted(keys) == sorted(CONFIG_KEYS)
+    p = tmp_path / "readme.cfg"
+    p.write_text(block)
+    assert parse_config(p) == PipelineConfig()
+
+
+@pytest.fixture(scope="module")
+def flat_dir(tmp_path_factory):
+    return write_scene_dir(tmp_path_factory.mktemp("flat"), "flat", synth.SceneSpec(96, 72, CELL))
+
+
+# values that failed inside a stage (exit 1), or that ran and meant nothing
+OUT_OF_RANGE = [
+    "hough_rho_px 0", "hough_rho_px -1", "hough_rho_px 0.1", "hough_rho_px inf",
+    "hough_theta_deg 0", "hough_theta_deg 1e-9", "hough_theta_deg 181",
+    "max_len_px 0", "clearance_samples 0", "clearance_samples -3", "clearance_samples 1",
+    "clearance_samples 10001", "iron_long_axis_m 0.05", "press_depth_m 0.1",
+    "lift_height_m 0", "travel_speed_m_per_s 0", "iron_short_axis_m inf",
+    "foam_stiffness_n_per_m -1", "seed -1", "seed 18446744073709551616",
+    "min_pixels -1", "close_iterations -1", "close_iterations 101", "gap_px -1",
+    "gating_px -1", "min_len_px -1", "hough_min_votes -1", "min_volume_m3 -1",
+    "min_minor_axis_m -1", "nms_rho_px -1", "nms_theta_deg -1", "eps_umbilic_rel -1",
+    "eps_umbilic_rel inf", "p_min 1.5", "p_min -0.1", "score_threshold 2",
+    "score_threshold -1", "home_x_m inf", "home_y_m -inf"]
+
+
+@pytest.mark.parametrize("line", OUT_OF_RANGE)
+def test_out_of_range_value_exit_2(tmp_path, capsys, flat_dir, model_file, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "r.json"
+    assert main(detect_args(flat_dir, model_file,
+                            ["--config", str(cfg), "--out", str(out)])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and line.split()[0] in err
+    assert "Traceback" not in err and not out.exists()
+
+
+class TestErrorContract:
+    """No input ends in a traceback: 2 for config and usage errors, 1 naming
+    the stage, `inputs` with the path for a missing or malformed data input."""
+
+    def _report(self, tmp_path):
+        rpt = tmp_path / "r.json"
+        rpt.write_text(dump_report({"bumps": [], "mixture": [], "wrinkles": [WRINKLE],
+                                    "plan": {"actions": []}}))
+        return rpt
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys, flat_dir, model_file):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("p_min 0.4  # \u00e9t\u00e9\n".encode("latin-1"))
+        assert main(detect_args(flat_dir, model_file, ["--config", str(cfg)])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read ") and "Traceback" not in err
+
+    def test_config_is_directory_exit_2(self, tmp_path, capsys, flat_dir, model_file):
+        assert main(detect_args(flat_dir, model_file, ["--config", str(tmp_path)])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read ") and "Traceback" not in err
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        assert main(["plan", str(self._report(tmp_path)),
+                     "--config", str(tmp_path / "none.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read ")
+
+    @pytest.mark.parametrize("content", [b"garbage\n", b"FGRID 3 3 0.002\n" + b"\x00" * 5])
+    def test_plan_malformed_height_exit_1(self, tmp_path, capsys, content):
+        height = tmp_path / "h.fgrid"
+        height.write_bytes(content)
+        out = tmp_path / "o.json"
+        assert main(["plan", str(self._report(tmp_path)), "--height", str(height),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage inputs failed: {height}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("length_m", "long"), ("q", [0.5]),
+                                              ("id", "first"), ("endpoints_m", [[0, 0]])])
+    def test_plan_report_field_of_wrong_type_exit_1(self, tmp_path, capsys, field, value):
+        rpt = tmp_path / "r.json"
+        rpt.write_text(dump_report({"wrinkles": [WRINKLE, {**WRINKLE, "id": 1, field: value}]}))
+        assert main(["plan", str(rpt)]) == 1
+        assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: ")
+
+    def test_plan_missing_height_exit_1(self, tmp_path, capsys):
+        height = tmp_path / "nope.fgrid"
+        assert main(["plan", str(self._report(tmp_path)), "--height", str(height)]) == 1
+        assert capsys.readouterr().err.startswith(f"stage inputs failed: {height}: ")
+
+    def test_overlay_missing_height_exit_1(self, tmp_path, capsys):
+        height = tmp_path / "nope.fgrid"
+        assert main(["overlay", str(self._report(tmp_path)), str(height),
+                     str(tmp_path / "o.svg")]) == 1
+        assert capsys.readouterr().err.startswith(f"stage inputs failed: {height}: ")
+
+    def test_missing_corpus_exit_1(self, tmp_path, capsys):
+        corpus = tmp_path / "nope"
+        assert main(["train", str(corpus), str(tmp_path / "m.svmw")]) == 1
+        assert capsys.readouterr().err.startswith(f"stage inputs failed: {corpus}: ")
+
+    def test_malformed_corpus_scene_names_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        d = write_scene_dir(corpus, "scene0", corpus_scene(560, width=140, height=100))
+        (d / "labels.pgm").write_bytes(b"P5\n3 3\n7\n")
+        assert main(["train", str(corpus), str(tmp_path / "m.svmw")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage inputs failed: {d / 'labels.pgm'}: ")
+
+    def test_model_with_nan_weight_exit_1(self, tmp_path, capsys, flat_dir):
+        weights = np.zeros(128)
+        weights[5] = np.nan
+        model = tmp_path / "nan.svmw"
+        classify.save_model(classify.SvmModel(weights, 0.0, classify.TrainHyper()), model)
+        assert main(detect_args(flat_dir, model)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage inputs failed: {model}: non-finite value in payload")
+
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "o.json"
+        assert main(["plan", str(self._report(tmp_path)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage outputs failed: {out}: ") and "Traceback" not in err
+
+    def test_scene_file_not_utf8_exit_2(self, tmp_path, capsys):
+        scene = tmp_path / "scene.txt"
+        scene.write_bytes(b"width 10 \xff\n")
+        assert main(["synth", str(scene), str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad scene file")
 
 
 class TestSynthCommand:

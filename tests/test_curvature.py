@@ -243,7 +243,7 @@ def scipy_reference_bumps(ndimage, grid, p):
         w = np.maximum(rel[vv, uu], 0.0)
         if w.max() <= 0:
             continue
-        sel = w >= p.fit_floor * w.max()
+        sel = w >= curvature.FIT_FLOOR * w.max()
         x = grid.origin[0] + uu[sel] * cell
         y = grid.origin[1] + vv[sel] * cell
         fit = None

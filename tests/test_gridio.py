@@ -2,8 +2,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ironpath import gridio
+from ironpath import classify, gridio
 from ironpath.gridio import (FloatGrid, GrayImage, GridFormatError, LabelMask,
                              WorldTransform)
 
@@ -157,3 +158,35 @@ class TestWorldTransform:
     def test_bad_cell(self):
         with pytest.raises(ValueError):
             WorldTransform(0.0)
+
+
+def _token():
+    return st.one_of(st.integers(-3, 300).map(str),
+                     st.sampled_from(["0", "-0", "nan", "inf", "1e-4", "0.002", "2",
+                                      "128", "65535", "1e999", "99999999999999999999"]))
+
+
+@st.composite
+def file_bytes(draw):
+    """Random bytes, or a header of one of the formats with random fields,
+    then a payload of random length."""
+    header = draw(st.one_of(
+        st.binary(max_size=40),
+        st.builds(lambda magic, fields: magic + " ".join(fields).encode() + b"\n",
+                  st.sampled_from([b"FGRID ", b"P5\n", b"P5 ", b"SVMW "]),
+                  st.lists(_token(), max_size=6))))
+    size = draw(st.one_of(st.integers(0, 64), st.sampled_from([9 * 2, 9 * 4, 131 * 8])))
+    return header + draw(st.binary(min_size=size, max_size=size))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=file_bytes())
+def test_readers_raise_only_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(data)
+    for reader in (gridio.read_grid, gridio.read_gray, gridio.read_labels,
+                   classify.load_model):
+        try:
+            reader(path)
+        except ValueError:          # GridFormatError included
+            pass
