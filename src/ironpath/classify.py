@@ -24,10 +24,12 @@ lambda/2 |w|^2 + mean l(y (w.x + b)) with the Huber-smoothed hinge l
 (Chapelle 2007, "Training a support vector machine in the primal"): zero
 for margins m >= 1, (1-m)^2 / 2h on the band 1-h < m < 1, and 1-m-h/2 below
 it.  The bias is not regularized.  Newton steps (Keerthi & DeCoste 2005)
-with a backtracking line search reach the minimizer in about ten steps.
-The solver draws nothing at random, and none of its sums depends on the
-BLAS thread count, so the model depends on the training matrix alone (see
-train_arrays).
+with a backtracking line search run until the gradient has fallen by a
+factor 1e12: about a dozen steps on scan corpora, a few hundred on small
+nearly separable sets.  The solver draws nothing at random, and none of its
+sums depends on the BLAS thread count, so the model depends on the training
+matrix alone (see train_arrays).  A pixel's score is sigmoid(w.x + b), and
+the model file holds lambda, the weights and the bias.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +60,8 @@ _CHUNK_PX = 4096                   # pixels per chunk of descriptors_at (bounds 
 _GRAM_ROWS = 1024                  # band rows per gathered chunk of a Newton system
 HUBER_H = 0.5                      # width of the smoothed hinge's quadratic band
 _GRAD_TOL = 1e-12                  # converged: gradient norm below this share of the first
+_MAX_NEWTON_STEPS = 3000           # a guard: nearly separable sets of ~128-300 rows take
+                                   # a few hundred steps, scan corpora 11-14
 _MAX_HALVINGS = 60                 # line search: halvings before the step is given up
 
 # patch offsets -8..7 from the center pixel along each axis, and the 1-D
@@ -256,15 +260,10 @@ def build_training_set(scenes: list[tuple[np.ndarray, LabelMask, int]],
 @dataclass
 class TrainHyper:
     reg_lambda: float = 1e-4
-    epochs: int = 20            # cap on Newton steps
-    seed: int = 7               # kept in the model header; the solver draws nothing
-    calibrate: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.reg_lambda) and self.reg_lambda > 0):
             raise ValueError(f"reg_lambda must be finite and > 0, got {self.reg_lambda}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -272,8 +271,6 @@ class SvmModel:
     weights: np.ndarray       # (128,)
     bias: float
     hyper: TrainHyper
-    slope: float = 1.0        # sigmoid calibration
-    offset: float = 0.0
 
 
 def _smoothed_hinge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +321,7 @@ def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
     2 of the minimum along the line, and the sign of the slope stays
     reliable where rounding hides the fall of the objective.  The solver
     stops when the gradient norm falls below _GRAD_TOL times the first one,
-    when no halving is accepted, or after hyper.epochs steps.
+    when no halving is accepted, or after _MAX_NEWTON_STEPS steps.
 
     The model does not depend on the BLAS thread count: the gradient's
     c @ X and the Gram matrices of the chunks come out bit-identical on any
@@ -336,7 +333,7 @@ def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
     w, b = np.zeros(dim), 0.0
     out = np.zeros(n)                     # X w + b
     g0 = None
-    for _ in range(hyper.epochs):
+    for _ in range(_MAX_NEWTON_STEPS):
         m = y * out
         loss, slope = _smoothed_hinge(m)
         c = slope * y                     # d loss_i / d out_i
@@ -373,13 +370,8 @@ def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
         b += t * db
         out += t * dout
     if not (np.all(np.isfinite(w)) and math.isfinite(b)):
-        raise FloatingPointError(
-            f"training diverged (lambda={lam}, epochs={hyper.epochs})")
-    model = SvmModel(w, float(b), hyper)
-    if hyper.calibrate:
-        slope, offset = _fit_sigmoid(np.einsum("ij,j->i", X, w) + b, y)
-        model = replace(model, slope=slope, offset=offset)
-    return model
+        raise FloatingPointError(f"training diverged (lambda={lam})")
+    return SvmModel(w, float(b), hyper)
 
 
 def train(ts: TrainingSet, hyper: TrainHyper | None = None) -> SvmModel:
@@ -392,37 +384,18 @@ def train(ts: TrainingSet, hyper: TrainHyper | None = None) -> SvmModel:
     return train_arrays(ts.X, y, hyper)
 
 
-def _fit_sigmoid(margins: np.ndarray, y: np.ndarray, iters: int = 25):
-    """Newton fit of P(y=1|m) = sigmoid(a*m + c) by logistic loss."""
-    t = (y + 1.0) / 2.0
-    a, c = 1.0, 0.0
-    for _ in range(iters):
-        z = np.clip(a * margins + c, -35.0, 35.0)
-        p = 1.0 / (1.0 + np.exp(-z))
-        g = np.array([((p - t) * margins).sum(), (p - t).sum()])
-        r = p * (1.0 - p) + 1e-12
-        H = np.array([[(r * margins**2).sum(), (r * margins).sum()],
-                      [(r * margins).sum(), r.sum()]])
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            break
-        a, c = a - step[0], c - step[1]
-    return float(a), float(c)
-
-
 def score_pixel(model: SvmModel, descriptor: np.ndarray) -> float:
-    """S = sigmoid(slope * (w.x + b) + offset), strictly inside (0, 1)."""
+    """S = sigmoid(w.x + b), strictly inside (0, 1)."""
     m = float(np.dot(model.weights, descriptor)) + model.bias
-    return 1.0 / (1.0 + math.exp(-(model.slope * m + model.offset)))
+    return 1.0 / (1.0 + math.exp(-m))
 
 
-def _sigmoid(model: SvmModel, margins: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-(model.slope * margins + model.offset)))
+def _sigmoid(margins: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-margins))
 
 
 def score_margins(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    return _sigmoid(model, X @ model.weights + model.bias)
+    return _sigmoid(X @ model.weights + model.bias)
 
 
 def _score_band(planes: np.ndarray, model: SvmModel, out: np.ndarray,
@@ -442,7 +415,7 @@ def _score_band(planes: np.ndarray, model: SvmModel, out: np.ndarray,
             d = _cell_sums(cols[:, t0 + j:t1 + j, c0:c1] for j in range(PATCH))
             d = _normalize(d.reshape(DESCRIPTOR_SIZE, t1 - t0, c1 - c0))
             out[r0 + t0:r0 + t1, c0:c1] = _sigmoid(
-                model, np.tensordot(model.weights, d, axes=1) + model.bias)
+                np.tensordot(model.weights, d, axes=1) + model.bias)
 
 
 def dense_scores(img, model: SvmModel, threads: int = 1) -> np.ndarray:
@@ -472,15 +445,12 @@ def accuracy(model: SvmModel, X: np.ndarray, y: np.ndarray,
     return float(np.mean((s >= threshold) == (y > 0)))
 
 
-# --- model file: "SVMW <n> <lambda> <epochs> <seed> <calibrate>" header,
-# then (n + 3) little-endian float64: weights, bias, slope, offset. ---
+# --- model file: "SVMW <n> <lambda>" header, then (n + 1) little-endian
+# float64: weights, bias. ---
 
 def save_model(model: SvmModel, path) -> None:
-    h = model.hyper
-    header = (f"SVMW {len(model.weights)} {h.reg_lambda!r} {h.epochs} "
-              f"{h.seed} {int(h.calibrate)}\n")
-    payload = np.concatenate([model.weights,
-                              [model.bias, model.slope, model.offset]])
+    header = f"SVMW {len(model.weights)} {model.hyper.reg_lambda!r}\n"
+    payload = np.append(model.weights, model.bias)
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         f.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
@@ -490,23 +460,20 @@ def load_model(path) -> SvmModel:
     with open(path, "rb") as f:
         header = f.readline().decode("ascii", errors="replace")
         parts = header.split()
-        if len(parts) != 6 or parts[0] != "SVMW":
+        if len(parts) != 3 or parts[0] != "SVMW":
             raise GridFormatError(f"{path}: bad SVMW header {header!r}")
         try:
             n = int(parts[1])
-            if parts[5] not in ("0", "1"):
-                raise ValueError("calibrate flag must be 0 or 1")
-            hyper = TrainHyper(float(parts[2]), int(parts[3]), int(parts[4]), parts[5] == "1")
+            hyper = TrainHyper(float(parts[2]))
         except ValueError as e:
             raise GridFormatError(f"{path}: bad SVMW header {header!r}") from e
         if n != DESCRIPTOR_SIZE:
             raise GridFormatError(f"{path}: {n} weights, expected {DESCRIPTOR_SIZE}")
         payload = f.read()
-    if len(payload) != (n + 3) * 8:
+    if len(payload) != (n + 1) * 8:
         raise GridFormatError(f"{path}: payload {len(payload)} bytes, "
-                              f"expected {(n + 3) * 8}")
+                              f"expected {(n + 1) * 8}")
     vals = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(vals)):
         raise GridFormatError(f"{path}: non-finite value in payload")
-    return SvmModel(vals[:n].copy(), float(vals[n]), hyper,
-                    float(vals[n + 1]), float(vals[n + 2]))
+    return SvmModel(vals[:n].copy(), float(vals[n]), hyper)

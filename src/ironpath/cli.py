@@ -95,16 +95,12 @@ CONFIG_KEYS = {
     "score_threshold": (None, "score_threshold"),
     "negatives_per_positive": (None, "negatives_per_positive"),
     "svm_lambda": ("train", "reg_lambda"),
-    "svm_epochs": ("train", "epochs"),
-    "svm_seed": ("train", "seed"),
-    "svm_calibrate": ("train", "calibrate"),
     "hough_rho_px": ("hough", "rho_res_px"),
     "hough_theta_deg": ("hough", "theta_res_deg"),
     "hough_min_votes": ("hough", "min_votes"),
     "gating_px": ("hough", "gating_px"),
     "gap_px": ("hough", "gap_px"),
     "min_len_px": ("hough", "min_len_px"),
-    "max_len_px": ("hough", "max_len_px"),
     "nms_rho_px": ("hough", "nms_rho_px"),
     "nms_theta_deg": ("hough", "nms_theta_deg"),
     "clearance_samples": (None, "clearance_samples"),
@@ -151,15 +147,11 @@ def parse_config(path) -> PipelineConfig:
         ftype = next(f.type for f in fields(SECTIONS.get(section, PipelineConfig))
                      if f.name == name)
         try:
-            if ftype == "bool":
-                if sval.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError("expected true/false")
-                value = sval.lower() in ("true", "1")
-            elif ftype == "int":
+            if ftype == "int":
                 value = int(sval)
             elif ftype == "float":
                 value = float(sval)
-                if math.isnan(value):      # inf stays: max_len_px defaults to it
+                if math.isnan(value):      # inf stays: ranges with no upper bound take it
                     raise ValueError("not a number")
             else:
                 value = sval

@@ -57,15 +57,12 @@ class CurvatureField:
     """Per-pixel Hessian eigenvalues (lambda1 >= lambda2) and shape index.
 
     ``shape_index`` holds the limit value +-1 at umbilic pixels (equal
-    eigenvalues, nonzero trace) and NaN where the surface is locally flat;
-    ``defined`` is False at both kinds of umbilic pixel.
+    eigenvalues, nonzero trace) and NaN where the surface is locally flat.
     """
 
     lambda1: np.ndarray
     lambda2: np.ndarray
     shape_index: np.ndarray
-    defined: np.ndarray
-    sigma_px: float = 0.0
 
 
 @dataclass
@@ -240,8 +237,7 @@ def _hessian_components(z: np.ndarray, cell: float):
     return fxx, fyy, fxy
 
 
-def hessian(grid: FloatGrid, eps_umbilic_rel: float = 1e-9,
-            sigma_px: float = 0.0) -> CurvatureField:
+def hessian(grid: FloatGrid, eps_umbilic_rel: float = 1e-9) -> CurvatureField:
     """Central-difference Hessian eigenvalues and shape index over the grid."""
     z = np.asarray(grid.data, np.float64)
     fxx, fyy, fxy = _hessian_components(z, grid.cell_size)
@@ -257,7 +253,7 @@ def hessian(grid: FloatGrid, eps_umbilic_rel: float = 1e-9,
     s[defined] = (2.0 / np.pi) * np.arctan(tr[defined] / den[defined])
     umbilic = ~defined & (np.abs(tr) > 0)
     s[umbilic] = np.sign(tr[umbilic])
-    return CurvatureField(l1, l2, s, defined, sigma_px)
+    return CurvatureField(l1, l2, s)
 
 
 def shape_index(l1: float, l2: float, eps_umbilic_rel: float = 1e-9) -> float:
@@ -321,7 +317,7 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
     if p.polarity == "down":
         hs = -hs
     field_ = hessian(FloatGrid(grid.width, grid.height, cell, grid.origin, data=-hs),
-                     p.eps_umbilic_rel, p.smooth_sigma_px)
+                     p.eps_umbilic_rel)
     s = field_.shape_index
     mask = (s >= BUMP_INDEX_LO) & (s < BUMP_INDEX_HI)
     if p.close_iterations > 0:

@@ -4,7 +4,9 @@ The two illumination captures are divided by flat-cloth reference images and
 combined by root-sum-square.  Classifier scores over the combined image give
 a wrinkle mask; line segments are extracted with a score-weighted Hough
 transform, greedy non-maximum suppression in (rho, theta), a total-least-
-squares line refit, and projection of supporting pixels into gap-split runs.
+squares line refit, and projection of supporting pixels into gap-split runs,
+one segment per run clipped to the image.  Runs are not split by length
+here: the planner splits long wrinkles at twice the iron's length.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ EPS_REF = 1.0 / 255.0
 # whose final rho and theta come from the total-least-squares refit anyway.
 MIN_RHO_RES_PX = 0.25
 MIN_THETA_RES_DEG = 0.25
-# Shortest accepted piece length: a run of L px is cut into ceil(L/max_len_px)
-# pieces, so at least one pixel per piece bounds their number by the image
-# diagonal.
-MIN_MAX_LEN_PX = 1.0
 # Extra radius, beyond the gating distance, within which the supporting
 # pixels of an extracted line are retired from later lines.
 CONSUME_PAD_PX = 2.0
@@ -75,7 +73,6 @@ class HoughParams:
     gating_px: float = 2.0
     gap_px: float = 5.0
     min_len_px: float = 15.0
-    max_len_px: float = math.inf
     nms_rho_px: float = 5.0
     nms_theta_deg: float = 5.0
 
@@ -86,8 +83,6 @@ class HoughParams:
         if not MIN_THETA_RES_DEG <= self.theta_res_deg <= 180.0:
             raise ValueError(f"theta_res_deg must be in [{MIN_THETA_RES_DEG:g}, 180], "
                              f"got {self.theta_res_deg}")
-        if not self.max_len_px >= MIN_MAX_LEN_PX:
-            raise ValueError(f"max_len_px must be >= {MIN_MAX_LEN_PX:g}, got {self.max_len_px}")
         for name in ("min_votes", "gating_px", "gap_px", "min_len_px",
                      "nms_rho_px", "nms_theta_deg"):
             if not getattr(self, name) >= 0:
@@ -274,25 +269,20 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
             span = _clip_span(rho_f, nrm, d, ts_[lo], ts_[hi], w, h)
             if span is None:
                 continue
-            run_len = span[1] - span[0]
-            if run_len < p.min_len_px:
+            a, b = span
+            if b - a < p.min_len_px:
                 continue
-            # guard cap only; proper splitting happens in the planner
-            n_pieces = 1 if run_len <= p.max_len_px else int(math.ceil(run_len / p.max_len_px))
-            bounds = np.linspace(span[0], span[1], n_pieces + 1)
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                inside = (ts_ >= a) & (ts_ <= b)
-                idx = sel_idx[inside]
-                px0 = np.clip(rho_f * nrm + a * d, 0.0, [w - 1.0, h - 1.0])
-                px1 = np.clip(rho_f * nrm + b * d, 0.0, [w - 1.0, h - 1.0])
-                p0 = t.pixel_to_world(px0[0], px0[1])
-                p1 = t.pixel_to_world(px1[0], px1[1])
-                segs.append(Discontinuity(
-                    id=len(segs), endpoints=(p0, p1),
-                    pixels=np.column_stack([uu[idx], vv[idx]]).astype(np.int64),
-                    scores=s[vv[idx].astype(np.int64), uu[idx].astype(np.int64)],
-                    length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
-                    direction=float(math.atan2(d[1], d[0]) % math.pi),
-                    rho=rho_f, theta=theta_f))
+            idx = sel_idx[(ts_ >= a) & (ts_ <= b)]      # the run's pixels inside the image
+            px0 = np.clip(rho_f * nrm + a * d, 0.0, [w - 1.0, h - 1.0])
+            px1 = np.clip(rho_f * nrm + b * d, 0.0, [w - 1.0, h - 1.0])
+            p0 = t.pixel_to_world(px0[0], px0[1])
+            p1 = t.pixel_to_world(px1[0], px1[1])
+            segs.append(Discontinuity(
+                id=len(segs), endpoints=(p0, p1),
+                pixels=np.column_stack([uu[idx], vv[idx]]).astype(np.int64),
+                scores=s[vv[idx].astype(np.int64), uu[idx].astype(np.int64)],
+                length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
+                direction=float(math.atan2(d[1], d[0]) % math.pi),
+                rho=rho_f, theta=theta_f))
         consumed |= np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px + CONSUME_PAD_PX
     return segs

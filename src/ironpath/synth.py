@@ -71,16 +71,27 @@ class SceneSpec:
     def validate(self) -> None:
         if self.width < 3 or self.height < 3:
             raise ValueError("scene must be at least 3x3 pixels")
-        if not (self.cell_size > 0):
-            raise ValueError("cell_size must be > 0")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
+        _check_finite("origin", *self.origin)
         if isinstance(self.albedo, np.ndarray) and self.albedo.shape != (self.height, self.width):
             raise ValueError(f"per-pixel albedo must be (height, width), "
                              f"got {self.albedo.shape}")
+        if not np.all(np.isfinite(self.albedo) & (np.asarray(self.albedo) >= 0)):
+            raise ValueError("albedo must be finite and >= 0")
+        for name in ("height_sigma", "image_sigma"):
+            sigma = getattr(self.noise, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ValueError(f"noise {name} must be finite and >= 0, got {sigma}")
         for b in self.bumps:
+            _check_finite("bump", *b.center, b.sigma_major, b.sigma_minor, b.orientation,
+                          b.peak_height)
             if not (b.sigma_major >= b.sigma_minor > 0):
                 raise ValueError(f"bump sigmas must satisfy major >= minor > 0, got "
                                  f"{b.sigma_major}/{b.sigma_minor}")
         for wk in self.wrinkles:
+            _check_finite("wrinkle", wk.ridge_half_width, wk.ridge_height,
+                          *(c for point in wk.polyline for c in point))
             if not (wk.ridge_half_width > 0):
                 raise ValueError("ridge_half_width must be > 0")
             if len(wk.polyline) < 2:
@@ -88,11 +99,17 @@ class SceneSpec:
         if len(self.lights) != 2:
             raise ValueError("exactly two lights required")
         for li in self.lights:
+            _check_finite("light", *li.direction, li.intensity)
             d = np.asarray(li.direction, float)
             if abs(np.linalg.norm(d) - 1.0) > 1e-6:
                 raise ValueError(f"light direction must be unit-norm, got {li.direction}")
             if d[2] <= 0:
                 raise ValueError("light direction must have positive z component")
+
+
+def _check_finite(what: str, *values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} values must be finite, got {values}")
 
 
 # --- counter-based noise ---

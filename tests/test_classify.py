@@ -251,7 +251,7 @@ def svm_cases(draw):
     # a set of about 128 to 300 rows is nearly separable, and the Gram matrix
     # of its band rows is rank-deficient: there the solver takes up to a few
     # hundred steps, each exchanging a few rows on and off the band
-    return X, y, TrainHyper(reg_lambda=10.0 ** draw(st.floats(-5.0, -2.0)), epochs=3000)
+    return X, y, TrainHyper(reg_lambda=10.0 ** draw(st.floats(-5.0, -2.0)))
 
 
 class TestSolverOracle:
@@ -276,12 +276,22 @@ class TestSolverOracle:
         # within rounding of the objective's scale, that of the zero model
         assert f <= ref.fun + 1e-12 * f0
 
+    def test_random_labels_converge_with_default_hyper(self):
+        # 200 rows of 128 dimensions with random labels are nearly separable:
+        # the solver needs far more than a dozen steps to meet its tolerance
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(200, 128))
+        y = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+        model = train_arrays(X, y, TrainHyper())
+        lam = TrainHyper().reg_lambda
+        _, grad = objective(np.append(model.weights, model.bias), X, y, lam)
+        _, grad0 = objective(np.zeros(129), X, y, lam)
+        assert np.linalg.norm(grad) <= 1e-12 * np.linalg.norm(grad0)
+
     def test_nonpositive_lambda_rejected(self):
         for lam in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="reg_lambda"):
                 TrainHyper(reg_lambda=lam)
-        with pytest.raises(ValueError, match="epochs"):
-            TrainHyper(epochs=0)
 
     def test_model_independent_of_blas_threads(self, tmp_path):
         # the Gram chunks of this set are large enough for BLAS to split
@@ -322,7 +332,7 @@ class TestSolverOracle:
 class TestTrain:
     def test_separable_reaches_full_accuracy(self):
         ts = separable_set()
-        model = train(ts, TrainHyper(epochs=30))
+        model = train(ts)
         X = np.vstack([ts.positives, ts.negatives])
         y = np.concatenate([np.ones(60), -np.ones(60)])
         assert classify.accuracy(model, X, y) == 1.0
@@ -341,7 +351,7 @@ class TestTrain:
         x = np.zeros((1, 128))
         x[0, 0] = 1.0
         ts = TrainingSet(np.vstack([x, x]), 1)
-        model = train(ts, TrainHyper(epochs=5))
+        model = train(ts)
         X = np.vstack([x, x])
         y = np.array([1.0, -1.0])
         assert classify.accuracy(model, X, y) == 0.5
@@ -349,13 +359,6 @@ class TestTrain:
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
             train(TrainingSet(np.zeros((3, 128)), 0))
-
-    def test_calibration_improves_probabilities(self):
-        ts = separable_set(seed=5)
-        model = train(ts, TrainHyper(epochs=30, calibrate=True))
-        assert model.slope != 1.0 or model.offset != 0.0
-        assert score_pixel(model, ts.positives[0]) > 0.5
-        assert score_pixel(model, ts.negatives[0]) < 0.5
 
 
 class TestDenseScores:
@@ -396,14 +399,12 @@ class TestScore:
 class TestModelFile:
     def test_roundtrip_bit_exact(self, tmp_path):
         ts = separable_set(seed=6)
-        model = train(ts, TrainHyper(reg_lambda=3e-4, epochs=7, seed=99,
-                                     calibrate=True))
+        model = train(ts, TrainHyper(reg_lambda=3e-4))
         p = tmp_path / "model.svmw"
         save_model(model, p)
         back = load_model(p)
         assert np.array_equal(back.weights, model.weights)
         assert back.bias == model.bias
-        assert back.slope == model.slope and back.offset == model.offset
         assert back.hyper == model.hyper
         x = ts.positives[3]
         assert score_pixel(back, x) == score_pixel(model, x)
@@ -414,10 +415,10 @@ class TestModelFile:
         with pytest.raises(Exception):
             load_model(p)
 
-    @pytest.mark.parametrize("header", [b"SVMW 128 0.0 20 7 0\n", b"SVMW 128 1e-4 0 7 0\n"])
+    @pytest.mark.parametrize("header", [b"SVMW 128 0.0\n", b"SVMW 128 inf\n"])
     def test_out_of_range_hyperparameters_rejected(self, tmp_path, header):
         p = tmp_path / "bad.svmw"
-        p.write_bytes(header + b"\x00" * (131 * 8))
+        p.write_bytes(header + b"\x00" * (129 * 8))
         with pytest.raises(GridFormatError, match="bad SVMW header"):
             load_model(p)
 
@@ -428,20 +429,13 @@ class TestModelFile:
         with pytest.raises(GridFormatError, match="64 weights, expected 128"):
             load_model(p)
 
-    @pytest.mark.parametrize("index", [0, 127, 128, 129, 130])
+    @pytest.mark.parametrize("index", [0, 127, 128])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected(self, tmp_path, index, value):
-        # weights, bias, sigmoid slope and offset
-        payload = np.zeros(131)
+        # weights, then bias
+        payload = np.zeros(129)
         payload[index] = value
         p = tmp_path / "nan.svmw"
-        p.write_bytes(b"SVMW 128 0.0001 20 7 0\n" + payload.astype("<f8").tobytes())
+        p.write_bytes(b"SVMW 128 0.0001\n" + payload.astype("<f8").tobytes())
         with pytest.raises(GridFormatError, match="non-finite value in payload"):
-            load_model(p)
-
-    @pytest.mark.parametrize("flag", [b"5", b"-1", b"01", b"true"])
-    def test_calibrate_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
-        p = tmp_path / "flag.svmw"
-        p.write_bytes(b"SVMW 128 0.0001 20 7 " + flag + b"\n" + b"\x00" * (131 * 8))
-        with pytest.raises(GridFormatError, match="bad SVMW header"):
             load_model(p)

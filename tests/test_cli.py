@@ -58,14 +58,12 @@ class TestConfig:
 
     def test_values_parsed(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("p_min 0.4\nsvm_epochs 5\nsvm_calibrate true\n"
-                     "polarity down\nmax_len_px inf\n")
+        p.write_text("p_min 0.4\nsvm_lambda 3e-4\npolarity down\ngap_px inf\n")
         cfg = parse_config(p)
         assert cfg.p_min == 0.4
-        assert cfg.train.epochs == 5
-        assert cfg.train.calibrate is True
+        assert cfg.train.reg_lambda == 3e-4
         assert cfg.bump.polarity == "down"
-        assert math.isinf(cfg.hough.max_len_px)
+        assert math.isinf(cfg.hough.gap_px)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -75,11 +73,11 @@ class TestConfig:
 
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("svm_epochs banana\n")
+        p.write_text("min_pixels banana\n")
         with pytest.raises(ConfigError):
             parse_config(p)
 
-    @pytest.mark.parametrize("line", ["p_min nan", "max_len_px NaN", "gap_px -nan",
+    @pytest.mark.parametrize("line", ["p_min nan", "min_len_px NaN", "gap_px -nan",
                                       "hough_min_votes nan"])
     def test_nan_rejected(self, tmp_path, line):
         p = tmp_path / "c.cfg"
@@ -91,8 +89,7 @@ class TestConfig:
         "seed 0", "seed 18446744073709551615", "score_threshold 0", "p_min 1",
         "clearance_samples 2", "clearance_samples 10000", "close_iterations 0",
         "close_iterations 100", "hough_rho_px 0.25", "hough_theta_deg 0.25",
-        "hough_theta_deg 180", "max_len_px 1", "min_pixels 0", "gap_px inf",
-        "nms_rho_px 0", "svm_seed -1"])
+        "hough_theta_deg 180", "min_pixels 0", "gap_px inf", "nms_rho_px 0"])
     def test_range_bounds_accepted(self, tmp_path, line):
         p = tmp_path / "c.cfg"
         p.write_text(line + "\n")
@@ -148,7 +145,7 @@ def flat_dir(tmp_path_factory):
 OUT_OF_RANGE = [
     "hough_rho_px 0", "hough_rho_px -1", "hough_rho_px 0.1", "hough_rho_px inf",
     "hough_theta_deg 0", "hough_theta_deg 1e-9", "hough_theta_deg 181",
-    "max_len_px 0", "clearance_samples 0", "clearance_samples -3", "clearance_samples 1",
+    "clearance_samples 0", "clearance_samples -3", "clearance_samples 1",
     "clearance_samples 10001", "iron_long_axis_m 0.05", "press_depth_m 0.1",
     "lift_height_m 0", "travel_speed_m_per_s 0", "iron_short_axis_m inf",
     "foam_stiffness_n_per_m -1", "seed -1", "seed 18446744073709551616",
@@ -197,6 +194,26 @@ class TestErrorContract:
         assert main(["plan", str(self._report(tmp_path)),
                      "--config", str(tmp_path / "none.cfg")]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot read ")
+
+    @pytest.mark.parametrize("line", ["svm_epochs 20", "svm_seed 7", "svm_calibrate false",
+                                      "max_len_px inf"])
+    def test_removed_key_exit_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["plan", str(self._report(tmp_path)), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"unknown key {line.split()[0]!r}" in err
+
+    def test_six_token_model_header_exit_1(self, tmp_path, capsys, flat_dir):
+        # the earlier format: lambda, a step cap, a seed and a calibration
+        # flag, then weights, bias, sigmoid slope and offset
+        model = tmp_path / "old.svmw"
+        model.write_bytes(b"SVMW 128 0.0001 20 7 0\n" + np.zeros(131).astype("<f8").tobytes())
+        out = tmp_path / "r.json"
+        assert main(detect_args(flat_dir, model, ["--out", str(out)])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage inputs failed: {model}: bad SVMW header")
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [b"garbage\n", b"FGRID 3 3 0.002\n" + b"\x00" * 5])
     def test_plan_malformed_height_exit_1(self, tmp_path, capsys, content):
@@ -285,6 +302,21 @@ class TestSynthCommand:
         scene.write_text("width 10\n")
         assert main(["synth", str(scene), str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("lines", [
+        "image_noise nan", "height_noise inf", "image_noise -0.1", "cell_size inf",
+        "origin_x nan", "origin_y -inf", "albedo nan", "albedo -0.5",
+        "bump 0.12 nan 0.030 0.015 0.4 0.018", "bump 0.12 0.09 0.030 0.015 0.4 inf",
+        "wrinkle 0.003 0.0025 0.03 0.03 inf 0.12", "wrinkle 0.003 nan 0.03 0.03 0.17 0.12",
+        "light nan 0 1 1\nlight 0 0 1 1", "light 0 0 1 inf\nlight 0 0 1 1"])
+    def test_non_finite_scene_value_exit_2(self, tmp_path, capsys, lines):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE_TEXT + lines + "\n")
+        out = tmp_path / "o"
+        assert main(["synth", str(scene), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad scene file") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_train_and_retrain_identical(self, tmp_path):
@@ -294,10 +326,8 @@ class TestTrainCommand:
                             corpus_scene(seed, strat_idx=i, strat_total=3,
                                          width=140, height=100))
         m1, m2 = tmp_path / "m1.svmw", tmp_path / "m2.svmw"
-        cfg = tmp_path / "fast.cfg"
-        cfg.write_text("svm_epochs 3\n")
-        assert main(["train", str(corpus), str(m1), "--config", str(cfg)]) == 0
-        assert main(["train", str(corpus), str(m2), "--config", str(cfg)]) == 0
+        assert main(["train", str(corpus), str(m1)]) == 0
+        assert main(["train", str(corpus), str(m2)]) == 0
         assert m1.read_bytes() == m2.read_bytes()
         model = classify.load_model(m1)
         assert np.all(np.isfinite(model.weights))
@@ -316,10 +346,8 @@ class TestTrainCommand:
                             corpus_scene(seed, strat_idx=i, strat_total=2,
                                          width=140, height=100))
         write_scene_dir(holdout, "scene0", corpus_scene(520, width=140, height=100))
-        cfg = tmp_path / "fast.cfg"
-        cfg.write_text("svm_epochs 3\n")
         assert main(["train", str(corpus), str(tmp_path / "m.svmw"),
-                     "--eval-dir", str(holdout), "--config", str(cfg)]) == 0
+                     "--eval-dir", str(holdout)]) == 0
         out = capsys.readouterr().out
         assert "held-out accuracy" in out and "recall" in out
 
@@ -334,8 +362,7 @@ class TestTrainCommand:
         assert f"no scene directories under {holdout}" in err
         assert not model.exists()
 
-    @pytest.mark.parametrize("line", ["svm_epochs 0", "svm_epochs -3", "svm_lambda 0",
-                                      "svm_lambda -1", "svm_lambda inf",
+    @pytest.mark.parametrize("line", ["svm_lambda 0", "svm_lambda -1", "svm_lambda inf",
                                       "negatives_per_positive 0", "negatives_per_positive -2"])
     def test_bad_training_value_exit_2(self, tmp_path, capsys, line):
         corpus = tmp_path / "corpus"
@@ -353,10 +380,8 @@ class TestTrainCommand:
         write_scene_dir(corpus, "scene0", corpus_scene(540, width=140, height=100))
         holdout = tmp_path / "holdout"
         write_scene_dir(holdout, "flat", synth.SceneSpec(96, 72, CELL))
-        cfg = tmp_path / "fast.cfg"
-        cfg.write_text("svm_epochs 1\n")
         assert main(["train", str(corpus), str(tmp_path / "m.svmw"),
-                     "--eval-dir", str(holdout), "--config", str(cfg)]) == 1
+                     "--eval-dir", str(holdout)]) == 1
         assert "stage evaluate failed: held-out scenes contain no wrinkle pixels" \
             in capsys.readouterr().err
 
@@ -436,13 +461,13 @@ class TestDetectCommand:
         assert main(detect_args(d, model_file, ["--config", str(cfg), "--out", str(out)])) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
-        cfg.write_text("max_len_px inf\n")
+        cfg.write_text("gap_px inf\n")
         assert main(detect_args(d, model_file, ["--config", str(cfg), "--out", str(out)])) == 0
 
         def reject(name):
             raise ValueError(f"bare {name} in report")
         report = json.loads(out.read_text(), parse_constant=reject)
-        assert report["config"]["max_len_px"] == "inf"
+        assert report["config"]["gap_px"] == "inf"
 
     @pytest.mark.parametrize("line", ["smooth_sigma_px -1", "smooth_sigma_px inf",
                                       "smooth_sigma_px 1e300", "polarity sideways"])

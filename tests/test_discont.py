@@ -167,14 +167,6 @@ class TestExtractSegments:
         assert len(segs) == 2
         assert segs[0].theta == segs[1].theta
 
-    def test_max_len_guard_splits(self):
-        w, h = 320, 240
-        mask = band_mask(w, h, (20, 120), (300, 120), 1.5)
-        params = HoughParams(max_len_px=100.0)
-        segs = extract_segments(mask, np.ones((h, w)), params)
-        assert len(segs) == 3
-        assert all(s.length <= 100.0 + 1e-9 for s in segs)
-
     def test_world_transform_applied(self):
         w, h = 200, 150
         mask = band_mask(w, h, (40, 75), (160, 75), 1.5)
