@@ -422,6 +422,15 @@ class TestModelFile:
         with pytest.raises(GridFormatError, match="bad SVMW header"):
             load_model(p)
 
+    @pytest.mark.parametrize("flag", [b"5", b"-1", b"01", b"true"])
+    def test_calibrate_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        # the header has no calibration flag any more; a trailing token after
+        # lambda is refused rather than ignored
+        p = tmp_path / "flag.svmw"
+        p.write_bytes(b"SVMW 128 0.0001 " + flag + b"\n" + b"\x00" * (129 * 8))
+        with pytest.raises(GridFormatError, match="bad SVMW header"):
+            load_model(p)
+
     def test_wrong_weight_count_rejected(self, tmp_path):
         model = SvmModel(np.ones(64), 0.5, TrainHyper())
         p = tmp_path / "short.svmw"
