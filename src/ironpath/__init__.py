@@ -10,7 +10,7 @@ from .gridio import FloatGrid, GrayImage, LabelMask, WorldTransform
 from .synth import SceneSpec, BumpSpec, WrinkleSpec, generate_height, ground_truth
 from .curvature import HeightBump, detect_bumps
 from .mixture import BumpMixture, build_mixture, clearance
-from .classify import SvmModel, descriptor_at, train, score_pixel
+from .classify import SvmModel, train
 from .discont import Discontinuity, normalize, score_map, extract_segments
 from .fusion import FusedWrinkle, fuse
 from .planner import IronSpec, IroningPlan, plan_ironing
@@ -22,7 +22,7 @@ __all__ = [
     "SceneSpec", "BumpSpec", "WrinkleSpec", "generate_height", "ground_truth",
     "HeightBump", "detect_bumps",
     "BumpMixture", "build_mixture", "clearance",
-    "SvmModel", "descriptor_at", "train", "score_pixel",
+    "SvmModel", "train",
     "Discontinuity", "normalize", "score_map", "extract_segments",
     "FusedWrinkle", "fuse",
     "IronSpec", "IroningPlan", "plan_ironing",

@@ -9,15 +9,19 @@ linearly between the two nearest orientation bins.
 Descriptors are computed densely, as a separable linear filter (the dense-SIFT
 construction): each raw bin is a Gaussian-weighted box sum over one of 8
 soft-binned orientation planes, taken as a horizontal pass and a vertical
-pass.  When pixels are sampled (descriptors_at), the horizontal pass covers
-the whole image and the vertical pass runs at the requested pixels only.
-When every pixel is scored (dense_scores), the image is split into bands of
-_BAND_ROWS rows, scored on worker threads: each band takes its own
-horizontal pass over its rows and the PATCH-1 halo rows below them, then the
-vertical pass, normalization, SVM dot product and sigmoid run on tiles of
-_TILE_ROWS x _TILE_COLS pixels whose descriptors fit in cache.  Both paths
-run the same arithmetic per pixel, and the band and tile grid does not
-depend on the thread count, so neither do the scores.
+pass.  The planes are padded by half a patch, and each padded row depends on
+at most three image rows, so any range of padded rows can be built on its
+own.  When pixels are sampled (descriptors_at), the planes and the
+horizontal pass cover the whole image and the vertical pass runs at the
+requested pixels only.  When every pixel is scored (dense_scores), the
+image is split into bands of _BAND_ROWS rows, scored on worker threads:
+each band builds the planes of its rows and the PATCH-1 halo rows below
+them and takes the horizontal pass over them, then the vertical pass,
+normalization, SVM dot product and sigmoid run on tiles of _TILE_ROWS x
+_TILE_COLS pixels whose descriptors fit in cache.  No thread holds more than
+one band's planes.  Both paths run the same arithmetic per pixel, and the
+band and tile grid does not depend on the thread count, so neither do the
+scores.
 
 Training minimizes the primal linear-SVM objective
 lambda/2 |w|^2 + mean l(y (w.x + b)) with the Huber-smoothed hinge l
@@ -74,29 +78,43 @@ def _image_array(img) -> np.ndarray:
     return np.asarray(getattr(img, "data", img), np.float64)
 
 
-def _gradient_bins(img: np.ndarray):
-    """Central-difference gradients (edge pixel repeated at borders), soft-binned angle."""
-    ip = np.pad(img, 1, mode="symmetric")
-    gx = (ip[1:-1, 2:] - ip[1:-1, :-2]) * 0.5
-    gy = (ip[2:, 1:-1] - ip[:-2, 1:-1]) * 0.5
-    mag = np.hypot(gx, gy)
-    frac_bin = (np.arctan2(gy, gx) + np.pi) / (2.0 * np.pi) * NBINS - 0.5
+def _pad_index(n: int) -> np.ndarray:
+    """For each of the n+PATCH-1 padded positions along an image axis, the
+    pixel it copies: index -i mirrors to i and index n-1+i to n-i.
+
+    So the top/left edge pixel is not repeated but the bottom/right one is,
+    unlike the clamped neighbours of the gradients.  Kept because padding
+    symmetrically on every side lowered wrinkle precision and held-out
+    accuracy on the scan benchmark (see CHANGES.md).  Images under half a
+    patch are reflected repeatedly, as np.pad does."""
+    half = PATCH // 2
+    return np.pad(np.pad(np.arange(n), (half, 0), "reflect"), (0, half - 1), "symmetric")
+
+
+def _orientation_planes(a: np.ndarray, p0: int, p1: int) -> np.ndarray:
+    """Padded rows p0..p1-1 of the orientation planes: (NBINS, p1-p0, w+PATCH-1).
+
+    Central-difference gradients (edge pixel repeated at borders) are taken
+    at the pixels the padded positions copy (_pad_index), and each gradient
+    magnitude is split linearly between the two nearest of NBINS orientation
+    planes, scattered into an array of zeros.
+    """
+    h, w = a.shape
+    rows = _pad_index(h)[p0:p1, None]
+    cols = _pad_index(w)
+    gx = (a[rows, np.minimum(cols + 1, w - 1)] - a[rows, np.maximum(cols - 1, 0)]) * 0.5
+    gy = (a[np.minimum(rows + 1, h - 1), cols] - a[np.maximum(rows - 1, 0), cols]) * 0.5
+    mag = np.hypot(gx, gy).ravel()
+    frac_bin = ((np.arctan2(gy, gx) + np.pi) / (2.0 * np.pi) * NBINS - 0.5).ravel()
     b0 = np.floor(frac_bin).astype(np.int64)
     frac = frac_bin - b0
-    return mag, b0 % NBINS, (b0 + 1) % NBINS, frac
-
-
-def _pad_patch(planes: np.ndarray) -> np.ndarray:
-    """Pad the two image axes so every patch offset lands inside.
-
-    Index -i mirrors to i and index size-1+i to size-i, so the top/left edge
-    pixel is not repeated but the bottom/right one is, unlike the symmetric
-    padding of _gradient_bins.  Kept because padding symmetrically on every
-    side lowered wrinkle precision and held-out accuracy on the scan
-    benchmark (see CHANGES.md)."""
-    half = PATCH // 2
-    planes = np.pad(planes, ((0, 0), (half, 0), (half, 0)), mode="reflect")
-    return np.pad(planes, ((0, 0), (0, half - 1), (0, half - 1)), mode="symmetric")
+    # the two bins differ and both weights are >= +0, so each position is
+    # written once and every other bin keeps its +0
+    planes = np.zeros((NBINS, p1 - p0, len(cols)))
+    flat, at = planes.reshape(-1), np.arange(len(mag))
+    flat[b0 % NBINS * len(mag) + at] = mag * (1.0 - frac)
+    flat[(b0 + 1) % NBINS * len(mag) + at] = mag * frac
+    return planes
 
 
 def _cell_sums(taps: Iterator[np.ndarray]) -> np.ndarray:
@@ -118,32 +136,17 @@ def _cell_sums(taps: Iterator[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _orientation_planes(a: np.ndarray) -> np.ndarray:
-    """Orientation planes, padded by half a patch: (NBINS, h+PATCH-1, w+PATCH-1).
-
-    Gradient magnitude is split between the two nearest of NBINS orientation
-    planes.
-    """
-    h, w = a.shape
-    mag, bin0, bin1, frac = _gradient_bins(a)
-    lo, hi = mag * (1.0 - frac), mag * frac
-    planes = np.empty((NBINS, h, w))
-    for o in range(NBINS):
-        planes[o] = np.where(bin0 == o, lo, 0.0) + np.where(bin1 == o, hi, 0.0)
-    return _pad_patch(planes)
-
-
-def _cell_columns(planes: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Horizontal pass over padded rows r0..r1-1 of the orientation planes:
-    (NCELLS*NBINS, r1-r0, w), plane index cx*NBINS+o.
+def _cell_columns(planes: np.ndarray) -> np.ndarray:
+    """Horizontal pass over padded rows of the orientation planes:
+    (NCELLS*NBINS, rows, w), plane index cx*NBINS+o.
 
     Each cell column cx sums its CELL_W column offsets du weighted by g(du).
     The pass is row-local, so any range of rows gives the same values there.
     """
-    w = planes.shape[2] - (PATCH - 1)
-    rows = planes[:, r0:r1]
-    cols = _cell_sums(rows[:, :, j:j + w] for j in range(PATCH))
-    return cols.reshape(NCELLS * NBINS, r1 - r0, w)
+    _, n, wp = planes.shape
+    w = wp - (PATCH - 1)
+    cols = _cell_sums(planes[:, :, j:j + w] for j in range(PATCH))
+    return cols.reshape(NCELLS * NBINS, n, w)
 
 
 def _sum_squares(d: np.ndarray) -> np.ndarray:
@@ -177,7 +180,7 @@ def descriptors_at(img, uu, vv) -> np.ndarray:
     dense engine computes for its pixel, whichever pixels are requested.
     """
     a = _image_array(img)
-    cols = _cell_columns(_orientation_planes(a), 0, a.shape[0] + PATCH - 1)
+    cols = _cell_columns(_orientation_planes(a, 0, a.shape[0] + PATCH - 1))
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
     desc = np.empty((len(uu), DESCRIPTOR_SIZE))
@@ -188,11 +191,6 @@ def descriptors_at(img, uu, vv) -> np.ndarray:
         d = _cell_sums(cols[:, cv + j, cu] for j in range(PATCH))
         desc[lo:lo + len(cu)] = _normalize(d.reshape(DESCRIPTOR_SIZE, len(cu))).T
     return desc
-
-
-def descriptor_at(img, u: int, v: int) -> np.ndarray:
-    """Single-pixel descriptor (identical to the batch path)."""
-    return descriptors_at(img, [u], [v])[0]
 
 
 @dataclass
@@ -321,7 +319,12 @@ def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
     2 of the minimum along the line, and the sign of the slope stays
     reliable where rounding hides the fall of the objective.  The solver
     stops when the gradient norm falls below _GRAD_TOL times the first one,
-    when no halving is accepted, or after _MAX_NEWTON_STEPS steps.
+    or to the rounding level of its sum: eps times the mean |loss slope|
+    times the norm of the columns' largest |X| (where the zero model is the
+    minimizer, the first gradient is rounding alone and cannot fall further).
+    It raises ArithmeticError when it stops short of that: when no halving
+    is accepted, after _MAX_NEWTON_STEPS steps, or on an overflow or an
+    invalid operation (a tiny lambda gives a step too large to represent).
 
     The model does not depend on the BLAS thread count: the gradient's
     c @ X and the Gram matrices of the chunks come out bit-identical on any
@@ -333,44 +336,59 @@ def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
     w, b = np.zeros(dim), 0.0
     out = np.zeros(n)                     # X w + b
     g0 = None
-    for _ in range(_MAX_NEWTON_STEPS):
-        m = y * out
-        loss, slope = _smoothed_hinge(m)
-        c = slope * y                     # d loss_i / d out_i
-        g = np.append(lam * w + (c @ X) / n, c.sum() / n)
-        gnorm = math.sqrt(np.sum(g * g))
-        g0 = gnorm if g0 is None else g0
-        if gnorm <= _GRAD_TOL * g0:
-            break
-        band = np.flatnonzero((m > 1.0 - HUBER_H) & (m < 1.0))
-        A = np.zeros((dim + 1, dim + 1))
-        for lo in range(0, len(band), _GRAM_ROWS):
-            Xc = X[band[lo:lo + _GRAM_ROWS]]
-            A[:dim, :dim] += Xc.T @ Xc
-            A[dim, :dim] += Xc.sum(axis=0)
-        A[dim, dim] = len(band)
-        A /= n * HUBER_H
-        A[range(dim), range(dim)] += lam
-        d = -_cholesky_solve(A, g, lam)
-        dw, db = d[:dim], d[dim]
-        dout = np.einsum("ij,j->i", X, dw) + db
-        ww, wd, dd = np.sum(w * w), np.sum(w * dw), np.sum(dw * dw)
-        f, gd = 0.5 * lam * ww + np.sum(loss) / n, np.sum(g * d)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            loss, slope = _smoothed_hinge(y * (out + t * dout))
-            if (0.5 * lam * (ww + t * (2.0 * wd + t * dd)) + np.sum(loss) / n
-                    <= f + 1e-4 * t * gd                                  # Armijo
-                    or lam * (wd + t * dd) + np.sum(slope * y * dout) / n <= 0.0):
+    # eps times the norm of the columns' largest |X|; times the mean |c|, it is
+    # the rounding level of the gradient's sum
+    ulp_x = np.finfo(np.float64).eps * math.sqrt(
+        np.sum(np.maximum(X.max(axis=0), -X.min(axis=0)) ** 2))
+
+    def overflow(kind: str, _flag: int):
+        raise FloatingPointError(f"training failed at Newton step {step}: {kind} "
+                                 f"(lambda={lam})")
+
+    with np.errstate(over="call", invalid="call", divide="call", call=overflow):
+        for step in range(_MAX_NEWTON_STEPS):
+            m = y * out
+            loss, slope = _smoothed_hinge(m)
+            c = slope * y                 # d loss_i / d out_i
+            g = np.append(lam * w + (c @ X) / n, c.sum() / n)
+            gnorm = math.sqrt(np.sum(g * g))
+            g0 = gnorm if g0 is None else g0
+            if gnorm <= max(_GRAD_TOL * g0, np.mean(np.abs(c)) * ulp_x):
                 break
-            t *= 0.5
+            band = np.flatnonzero((m > 1.0 - HUBER_H) & (m < 1.0))
+            A = np.zeros((dim + 1, dim + 1))
+            for lo in range(0, len(band), _GRAM_ROWS):
+                Xc = X[band[lo:lo + _GRAM_ROWS]]
+                A[:dim, :dim] += Xc.T @ Xc
+                A[dim, :dim] += Xc.sum(axis=0)
+            A[dim, dim] = len(band)
+            A /= n * HUBER_H
+            A[range(dim), range(dim)] += lam
+            d = -_cholesky_solve(A, g, lam)
+            dw, db = d[:dim], d[dim]
+            dout = np.einsum("ij,j->i", X, dw) + db
+            ww, wd, dd = np.sum(w * w), np.sum(w * dw), np.sum(dw * dw)
+            f, gd = 0.5 * lam * ww + np.sum(loss) / n, np.sum(g * d)
+            t = 1.0
+            for _ in range(_MAX_HALVINGS):
+                loss, slope = _smoothed_hinge(y * (out + t * dout))
+                if (0.5 * lam * (ww + t * (2.0 * wd + t * dd)) + np.sum(loss) / n
+                        <= f + 1e-4 * t * gd                              # Armijo
+                        or lam * (wd + t * dd) + np.sum(slope * y * dout) / n <= 0.0):
+                    break
+                t *= 0.5
+            else:
+                raise ArithmeticError(
+                    f"training stopped at Newton step {step}: no step lowers the "
+                    f"objective, gradient at {gnorm / g0:.3g} of its first norm "
+                    f"(lambda={lam})")
+            w += t * dw
+            b += t * db
+            out += t * dout
         else:
-            break                         # no step along d lowers the objective
-        w += t * dw
-        b += t * db
-        out += t * dout
-    if not (np.all(np.isfinite(w)) and math.isfinite(b)):
-        raise FloatingPointError(f"training diverged (lambda={lam})")
+            raise ArithmeticError(
+                f"training did not converge in {_MAX_NEWTON_STEPS} Newton steps: "
+                f"gradient at {gnorm / g0:.3g} of its first norm (lambda={lam})")
     return SvmModel(w, float(b), hyper)
 
 
@@ -384,12 +402,6 @@ def train(ts: TrainingSet, hyper: TrainHyper | None = None) -> SvmModel:
     return train_arrays(ts.X, y, hyper)
 
 
-def score_pixel(model: SvmModel, descriptor: np.ndarray) -> float:
-    """S = sigmoid(w.x + b), strictly inside (0, 1)."""
-    m = float(np.dot(model.weights, descriptor)) + model.bias
-    return 1.0 / (1.0 + math.exp(-m))
-
-
 def _sigmoid(margins: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-margins))
 
@@ -398,12 +410,13 @@ def score_margins(model: SvmModel, X: np.ndarray) -> np.ndarray:
     return _sigmoid(X @ model.weights + model.bias)
 
 
-def _score_band(planes: np.ndarray, model: SvmModel, out: np.ndarray,
-                 r0: int, r1: int) -> None:
-    """Scores of rows r0..r1-1 into out[r0:r1]: the horizontal pass over the
-    band and its PATCH-1 halo rows, then the vertical pass, normalization,
-    SVM dot product and sigmoid tile by tile."""
-    cols = _cell_columns(planes, r0, r1 + PATCH - 1)
+def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
+                r0: int, r1: int) -> None:
+    """Scores of rows r0..r1-1 of image a into out[r0:r1]: the orientation
+    planes and the horizontal pass over the band and its PATCH-1 halo rows,
+    then the vertical pass, normalization, SVM dot product and sigmoid tile
+    by tile."""
+    cols = _cell_columns(_orientation_planes(a, r0, r1 + PATCH - 1))
     w = out.shape[1]
     # the last column tile takes a lone last column: a 1x1 tile would send
     # the dot product to a kernel that rounds differently from the others
@@ -429,20 +442,13 @@ def dense_scores(img, model: SvmModel, threads: int = 1) -> np.ndarray:
         raise ValueError(f"threads must be >= 1, got {threads}")
     a = _image_array(img)
     h = a.shape[0]
-    planes = _orientation_planes(a)
     out = np.empty(a.shape)
     bands = [(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]
     with ThreadPoolExecutor(max(1, min(threads, len(bands)))) as pool:
-        for done in [pool.submit(_score_band, planes, model, out, r0, r1)
+        for done in [pool.submit(_score_band, a, model, out, r0, r1)
                      for r0, r1 in bands]:
             done.result()
     return out
-
-
-def accuracy(model: SvmModel, X: np.ndarray, y: np.ndarray,
-             threshold: float = 0.5) -> float:
-    s = score_margins(model, X)
-    return float(np.mean((s >= threshold) == (y > 0)))
 
 
 # --- model file: "SVMW <n> <lambda>" header, then (n + 1) little-endian

@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import ironpath
 from ironpath import classify
-from ironpath.classify import (SvmModel, TrainHyper, TrainingSet,
-                               build_training_set, descriptor_at,
-                               descriptors_at, load_model, save_model,
-                               score_pixel, train, train_arrays)
+from ironpath.classify import (NBINS, PATCH, SvmModel, TrainHyper, TrainingSet,
+                               build_training_set, descriptors_at, load_model,
+                               save_model, score_margins, train, train_arrays)
 from ironpath.gridio import GridFormatError, LabelMask
 
 
@@ -56,6 +55,15 @@ def brute_force_descriptors(img):
     d = np.minimum(d, 0.2)
     norm = np.sqrt((d * d).sum(axis=2, keepdims=True))
     return np.where(norm > 0, d / np.where(norm > 0, norm, 1.0), 0.0)
+
+
+def descriptor_at(img, u, v):
+    return descriptors_at(img, [u], [v])[0]
+
+
+def accuracy(model, X, y):
+    """Share of rows whose score is on their label's side of 0.5."""
+    return float(np.mean((score_margins(model, X) >= 0.5) == (y > 0)))
 
 
 def step_edge(w=48, h=48, col=24, lo=0.2, hi=0.8):
@@ -288,6 +296,31 @@ class TestSolverOracle:
         _, grad0 = objective(np.zeros(129), X, y, lam)
         assert np.linalg.norm(grad) <= 1e-12 * np.linalg.norm(grad0)
 
+    def test_rounding_level_gradient_converges(self):
+        # identical rows, half of each label in shuffled order: the zero model
+        # is the minimizer, and its gradient is the rounding of c @ X alone
+        rng = np.random.default_rng(3)
+        X = np.tile(rng.normal(size=128), (100, 1))
+        y = rng.permutation(np.repeat([1.0, -1.0], 50))
+        assert np.any(y @ X != 0.0)
+        model = train_arrays(X, y, TrainHyper())
+        assert not model.weights.any() and model.bias == 0.0
+
+    @pytest.mark.parametrize("lam, why", [(1e-30, "no step lowers the objective"),
+                                          (1e-200, "overflow"), (5e-324, "overflow")])
+    def test_tiny_lambda_raises(self, lam, why):
+        # on a nearly separable set the Newton step of a tiny lambda lowers
+        # nothing or overflows: no model comes back
+        X, y = overlapping_set(300, seed=3)
+        with pytest.raises(ArithmeticError, match=f"at Newton step 0: {why}.*lambda={lam}"):
+            train_arrays(X, y, TrainHyper(reg_lambda=lam))
+
+    def test_step_guard_raises(self, monkeypatch):
+        monkeypatch.setattr(classify, "_MAX_NEWTON_STEPS", 2)
+        X, y = overlapping_set(300, seed=3)
+        with pytest.raises(ArithmeticError, match="did not converge in 2 Newton steps"):
+            train_arrays(X, y, TrainHyper())
+
     def test_nonpositive_lambda_rejected(self):
         for lam in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="reg_lambda"):
@@ -335,8 +368,8 @@ class TestTrain:
         model = train(ts)
         X = np.vstack([ts.positives, ts.negatives])
         y = np.concatenate([np.ones(60), -np.ones(60)])
-        assert classify.accuracy(model, X, y) == 1.0
-        assert score_pixel(model, ts.positives[0]) > 0.5
+        assert accuracy(model, X, y) == 1.0
+        assert score_margins(model, ts.positives[:1])[0] > 0.5
 
     def test_tiled_set_same_model(self):
         # the mean loss of a set repeated in place is that of the set
@@ -354,11 +387,63 @@ class TestTrain:
         model = train(ts)
         X = np.vstack([x, x])
         y = np.array([1.0, -1.0])
-        assert classify.accuracy(model, X, y) == 0.5
+        assert accuracy(model, X, y) == 0.5
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
             train(TrainingSet(np.zeros((3, 128)), 0))
+
+
+def whole_image_planes(img):
+    """Reference orientation planes of the whole image, padded by half a
+    patch: gradients over a symmetric 1-px pad, each plane a sum of two
+    np.where selections, then a reflect pad of 8 before and a symmetric pad
+    of 7 after along each image axis.  (NBINS, h+15, w+15)."""
+    ip = np.pad(img, 1, mode="symmetric")
+    gx = (ip[1:-1, 2:] - ip[1:-1, :-2]) * 0.5
+    gy = (ip[2:, 1:-1] - ip[:-2, 1:-1]) * 0.5
+    mag = np.hypot(gx, gy)
+    frac_bin = (np.arctan2(gy, gx) + np.pi) / (2.0 * np.pi) * NBINS - 0.5
+    b0 = np.floor(frac_bin).astype(np.int64)
+    frac = frac_bin - b0
+    bin0, bin1 = b0 % NBINS, (b0 + 1) % NBINS
+    lo, hi = mag * (1.0 - frac), mag * frac
+    planes = np.empty((NBINS,) + img.shape)
+    for o in range(NBINS):
+        planes[o] = np.where(bin0 == o, lo, 0.0) + np.where(bin1 == o, hi, 0.0)
+    half = PATCH // 2
+    planes = np.pad(planes, ((0, 0), (half, 0), (half, 0)), mode="reflect")
+    return np.pad(planes, ((0, 0), (0, half - 1), (0, half - 1)), mode="symmetric")
+
+
+class TestOrientationPlanes:
+    # images under half a patch (reflected repeatedly), and partial bands
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8), (17, 9), (65, 129),
+                                       (200, 7)], ids="{0[0]}x{0[1]}".format)
+    def test_every_band_matches_whole_image(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1] + 7)
+        img = rng.uniform(0, 1, shape)
+        img[:, ::3] = 0.5                 # flat runs: zero gradients, bin 4 of angle 0
+        ref = whole_image_planes(img)
+        h = shape[0]
+        for r0 in range(0, h, classify._BAND_ROWS):
+            r1 = min(r0 + classify._BAND_ROWS, h)
+            band = classify._orientation_planes(img, r0, r1 + PATCH - 1)
+            assert np.array_equal(band, ref[:, r0:r1 + PATCH - 1])
+        assert np.array_equal(classify._orientation_planes(img, 0, h + PATCH - 1), ref)
+
+    def test_dense_scores_peak_below_whole_image_planes(self):
+        # one whole-image set of padded planes at 960x1280: about 77 MiB
+        h, w = 960, 1280
+        img = np.random.default_rng(21).uniform(0, 1, (h, w))
+        model = SvmModel(np.random.default_rng(22).normal(size=128), 0.1, TrainHyper())
+        tracemalloc.start()
+        try:
+            out = classify.dense_scores(img, model, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < NBINS * (h + PATCH - 1) * (w + PATCH - 1) * 8
 
 
 class TestDenseScores:
@@ -383,14 +468,14 @@ class TestDenseScores:
 class TestScore:
     def test_zero_margin_is_half(self):
         model = SvmModel(np.zeros(128), 0.0, TrainHyper())
-        assert score_pixel(model, np.zeros(128)) == 0.5
+        assert score_margins(model, np.zeros((1, 128)))[0] == 0.5
 
     def test_monotone_in_margin(self):
         w = np.zeros(128)
         w[0] = 1.0
         model = SvmModel(w, 0.0, TrainHyper())
         xs = [np.eye(128)[0] * v for v in (-5, -1, 0, 1, 5, 30)]
-        scores = [score_pixel(model, x) for x in xs]
+        scores = list(score_margins(model, np.array(xs)))
         assert all(a < b for a, b in zip(scores, scores[1:]))
         assert scores[-1] > 0.999999
         assert 0.0 < scores[0] < 1.0
@@ -406,8 +491,7 @@ class TestModelFile:
         assert np.array_equal(back.weights, model.weights)
         assert back.bias == model.bias
         assert back.hyper == model.hyper
-        x = ts.positives[3]
-        assert score_pixel(back, x) == score_pixel(model, x)
+        assert np.array_equal(score_margins(back, ts.X), score_margins(model, ts.X))
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "junk.svmw"

@@ -375,6 +375,19 @@ class TestTrainCommand:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not model.exists()
 
+    def test_solver_stopping_short_exit_1(self, tmp_path, capsys):
+        # svm_lambda 1e-200 is in range, but its Newton step overflows
+        corpus = tmp_path / "corpus"
+        write_scene_dir(corpus, "scene0", corpus_scene(550, width=140, height=100))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("svm_lambda 1e-200\n")
+        model = tmp_path / "m.svmw"
+        assert main(["train", str(corpus), str(model), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage train failed: training failed at Newton step")
+        assert "Traceback" not in err
+        assert not model.exists()
+
     def test_eval_dir_without_wrinkle_pixels_exit_1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         write_scene_dir(corpus, "scene0", corpus_scene(540, width=140, height=100))
