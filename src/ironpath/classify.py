@@ -10,18 +10,24 @@ Descriptors are computed densely, as a separable linear filter (the dense-SIFT
 construction): each raw bin is a Gaussian-weighted box sum over one of 8
 soft-binned orientation planes, taken as a horizontal pass and a vertical
 pass.  The planes are padded by half a patch, and each padded row depends on
-at most three image rows, so any range of padded rows can be built on its
-own.  When pixels are sampled (descriptors_at), the planes and the
-horizontal pass cover the whole image and the vertical pass runs at the
-requested pixels only.  When every pixel is scored (dense_scores), the
-image is split into bands of _BAND_ROWS rows, scored on worker threads:
-each band builds the planes of its rows and the PATCH-1 halo rows below
-them and takes the horizontal pass over them, then the vertical pass,
-normalization, SVM dot product and sigmoid run on tiles of _TILE_ROWS x
-_TILE_COLS pixels whose descriptors fit in cache.  No thread holds more than
-one band's planes.  Both paths run the same arithmetic per pixel, and the
-band and tile grid does not depend on the thread count, so neither do the
-scores.
+at most three image rows, so any band of rows can be built on its own.  The
+image is split into bands of _BAND_ROWS rows; each band builds the planes of
+its rows and the PATCH-1 halo rows below them and takes the horizontal pass
+over them (_band_columns).  When pixels are sampled (descriptors_at), only
+the bands that hold requested pixels are built, and the vertical pass runs at
+those pixels.  When every pixel is scored (dense_scores), the bands are
+scored on worker threads, and the vertical pass, normalization, SVM dot
+product and sigmoid run on tiles of _TILE_ROWS x _TILE_COLS pixels whose
+descriptors (1 MiB) fit in cache.  No thread holds more than one band's
+planes.  Both paths run the same arithmetic per pixel, and the band and tile
+grid does not depend on the thread count, so neither do the scores.
+
+The engine, from the planes to the normalized descriptor, runs in single
+precision (_DTYPE, as in VLFeat's dense SIFT): the gradients and bin weights
+are taken in float64 and rounded once as they are written into the planes.
+The SVM dot product, the sigmoid and the training matrix stay in float64:
+each tile's descriptors are cast up before the dot product, and descriptors_at
+returns float64 rows whose values are exact float32 numbers.
 
 Training minimizes the primal linear-SVM objective
 lambda/2 |w|^2 + mean l(y (w.x + b)) with the Huber-smoothed hinge l
@@ -57,8 +63,9 @@ NBINS = 8
 MIN_PATCH_NORM = 0.01
 
 NCELLS = PATCH // CELL_W           # cells per patch side
-_BAND_ROWS = 64                    # rows per band of dense_scores: one thread's work
-_TILE_ROWS = 16                    # a tile of dense_scores' vertical pass onward,
+_DTYPE = np.float32                # the descriptor engine's precision
+_BAND_ROWS = 64                    # rows per band: one thread's work in dense_scores
+_TILE_ROWS = 32                    # a tile of dense_scores' vertical pass onward,
 _TILE_COLS = 64                    # sized so its descriptors (1 MiB) stay in cache
 _CHUNK_PX = 4096                   # pixels per chunk of descriptors_at (bounds memory)
 _GRAM_ROWS = 1024                  # band rows per gathered chunk of a Newton system
@@ -69,9 +76,10 @@ _MAX_NEWTON_STEPS = 3000           # a guard: nearly separable sets of ~128-300 
 _MAX_HALVINGS = 60                 # line search: halvings before the step is given up
 
 # patch offsets -8..7 from the center pixel along each axis, and the 1-D
-# Gaussian g(d) = exp(-d^2 / (2 * 8^2)); the patch weight is g(du) * g(dv)
+# Gaussian g(d) = exp(-d^2 / (2 * 8^2)) rounded to the engine's precision;
+# the patch weight is g(du) * g(dv)
 _OFFS = np.arange(-PATCH // 2, PATCH // 2)
-_GAUSS_W = np.exp(-_OFFS**2 / (2.0 * (PATCH / 2.0) ** 2))
+_GAUSS_W = np.exp(-_OFFS**2 / (2.0 * (PATCH / 2.0) ** 2)).astype(_DTYPE)
 
 
 def _image_array(img) -> np.ndarray:
@@ -92,12 +100,14 @@ def _pad_index(n: int) -> np.ndarray:
 
 
 def _orientation_planes(a: np.ndarray, p0: int, p1: int) -> np.ndarray:
-    """Padded rows p0..p1-1 of the orientation planes: (NBINS, p1-p0, w+PATCH-1).
+    """Padded rows p0..p1-1 of the orientation planes: (NBINS, p1-p0, w+PATCH-1),
+    of dtype _DTYPE.
 
     Central-difference gradients (edge pixel repeated at borders) are taken
     at the pixels the padded positions copy (_pad_index), and each gradient
     magnitude is split linearly between the two nearest of NBINS orientation
-    planes, scattered into an array of zeros.
+    planes, scattered into an array of zeros.  All of it is float64 until
+    the scatter, which rounds each value once.
     """
     h, w = a.shape
     rows = _pad_index(h)[p0:p1, None]
@@ -110,7 +120,7 @@ def _orientation_planes(a: np.ndarray, p0: int, p1: int) -> np.ndarray:
     frac = frac_bin - b0
     # the two bins differ and both weights are >= +0, so each position is
     # written once and every other bin keeps its +0
-    planes = np.zeros((NBINS, p1 - p0, len(cols)))
+    planes = np.zeros((NBINS, p1 - p0, len(cols)), _DTYPE)
     flat, at = planes.reshape(-1), np.arange(len(mag))
     flat[b0 % NBINS * len(mag) + at] = mag * (1.0 - frac)
     flat[(b0 + 1) % NBINS * len(mag) + at] = mag * frac
@@ -127,8 +137,8 @@ def _cell_sums(taps: Iterator[np.ndarray]) -> np.ndarray:
     """
     for j, tap in enumerate(taps):
         if j == 0:
-            out = np.empty((NCELLS,) + tap.shape)
-            scratch = np.empty(tap.shape)
+            out = np.empty((NCELLS,) + tap.shape, tap.dtype)
+            scratch = np.empty(tap.shape, tap.dtype)
         if j % CELL_W == 0:
             np.multiply(tap, _GAUSS_W[j], out=out[j // CELL_W])
         else:
@@ -136,13 +146,15 @@ def _cell_sums(taps: Iterator[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _cell_columns(planes: np.ndarray) -> np.ndarray:
-    """Horizontal pass over padded rows of the orientation planes:
-    (NCELLS*NBINS, rows, w), plane index cx*NBINS+o.
+def _band_columns(a: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Horizontal pass over the orientation planes of image rows r0..r1-1
+    and their PATCH-1 halo rows: (NCELLS*NBINS, r1-r0+PATCH-1, w), plane
+    index cx*NBINS+o.
 
     Each cell column cx sums its CELL_W column offsets du weighted by g(du).
-    The pass is row-local, so any range of rows gives the same values there.
+    The pass is row-local, so any band gives the same values on its rows.
     """
+    planes = _orientation_planes(a, r0, r1 + PATCH - 1)
     _, n, wp = planes.shape
     w = wp - (PATCH - 1)
     cols = _cell_sums(planes[:, :, j:j + w] for j in range(PATCH))
@@ -173,23 +185,33 @@ def _normalize(d: np.ndarray) -> np.ndarray:
 
 
 def descriptors_at(img, uu, vv) -> np.ndarray:
-    """Descriptors for pixel coordinates (uu[i], vv[i]); shape (N, 128).
+    """Descriptors for pixel coordinates (uu[i], vv[i]); shape (N, 128),
+    float64 holding float32 values.
 
-    The vertical pass runs at the requested pixels only, with the same
-    arithmetic as a tile of dense_scores, so each descriptor is the one the
-    dense engine computes for its pixel, whichever pixels are requested.
+    Only the bands of _BAND_ROWS rows that hold requested pixels are built
+    (_band_columns), one at a time, so memory follows one band and the
+    pixels, not the image.  The vertical pass runs at the requested pixels
+    only, with the same arithmetic as a tile of dense_scores, so each
+    descriptor is the one the dense engine computes for its pixel, whichever
+    pixels are requested.
     """
     a = _image_array(img)
-    cols = _cell_columns(_orientation_planes(a, 0, a.shape[0] + PATCH - 1))
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
     desc = np.empty((len(uu), DESCRIPTOR_SIZE))
-    for lo in range(0, len(uu), _CHUNK_PX):      # bounds each gathered tap
-        cu, cv = uu[lo:lo + _CHUNK_PX], vv[lo:lo + _CHUNK_PX]
-        # vertical pass: cell row cy sums its row offsets dv weighted by g(dv),
-        # giving raw bin (cy*NCELLS+cx)*NBINS+o
-        d = _cell_sums(cols[:, cv + j, cu] for j in range(PATCH))
-        desc[lo:lo + len(cu)] = _normalize(d.reshape(DESCRIPTOR_SIZE, len(cu))).T
+    band = vv // _BAND_ROWS
+    order = np.argsort(band, kind="stable")
+    bands, starts = np.unique(band[order], return_index=True)
+    for b, lo, hi in zip(bands.tolist(), starts, [*starts[1:], len(order)]):
+        r0 = b * _BAND_ROWS
+        cols = _band_columns(a, r0, min(r0 + _BAND_ROWS, a.shape[0]))
+        for c0 in range(lo, hi, _CHUNK_PX):      # bounds each gathered tap
+            at = order[c0:min(c0 + _CHUNK_PX, hi)]
+            cu, cv = uu[at], vv[at] - r0
+            # vertical pass: cell row cy sums its row offsets dv weighted by
+            # g(dv), giving raw bin (cy*NCELLS+cx)*NBINS+o
+            d = _cell_sums(cols[:, cv + j, cu] for j in range(PATCH))
+            desc[at] = _normalize(d.reshape(DESCRIPTOR_SIZE, len(at))).T
     return desc
 
 
@@ -415,8 +437,9 @@ def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
     """Scores of rows r0..r1-1 of image a into out[r0:r1]: the orientation
     planes and the horizontal pass over the band and its PATCH-1 halo rows,
     then the vertical pass, normalization, SVM dot product and sigmoid tile
-    by tile."""
-    cols = _cell_columns(_orientation_planes(a, r0, r1 + PATCH - 1))
+    by tile.  Each tile's descriptors are cast to float64 for the dot
+    product."""
+    cols = _band_columns(a, r0, r1)
     w = out.shape[1]
     # the last column tile takes a lone last column: a 1x1 tile would send
     # the dot product to a kernel that rounds differently from the others
@@ -428,7 +451,7 @@ def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
             d = _cell_sums(cols[:, t0 + j:t1 + j, c0:c1] for j in range(PATCH))
             d = _normalize(d.reshape(DESCRIPTOR_SIZE, t1 - t0, c1 - c0))
             out[r0 + t0:r0 + t1, c0:c1] = _sigmoid(
-                np.tensordot(model.weights, d, axes=1) + model.bias)
+                np.tensordot(model.weights, d.astype(np.float64), axes=1) + model.bias)
 
 
 def dense_scores(img, model: SvmModel, threads: int = 1) -> np.ndarray:

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import logging
 import math
 import os
 import pathlib
@@ -28,6 +29,7 @@ from . import classify, curvature, discont, fusion, gridio, mixture, overlay, pl
 SCHEMA_VERSION = 1
 SYNTH_FILES = ("height.fgrid", "light1.pgm", "light2.pgm",
                "ref1.pgm", "ref2.pgm", "labels.pgm")
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
 # Largest accepted `clearance_samples`: more points along one segment than a
@@ -485,21 +487,28 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ironpath",
         description="wrinkle detection and ironing path planning")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--log-level", choices=LOG_LEVELS,
+                        help="show the ironpath diagnostics of this level and above "
+                             "on stderr (default: warnings only)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic scene from a scene file")
+    p = sub.add_parser("synth", parents=[common],
+                       help="generate a synthetic scene from a scene file")
     p.add_argument("scene", help="scene spec file")
     p.add_argument("outdir", help="output directory for the six scene files")
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("train", help="train the pixel classifier on a scene corpus")
+    p = sub.add_parser("train", parents=[common],
+                       help="train the pixel classifier on a scene corpus")
     p.add_argument("corpus", help="directory of scene subdirectories")
     p.add_argument("model_out", help="output model file")
     p.add_argument("--eval-dir", help="held-out scene directory to report accuracy on")
     p.add_argument("--config", help="pipeline config file")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("detect", help="run the full detection + planning pipeline")
+    p = sub.add_parser("detect", parents=[common],
+                       help="run the full detection + planning pipeline")
     p.add_argument("height", help="height map (FGRID)")
     p.add_argument("i1", help="light 1 capture (PGM)")
     p.add_argument("i2", help="light 2 capture (PGM)")
@@ -512,14 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include stage timings in the report (breaks rerun byte-identity)")
     p.set_defaults(fn=cmd_detect)
 
-    p = sub.add_parser("plan", help="re-plan ironing from an existing report")
+    p = sub.add_parser("plan", parents=[common],
+                       help="re-plan ironing from an existing report")
     p.add_argument("report", help="detection report JSON")
     p.add_argument("--height", help="height map for waypoint z values")
     p.add_argument("--config", help="pipeline config file")
     p.add_argument("--out", help="write the updated report here instead of stdout")
     p.set_defaults(fn=cmd_plan)
 
-    p = sub.add_parser("overlay", help="render an SVG overlay from a report")
+    p = sub.add_parser("overlay", parents=[common],
+                       help="render an SVG overlay from a report")
     p.add_argument("report", help="detection report JSON")
     p.add_argument("height", help="height map (FGRID)")
     p.add_argument("out", help="output SVG path")
@@ -527,18 +538,40 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@contextlib.contextmanager
+def _logging_to_stderr(level: str | None):
+    """With a level, the `ironpath` loggers write records of that level and
+    above to stderr for the block; without one, Python's default stands:
+    warnings and above, message only."""
+    if level is None:
+        yield
+        return
+    log = logging.getLogger("ironpath")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = log.level
+    log.setLevel(level.upper())
+    log.addHandler(handler)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(old_level)
+
+
 def main(argv=None) -> int:
     """Run one command: exit 0 on success, 1 when a stage fails (named on
     stderr), 2 on a usage or config error."""
     args = build_parser().parse_args(argv)
-    try:
-        args.fn(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except StageError as e:
-        print(e, file=sys.stderr)
-        return 1
+    with _logging_to_stderr(args.log_level):
+        try:
+            args.fn(args)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
+        except StageError as e:
+            print(e, file=sys.stderr)
+            return 1
     return 0
 
 

@@ -30,6 +30,9 @@ MIN_THETA_RES_DEG = 0.25
 # Extra radius, beyond the gating distance, within which the supporting
 # pixels of an extracted line are retired from later lines.
 CONSUME_PAD_PX = 2.0
+# Votes per np.bincount of the Hough accumulator: a block of theta columns
+# over all mask pixels, whose temporaries take about 8 MiB each.
+_HOUGH_BLOCK_CELLS = 1 << 20
 
 
 @dataclass
@@ -128,6 +131,31 @@ def _window(extent: float, step: float, limit: int) -> int:
     return int(n) + 1 if n < limit else limit
 
 
+def _hough_votes(uu, vv, wts, thetas, diag: int, rho_res: float) -> np.ndarray:
+    """Score-weighted Hough accumulator, (2*diag+1, len(thetas)): pixel i
+    votes wts[i] into row rint((u cos t + v sin t) / rho_res) + diag of each
+    theta column.
+
+    One np.bincount per block of about _HOUGH_BLOCK_CELLS votes, a block of
+    theta columns taken over all pixels, so each cell adds its votes in
+    pixel order, as np.add.at does; chunks of pixels would not keep it."""
+    nrho, ntheta = 2 * diag + 1, len(thetas)
+    cos_t, sin_t = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    acc = np.empty((nrho, ntheta))
+    step = max(1, _HOUGH_BLOCK_CELLS // max(len(uu), 1))
+    for t0 in range(0, ntheta, step):
+        t1 = min(t0 + step, ntheta)
+        # theta-major bin indices rbin * nt + column: each column's votes
+        # follow each other in pixel order
+        rbin = np.rint((uu * cos_t[t0:t1] + vv * sin_t[t0:t1])
+                       / rho_res).astype(np.int64) + diag
+        nt = t1 - t0
+        idx = rbin * nt + np.arange(nt)[:, None]
+        acc[:, t0:t1] = np.bincount(idx.ravel(), np.tile(wts, nt),
+                                    nrho * nt).reshape(nrho, nt)
+    return acc
+
+
 def _greedy_nms(acc: np.ndarray, thetas: np.ndarray, diag: int, p: HoughParams):
     """Vote-ordered greedy suppression; returns kept (rho, theta) line params.
 
@@ -155,11 +183,12 @@ def _greedy_nms(acc: np.ndarray, thetas: np.ndarray, diag: int, p: HoughParams):
         rho = (ri - diag) * p.rho_res_px
         theta = thetas[ti]
         kept.append((rho, theta))
+        # rows and columns may repeat: a repeated one gets the same values
         near = np.arange(-wr, wr + 1)
-        rows = np.unique(np.concatenate([ri + near, 2 * diag - ri + near]))
+        rows = np.concatenate([ri + near, 2 * diag - ri + near])
         rows = rows[(rows >= 0) & (rows < nrho)]
         cols = (all_cols if 2 * wt + 1 >= ntheta
-                else np.unique((ti + np.arange(-wt, wt + 1)) % ntheta))
+                else (ti + np.arange(-wt, wt + 1)) % ntheta)
         rho_c = ((rows - diag) * p.rho_res_px)[:, None]
         dth = np.abs(thetas[cols][None, :] - theta)
         # theta wraps mod pi; rho flips sign across the wrap
@@ -235,16 +264,8 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
 
     ntheta = max(1, int(round(180.0 / p.theta_res_deg)))
     thetas = np.arange(ntheta) * math.pi / ntheta
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     diag = int(math.ceil(math.hypot(w, h) / p.rho_res_px))
-    acc = np.zeros((2 * diag + 1, ntheta))
-    theta_idx = np.arange(ntheta)
-    for lo in range(0, len(uu), 8192):     # bounded working set, order preserved
-        cu, cv = uu[lo:lo + 8192], vv[lo:lo + 8192]
-        rbin = np.rint((cu[:, None] * cos_t + cv[:, None] * sin_t)
-                       / p.rho_res_px).astype(np.int64) + diag
-        np.add.at(acc, (rbin, np.broadcast_to(theta_idx, rbin.shape)),
-                  wts[lo:lo + 8192, None])
+    acc = _hough_votes(uu, vv, wts, thetas, diag, p.rho_res_px)
 
     consumed = np.zeros(len(uu), bool)
     segs: list[Discontinuity] = []

@@ -115,7 +115,10 @@ class TestDescriptor:
         ref = brute_force_descriptors(img)
         vv, uu = np.mgrid[0:19, 0:40]
         d = descriptors_at(img, uu.ravel(), vv.ravel()).reshape(19, 40, 128)
-        assert np.abs(d - ref).max() <= 1e-12
+        # the engine runs in float32 and every component is at most 1: two
+        # float32 ulps of 1 hold the rounding of both passes and both
+        # normalizations (about 0.6 ulp here)
+        assert np.abs(d - ref).max() <= 2 * np.finfo(np.float32).eps
         assert (np.linalg.norm(ref, axis=2) == 0).any()
 
     def test_independent_of_requested_subset(self):
@@ -128,6 +131,34 @@ class TestDescriptor:
             sub = descriptors_at(img, uu.ravel()[pick], vv.ravel()[pick])
             assert np.array_equal(sub, full[pick])
         assert descriptors_at(img, [], []).shape == (0, 128)
+
+    def test_peak_follows_one_band_not_the_image(self):
+        # 2000 pixels of a 480x640 image: building the whole image's planes
+        # and cell columns first peaked at 116.5 MiB; one band's float32
+        # cell columns are 6.5 MiB at this width
+        rng = np.random.default_rng(23)
+        img = rng.uniform(0, 1, (480, 640))
+        uu, vv = rng.integers(0, 640, 2000), rng.integers(0, 480, 2000)
+        tracemalloc.start()
+        try:
+            descriptors_at(img, uu, vv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    def test_equal_to_dense_engine(self):
+        # with a one-hot weight vector, the dense score of a pixel is the
+        # sigmoid of one of its descriptor bins, exactly
+        rng = np.random.default_rng(14)
+        img = rng.uniform(0, 1, (70, 90))
+        img[40:, 50:] = 0.3
+        vv, uu = np.mgrid[0:70, 0:90]
+        d = descriptors_at(img, uu.ravel(), vv.ravel())
+        for k in (0, 37, 127):
+            model = SvmModel(np.eye(128)[k], 0.0, TrainHyper())
+            dense = classify.dense_scores(img, model, threads=2)
+            assert np.array_equal(dense.ravel(), classify._sigmoid(d[:, k]))
 
     def test_single_matches_batch(self):
         rng = np.random.default_rng(10)
@@ -424,7 +455,7 @@ class TestOrientationPlanes:
         rng = np.random.default_rng(shape[0] * 1000 + shape[1] + 7)
         img = rng.uniform(0, 1, shape)
         img[:, ::3] = 0.5                 # flat runs: zero gradients, bin 4 of angle 0
-        ref = whole_image_planes(img)
+        ref = whole_image_planes(img).astype(np.float32)
         h = shape[0]
         for r0 in range(0, h, classify._BAND_ROWS):
             r1 = min(r0 + classify._BAND_ROWS, h)
@@ -447,7 +478,7 @@ class TestOrientationPlanes:
 
 
 class TestDenseScores:
-    # sizes that are no multiple of a band (64 rows) or a tile (16 x 64)
+    # sizes that are no multiple of a band (64 rows) or a tile (32 x 64)
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (17, 9), (65, 129),
                                        (97, 301), (200, 7)], ids="{0[0]}x{0[1]}".format)
     def test_independent_of_thread_count(self, shape):
@@ -456,6 +487,22 @@ class TestDenseScores:
         model = SvmModel(rng.normal(size=128), 0.1, TrainHyper())
         one = classify.dense_scores(img, model)
         assert one.shape == shape
+        for threads in (2, 3):
+            assert np.array_equal(classify.dense_scores(img, model, threads), one)
+
+    def test_float32_engine_float64_scores(self):
+        # descriptors are float32 numbers in a float64 matrix; the dot
+        # product and sigmoid run in float64 on any number of threads
+        rng = np.random.default_rng(31)
+        img = rng.uniform(0, 1, (70, 90))
+        vv, uu = np.mgrid[0:70, 0:90]
+        d = descriptors_at(img, uu.ravel(), vv.ravel())
+        assert d.dtype == np.float64
+        assert np.array_equal(d.astype(np.float32).astype(np.float64), d)
+        model = SvmModel(rng.normal(size=128), 0.1, TrainHyper())
+        one = classify.dense_scores(img, model)
+        assert one.dtype == np.float64
+        assert np.abs(one.ravel() - score_margins(model, d)).max() <= 1e-12
         for threads in (2, 3):
             assert np.array_equal(classify.dense_scores(img, model, threads), one)
 

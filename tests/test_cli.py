@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import CELL, corpus_scene
 import ironpath
 from ironpath import classify, gridio, synth
-from ironpath.cli import (CONFIG_KEYS, ConfigError, PipelineConfig, dump_report, main,
-                          parse_config, run_detection)
+from ironpath.cli import (CONFIG_KEYS, ConfigError, PipelineConfig, build_parser,
+                          dump_report, main, parse_config, run_detection)
 
 SCENE_TEXT = """\
 # small test scene
@@ -516,6 +516,41 @@ class TestDetectCommand:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1] == reports[2]
         assert json.loads(reports[0])["wrinkles"]
+
+
+class TestLogLevel:
+    SPEC = synth.SceneSpec(
+        200, 150, CELL,
+        bumps=[synth.BumpSpec((0.10, 0.15), 0.036, 0.018, 0.9, 0.018)],
+        wrinkles=[synth.WrinkleSpec([(0.22, 0.06), (0.34, 0.20)], 0.003, 0.0025)])
+
+    def test_debug_shows_logger_lines_and_keeps_report_bytes(self, tmp_path, model_file,
+                                                              capsys):
+        d = write_scene_dir(tmp_path, "scene", self.SPEC)
+        plain, logged = tmp_path / "plain.json", tmp_path / "logged.json"
+        assert main(detect_args(d, model_file, ["--out", str(plain)])) == 0
+        assert "ironpath.curvature" not in capsys.readouterr().err
+        assert main(detect_args(d, model_file, ["--out", str(logged),
+                                                "--log-level", "debug"])) == 0
+        err = capsys.readouterr().err
+        # the ridge leaves thin components that the curvature scan drops
+        assert "DEBUG ironpath.curvature: discarded 2 degenerate" in err
+        assert logged.read_bytes() == plain.read_bytes()
+        # the level is set for one command only
+        assert main(detect_args(d, model_file, ["--out", str(plain)])) == 0
+        assert "ironpath.curvature" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["synth", "s.txt", "out"], ["train", "c", "m"],
+                                         ["plan", "r.json"], ["overlay", "r", "h", "o"]])
+    def test_every_subcommand_takes_it(self, command):
+        assert build_parser().parse_args(command + ["--log-level", "error"]).log_level \
+            == "error"
+
+    def test_unknown_level_exit_2(self, tmp_path, model_file, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["plan", str(tmp_path / "r.json"), "--log-level", "loud"])
+        assert e.value.code == 2
+        assert "invalid choice: 'loud'" in capsys.readouterr().err
 
 
 WRINKLE = {"id": 0, "endpoints_m": [[0.01, 0.01], [0.05, 0.02]], "length_m": 0.041,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CELL, corpus_scene, scene_products
-from ironpath.discont import (EPS_REF, HoughParams, _greedy_nms,
+from ironpath import discont
+from ironpath.discont import (EPS_REF, HoughParams, _greedy_nms, _hough_votes,
                               extract_segments, normalize, score_map)
 from ironpath.classify import descriptors_at, score_margins
 from ironpath.gridio import GrayImage, LABEL_WRINKLE, WorldTransform
@@ -199,6 +200,38 @@ class TestExtractSegments:
         assert len(segs) >= 2
         first = segs[0]
         assert abs(math.degrees(first.theta)) < 1e-6   # vertical band: theta 0
+
+
+def add_at_votes(uu, vv, wts, thetas, diag, rho_res):
+    """Reference Hough accumulator: np.add.at, pixel by pixel in order."""
+    acc = np.zeros((2 * diag + 1, len(thetas)))
+    rbin = np.rint((uu[:, None] * np.cos(thetas) + vv[:, None] * np.sin(thetas))
+                   / rho_res).astype(np.int64) + diag
+    np.add.at(acc, (rbin, np.broadcast_to(np.arange(len(thetas)), rbin.shape)),
+              wts[:, None])
+    return acc
+
+
+class TestHoughVotes:
+    # more than 8192 pixels in the largest mask, and blocks of one theta
+    # column up to all of them
+    @pytest.mark.parametrize("block_cells", [discont._HOUGH_BLOCK_CELLS, 1000, 1])
+    @pytest.mark.parametrize("shape, fill, rho_res, theta_res", [
+        ((1, 1), 1.0, 1.0, 1.0), ((30, 41), 0.3, 0.7, 2.5), ((90, 120), 0.05, 1.0, 1.0),
+        ((150, 200), 0.35, 0.25, 7.0)], ids=str)
+    def test_bit_identical_to_add_at(self, monkeypatch, block_cells, shape, fill,
+                                     rho_res, theta_res):
+        monkeypatch.setattr(discont, "_HOUGH_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(shape[0] + shape[1])
+        vv, uu = np.nonzero(rng.random(shape) < fill)
+        wts = rng.uniform(0.5, 1.0, len(uu))
+        uu, vv = uu.astype(np.float64), vv.astype(np.float64)
+        ntheta = max(1, int(round(180.0 / theta_res)))
+        thetas = np.arange(ntheta) * math.pi / ntheta
+        diag = int(math.ceil(math.hypot(shape[1], shape[0]) / rho_res))
+        acc = _hough_votes(uu, vv, wts, thetas, diag, rho_res)
+        assert np.array_equal(acc, add_at_votes(uu, vv, wts, thetas, diag, rho_res))
+        assert acc.sum() > 0
 
 
 def pairwise_nms(acc, thetas, diag, p):
