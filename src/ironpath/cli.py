@@ -192,7 +192,7 @@ def dump_report(report: dict) -> str:
 
 # what a stage, a malformed data input or a failed write can raise
 _STAGE_ERRORS = (OSError, ValueError, ArithmeticError, KeyError, TypeError, IndexError,
-                 RecursionError)
+                 RecursionError, MemoryError)
 
 
 @contextlib.contextmanager
@@ -242,10 +242,8 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
     depend on their number."""
     def stage(name, fn):
         t0 = time.perf_counter()
-        try:
+        with _stage(name):
             out = fn()
-        except Exception as e:
-            raise StageError(name, e) from e
         if timings is not None:
             timings[name] = time.perf_counter() - t0
         return out
@@ -412,10 +410,13 @@ def cmd_train(args) -> None:
 
 def _thread_count() -> int:
     """Threads for the score stage: IRONPATH_THREADS, or when it is unset,
-    the number of CPUs this process may run on."""
+    the number of CPUs this process may run on (all of the machine's CPUs
+    where the OS has no affinity call, as on macOS and Windows)."""
     raw = os.environ.get("IRONPATH_THREADS")
     if raw is None:
-        return len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         n = int(raw)
     except ValueError:

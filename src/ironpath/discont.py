@@ -259,8 +259,8 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
     if len(uu) == 0:
         return []
     wts = s[vv, uu]
-    uu = uu.astype(np.float64)
-    vv = vv.astype(np.float64)
+    pix = np.column_stack([uu, vv])
+    uu, vv = uu.astype(np.float64), vv.astype(np.float64)
 
     ntheta = max(1, int(round(180.0 / p.theta_res_deg)))
     thetas = np.arange(ntheta) * math.pi / ntheta
@@ -300,8 +300,8 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
             p1 = t.pixel_to_world(px1[0], px1[1])
             segs.append(Discontinuity(
                 id=len(segs), endpoints=(p0, p1),
-                pixels=np.column_stack([uu[idx], vv[idx]]).astype(np.int64),
-                scores=s[vv[idx].astype(np.int64), uu[idx].astype(np.int64)],
+                pixels=pix[idx],
+                scores=wts[idx],
                 length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
                 direction=float(math.atan2(d[1], d[0]) % math.pi),
                 rho=rho_f, theta=theta_f))

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .discont import Discontinuity
 from .fusion import FusedWrinkle
 from .gridio import FloatGrid
 
@@ -78,8 +77,8 @@ def split_wrinkle(w: FusedWrinkle, iron: IronSpec) -> list[FusedWrinkle]:
     """Break a wrinkle longer than twice the iron into equal collinear pieces.
 
     The bound is inclusive: length exactly 2 * long_axis stays unsplit.
-    Pieces inherit (q, r, p) and the acceptance flag; supporting pixels are
-    divided by their projection along the segment.
+    Pieces inherit (q, r, p), the acceptance flag and the wrinkle's pixels
+    and scores; each has its own endpoints and length.
     """
     d = w.discontinuity
     limit = 2.0 * iron.long_axis
@@ -87,29 +86,12 @@ def split_wrinkle(w: FusedWrinkle, iron: IronSpec) -> list[FusedWrinkle]:
         return [w]
     n = math.ceil(d.length / limit)
     p0 = np.asarray(d.endpoints[0], float)
-    p1 = np.asarray(d.endpoints[1], float)
-    axis = (p1 - p0) / d.length
-    pix = np.asarray(d.pixels, float)
-    if len(pix):
-        # pixel coords share the segment's direction (uniform scale transform),
-        # so a rank projection along the axis assigns pixels to pieces
-        proj = (pix - pix.mean(axis=0)) @ axis
-        proj = proj - proj.min()
-        proj = proj / max(proj.max(), 1e-12) * d.length
+    axis = (np.asarray(d.endpoints[1], float) - p0) / d.length
     pieces = []
     for i in range(n):
         a = p0 + axis * (d.length * i / n)
         b = p0 + axis * (d.length * (i + 1) / n)
-        if len(pix):
-            inside = (proj >= d.length * i / n) & (proj <= d.length * (i + 1) / n)
-        else:
-            inside = np.zeros(0, bool)
-        piece = Discontinuity(
-            id=d.id, endpoints=(tuple(a), tuple(b)),
-            pixels=d.pixels[inside] if len(pix) else d.pixels,
-            scores=d.scores[inside] if len(pix) else d.scores,
-            length=d.length / n, direction=d.direction,
-            rho=d.rho, theta=d.theta)
+        piece = replace(d, endpoints=(tuple(a), tuple(b)), length=d.length / n)
         pieces.append(replace(w, discontinuity=piece))
     return pieces
 
@@ -137,25 +119,18 @@ def order_actions(ws: list[FusedWrinkle], iron: IronSpec,
     Ties break by wrinkle id, then entry index.
     """
     remaining = sorted(range(len(ws)), key=lambda i: (-ws[i].p, ws[i].discontinuity.id, i))
+    entries = [_entry_points(w, iron) for w in ws]
     actions: list[IronAction] = []
     pos = np.asarray(home, float)
     total_travel = 0.0
     total_time = 0.0
-    first = True
     while remaining:
-        if first:
-            i = remaining[0]
-            cands = [(i, e) for e in range(len(_entry_points(ws[i], iron)))]
-            first = False
-        else:
-            cands = [(i, e) for i in remaining
-                     for e in range(len(_entry_points(ws[i], iron)))]
-        best = min(cands, key=lambda ie: (
-            math.hypot(*(np.asarray(_entry_points(ws[ie[0]], iron)[ie[1]][0]) - pos)),
+        pool = remaining if actions else remaining[:1]
+        i, e = min(((i, e) for i in pool for e in range(len(entries[i]))), key=lambda ie: (
+            math.hypot(*(np.asarray(entries[ie[0]][ie[1]][0]) - pos)),
             ws[ie[0]].discontinuity.id, ie[1]))
-        i, e = best
         w = ws[i]
-        start, end = _entry_points(w, iron)[e]
+        start, end = entries[i][e]
         kind = select_motion(w, iron)
         travel = float(math.hypot(start[0] - pos[0], start[1] - pos[1]))
         slide = 0.0 if kind == STATIC else w.discontinuity.length

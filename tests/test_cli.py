@@ -388,6 +388,20 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not model.exists()
 
+    def test_memory_error_in_training_exit_1(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_scene_dir(corpus, "scene0", corpus_scene(550, width=140, height=100))
+
+        def out_of_memory(*args):
+            raise MemoryError("cannot allocate the Hessian")
+        monkeypatch.setattr(classify, "train", out_of_memory)
+        model = tmp_path / "m.svmw"
+        assert main(["train", str(corpus), str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage train failed: cannot allocate the Hessian")
+        assert "Traceback" not in err
+        assert not model.exists()
+
     def test_eval_dir_without_wrinkle_pixels_exit_1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         write_scene_dir(corpus, "scene0", corpus_scene(540, width=140, height=100))
@@ -516,6 +530,21 @@ class TestDetectCommand:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1] == reports[2]
         assert json.loads(reports[0])["wrinkles"]
+
+    def test_no_affinity_call_uses_every_cpu(self, tmp_path, model_file, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        spec = synth.SceneSpec(
+            200, 150, CELL,
+            bumps=[synth.BumpSpec((0.10, 0.15), 0.036, 0.018, 0.9, 0.018)],
+            wrinkles=[synth.WrinkleSpec([(0.22, 0.06), (0.34, 0.20)], 0.003, 0.0025)])
+        d = write_scene_dir(tmp_path, "scene", spec)
+        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        monkeypatch.setenv("IRONPATH_THREADS", "1")
+        assert main(detect_args(d, model_file, ["--out", str(r1)])) == 0
+        monkeypatch.delenv("IRONPATH_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(detect_args(d, model_file, ["--out", str(r2)])) == 0
+        assert r1.read_bytes() == r2.read_bytes()
 
 
 class TestLogLevel:

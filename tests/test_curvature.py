@@ -78,6 +78,19 @@ class TestHessian:
         f = hessian(g)
         assert np.all(f.lambda1 >= f.lambda2)
 
+    @pytest.mark.parametrize("a, b, expected, in_bump_range", [
+        (1.0, -1.0, 0.0, True), (1.0, 0.0, 0.5, True), (2.0, 1.0, 0.79517, False),
+        (1.0, 1.0, 1.0, False), (-1.0, -1.0, -1.0, False), (0.0, 0.0, math.nan, False)])
+    def test_shape_index_of_quadratic_surfaces(self, a, b, expected, in_bump_range):
+        # the grid rule detect_bumps thresholds, not the scalar shape_index
+        s = hessian(quadratic_grid(a, b, 0.0)).shape_index[2:-2, 2:-2]
+        if math.isnan(expected):
+            assert np.isnan(s).all()
+        else:
+            assert np.allclose(s, expected, rtol=0.0, atol=5e-6)
+        inside = (curvature.BUMP_INDEX_LO <= s) & (s < curvature.BUMP_INDEX_HI)
+        assert inside.all() == inside.any() == in_bump_range
+
 
 class TestShapeIndex:
     def test_symmetric_saddle_is_zero(self):
