@@ -20,7 +20,10 @@ scored on worker threads, and the vertical pass, normalization, SVM dot
 product and sigmoid run on tiles of _TILE_ROWS x _TILE_COLS pixels whose
 descriptors (1 MiB) fit in cache.  No thread holds more than one band's
 planes.  Both paths run the same arithmetic per pixel, and the band and tile
-grid does not depend on the thread count, so neither do the scores.
+grid does not depend on the thread count, so neither do the scores.  A
+training set is built one scene per task on worker threads, each writing
+its descriptors_at rows straight into the one training matrix, so the
+matrix does not depend on the thread count either.
 
 The engine, from the planes to the normalized descriptor, runs in single
 precision (_DTYPE, as in VLFeat's dense SIFT): the gradients and bin weights
@@ -45,7 +48,7 @@ the model file holds lambda, the weights and the bias.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -184,9 +187,11 @@ def _normalize(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def descriptors_at(img, uu, vv) -> np.ndarray:
+def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
+                   rows: np.ndarray | None = None) -> np.ndarray:
     """Descriptors for pixel coordinates (uu[i], vv[i]); shape (N, 128),
-    float64 holding float32 values.
+    float64 holding float32 values.  With `out`, descriptor i is written
+    into row rows[i] of it (rows defaults to 0..N-1), and out is returned.
 
     Only the bands of _BAND_ROWS rows that hold requested pixels are built
     (_band_columns), one at a time, so memory follows one band and the
@@ -198,7 +203,9 @@ def descriptors_at(img, uu, vv) -> np.ndarray:
     a = _image_array(img)
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
-    desc = np.empty((len(uu), DESCRIPTOR_SIZE))
+    if out is None:
+        out = np.empty((len(uu), DESCRIPTOR_SIZE))
+    rows = np.arange(len(uu)) if rows is None else np.asarray(rows, np.int64)
     band = vv // _BAND_ROWS
     order = np.argsort(band, kind="stable")
     bands, starts = np.unique(band[order], return_index=True)
@@ -211,8 +218,9 @@ def descriptors_at(img, uu, vv) -> np.ndarray:
             # vertical pass: cell row cy sums its row offsets dv weighted by
             # g(dv), giving raw bin (cy*NCELLS+cx)*NBINS+o
             d = _cell_sums(cols[:, cv + j, cu] for j in range(PATCH))
-            desc[at] = _normalize(d.reshape(DESCRIPTOR_SIZE, len(at))).T
-    return desc
+            out[rows[at]] = _normalize(d.reshape(DESCRIPTOR_SIZE, len(at))).T
+        del cols                # freed before the next band's columns are built
+    return out
 
 
 @dataclass
@@ -254,26 +262,35 @@ def sample_pixels(mask: LabelMask, negatives_per_positive: int, seed: int,
     return np.concatenate([pu, cu[pick]]), np.concatenate([pv, cv[pick]]), len(pu)
 
 
-def build_training_set(scenes: list[tuple[np.ndarray, LabelMask, int]],
-                       negatives_per_positive: int = 3) -> TrainingSet:
-    """The training set of a corpus of (img, mask, seed) scenes.
+def build_training_set(
+        scenes: list[tuple[np.ndarray | Callable[[], np.ndarray], LabelMask, int]],
+        negatives_per_positive: int = 3, threads: int = 1) -> TrainingSet:
+    """The training set of a corpus of (img, mask, seed) scenes, where img is
+    the scene's image or a function of no arguments that returns it.
 
     Every scene's pixels are drawn first (sample_pixels), so that the matrix
-    is allocated once at its final size; then each scene's descriptors are
-    written into place: the positives of all scenes in scene order, then
-    their negatives.
+    is allocated once at its final size and a scene without wrinkle pixels
+    fails before any image is used.  Then each scene is one task on up to
+    `threads` worker threads (thread_map): it calls its image function, so
+    only the running tasks' images are held, and writes its descriptors
+    straight into its rows of the matrix.  The rows are the positives of all
+    scenes in scene order, then their negatives, on any number of threads.
     """
     picks = [sample_pixels(mask, negatives_per_positive, seed) for _, mask, seed in scenes]
     if any(n_pos == 0 for _, _, n_pos in picks):
         raise ValueError("mask contains no wrinkle pixels")
     n_pos = sum(k for _, _, k in picks)
     X = np.empty((sum(len(uu) for uu, _, _ in picks), DESCRIPTOR_SIZE))
-    pos, neg = 0, n_pos
+    tasks, pos, neg = [], 0, n_pos
     for (img, _, _), (uu, vv, k) in zip(scenes, picks):
-        d = descriptors_at(img, uu, vv)
-        X[pos:pos + k] = d[:k]
-        X[neg:neg + len(d) - k] = d[k:]
-        pos, neg = pos + k, neg + len(d) - k
+        n_neg = len(uu) - k
+        tasks.append((img, uu, vv, np.r_[pos:pos + k, neg:neg + n_neg]))
+        pos, neg = pos + k, neg + n_neg
+
+    def fill(task):
+        img, uu, vv, rows = task
+        descriptors_at(img() if callable(img) else img, uu, vv, X, rows)
+    thread_map(fill, tasks, threads)
     return TrainingSet(X, n_pos)
 
 
@@ -454,6 +471,18 @@ def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
                 np.tensordot(model.weights, d.astype(np.float64), axes=1) + model.bias)
 
 
+def thread_map(fn, items: list, threads: int) -> list:
+    """[fn(item) for item in items], run on up to `threads` worker threads.
+
+    The results are in item order.  When calls fail, the error of the first
+    failing item in item order is raised, whichever thread finished first.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    with ThreadPoolExecutor(max(1, min(threads, len(items)))) as pool:
+        return list(pool.map(fn, items))
+
+
 def dense_scores(img, model: SvmModel, threads: int = 1) -> np.ndarray:
     """Classifier score S of every pixel of img, shape (h, w).
 
@@ -461,16 +490,11 @@ def dense_scores(img, model: SvmModel, threads: int = 1) -> np.ndarray:
     each band into its own rows of the result.  The band and tile grid does
     not depend on `threads`, so neither does any score.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     a = _image_array(img)
     h = a.shape[0]
     out = np.empty(a.shape)
     bands = [(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]
-    with ThreadPoolExecutor(max(1, min(threads, len(bands)))) as pool:
-        for done in [pool.submit(_score_band, a, model, out, r0, r1)
-                     for r0, r1 in bands]:
-            done.result()
+    thread_map(lambda band: _score_band(a, model, out, *band), bands, threads)
     return out
 
 

@@ -5,7 +5,10 @@ SVG overlay is derived from it.  For fixed inputs, config and seed the report
 is byte-identical across reruns: every stage is deterministic, the score
 stage gives the same bits on any number of threads (IRONPATH_THREADS), and
 timing diagnostics go to stderr unless --timing explicitly adds them to the
-report.
+report.  `train` runs its per-scene work, building the training set and
+scoring the held-out scenes, on the same number of threads, and writes the
+same model and held-out line for every number; its stage timings go to
+stderr only.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ import numpy as np
 from . import classify, curvature, discont, fusion, gridio, mixture, overlay, planner, synth
 
 SCHEMA_VERSION = 1
-SYNTH_FILES = ("height.fgrid", "light1.pgm", "light2.pgm",
-               "ref1.pgm", "ref2.pgm", "labels.pgm")
+CAPTURE_FILES = ("light1.pgm", "light2.pgm", "ref1.pgm", "ref2.pgm")
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
@@ -196,9 +198,11 @@ _STAGE_ERRORS = (OSError, ValueError, ArithmeticError, KeyError, TypeError, Inde
 
 
 @contextlib.contextmanager
-def _stage(name: str, path=None):
+def _stage(name: str, path=None, timings: dict | None = None):
     """Errors of the block fail as stage `name`.  With `path`, the file the
-    block reads or writes, the message starts with it."""
+    block reads or writes, the message starts with it.  With `timings`, the
+    block's wall time in seconds is stored there under `name`."""
+    t0 = time.perf_counter()
     try:
         yield
     except _STAGE_ERRORS as e:
@@ -206,6 +210,8 @@ def _stage(name: str, path=None):
         if path is not None:
             what = f"{path}: {what.removeprefix(f'{path}: ')}"
         raise StageError(name, ValueError(what)) from e
+    if timings is not None:
+        timings[name] = time.perf_counter() - t0
 
 
 def _read_input(reader, path):
@@ -241,12 +247,8 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
     The score stage runs on up to `threads` threads; the report does not
     depend on their number."""
     def stage(name, fn):
-        t0 = time.perf_counter()
-        with _stage(name):
-            out = fn()
-        if timings is not None:
-            timings[name] = time.perf_counter() - t0
-        return out
+        with _stage(name, timings=timings):
+            return fn()
 
     for img in (i1, i2, ref1, ref2):
         if img.data.shape != height.data.shape:
@@ -311,12 +313,15 @@ def _plan_dict(plan: planner.IroningPlan, waypoints) -> dict:
 
 # --- scene corpus helpers ---
 
-def load_scene_dir(scene_dir: str):
-    """Read the six synth outputs of one scene directory."""
-    readers = (gridio.read_grid, gridio.read_gray, gridio.read_gray,
-               gridio.read_gray, gridio.read_gray, gridio.read_labels)
-    return tuple(_read_input(reader, os.path.join(scene_dir, name))
-                 for name, reader in zip(SYNTH_FILES, readers))
+def _scene_labels(scene_dir: str) -> gridio.LabelMask:
+    return _read_input(gridio.read_labels, os.path.join(scene_dir, "labels.pgm"))
+
+
+def _scene_image(scene_dir: str) -> discont.NormalizedImage:
+    """The normalized image of a scene directory's captures and references
+    (its height map is not read)."""
+    return discont.normalize(*[_read_input(gridio.read_gray, os.path.join(scene_dir, name))
+                               for name in CAPTURE_FILES])
 
 
 def _scene_dirs(corpus_dir: str) -> list[str]:
@@ -330,33 +335,55 @@ def _scene_dirs(corpus_dir: str) -> list[str]:
     return out
 
 
-def build_corpus_training_set(corpus_dir: str, cfg: PipelineConfig) -> classify.TrainingSet:
+def build_corpus_training_set(corpus_dir: str, cfg: PipelineConfig,
+                              threads: int = 1) -> classify.TrainingSet:
+    """The training set of the scene directories under corpus_dir, one scene
+    per task on up to `threads` threads (classify.build_training_set).
+
+    Every scene's labels are read first; each task then reads and normalizes
+    its own captures, so only the running tasks' images are held.  On any
+    number of threads, a bad file is reported as the first one in directory
+    order: the scenes in sorted order, and in a scene the labels, then the
+    captures.  So when a labels file is bad, the captures of the scenes
+    before it are read first."""
     dirs = _scene_dirs(corpus_dir)
-    scenes = []
-    for idx, d in enumerate(dirs):
-        _, i1, i2, r1, r2, labels = load_scene_dir(d)
-        scenes.append((discont.normalize(i1, i2, r1, r2).combined, labels,
-                       cfg.seed + 1000 * idx))
-    return classify.build_training_set(scenes, cfg.negatives_per_positive)
+    labels = []
+    for k, d in enumerate(dirs):
+        try:
+            labels.append(_scene_labels(d))
+        except StageError:
+            for earlier in dirs[:k]:
+                _scene_image(earlier)
+            raise
+    scenes = [(lambda d=d: _scene_image(d).combined, lab, cfg.seed + 1000 * idx)
+              for idx, (d, lab) in enumerate(zip(dirs, labels))]
+    return classify.build_training_set(scenes, cfg.negatives_per_positive, threads)
 
 
 def evaluate_scenes(scene_dirs: list[str], model: classify.SvmModel,
-                    cfg: PipelineConfig) -> tuple[float, float]:
+                    cfg: PipelineConfig, threads: int = 1) -> tuple[float, float]:
     """Pooled held-out accuracy (wrinkle vs sampled background pixels at the
-    training ratio) and wrinkle-pixel recall at the configured threshold."""
-    correct = total = hit = positives = 0
-    for idx, d in enumerate(scene_dirs):
-        _, i1, i2, r1, r2, labels = load_scene_dir(d)
-        nimg = discont.normalize(i1, i2, r1, r2)
+    training ratio) and wrinkle-pixel recall at the configured threshold.
+
+    Each scene is one task on up to `threads` threads that reads its own
+    files (labels, then captures) and returns integer counts; the counts are
+    summed in scene order, and a bad file is reported as the first one in
+    that order."""
+    thr = cfg.score_threshold
+
+    def counts(scene):
+        idx, d = scene
+        labels = _scene_labels(d)
+        nimg = _scene_image(d)
         uu, vv, n_pos = classify.sample_pixels(labels, cfg.negatives_per_positive,
                                                cfg.seed + 7000 + idx, valid=nimg.valid)
         scores = classify.score_margins(model, classify.descriptors_at(nimg.combined, uu, vv))
-        sp, sn = scores[:n_pos], scores[n_pos:]
-        thr = cfg.score_threshold
-        correct += int(np.sum(sp >= thr)) + int(np.sum(sn < thr))
-        total += len(sp) + len(sn)
-        hit += int(np.sum(sp >= thr))
-        positives += len(sp)
+        hits = int(np.sum(scores[:n_pos] >= thr))
+        return hits + int(np.sum(scores[n_pos:] < thr)), len(scores), hits, n_pos
+
+    correct = total = hit = positives = 0
+    for c, t, h, p in classify.thread_map(counts, list(enumerate(scene_dirs)), threads):
+        correct, total, hit, positives = correct + c, total + t, hit + h, positives + p
     if positives == 0:          # no wrinkle pixel, so no negatives sampled either
         raise ValueError("held-out scenes contain no wrinkle pixels")
     return correct / total, hit / positives
@@ -387,15 +414,22 @@ def cmd_synth(args) -> None:
     print(f"wrote {len(outputs)} files to {args.outdir}")
 
 
+def _print_timings(timings: dict) -> None:
+    for name, dt in timings.items():
+        print(f"stage {name}: {dt:.3f} s", file=sys.stderr)
+
+
 def cmd_train(args) -> None:
     cfg = parse_config(args.config) if args.config else PipelineConfig()
+    threads = _thread_count()
     try:        # checked before training starts, like an argument
         eval_dirs = _scene_dirs(args.eval_dir) if args.eval_dir else []
     except (OSError, ValueError) as e:
         raise ConfigError(f"--eval-dir: {e}") from e
-    with _stage("inputs", args.corpus):
-        ts = build_corpus_training_set(args.corpus, cfg)
-    with _stage("train"):
+    timings: dict = {}
+    with _stage("inputs", args.corpus, timings):
+        ts = build_corpus_training_set(args.corpus, cfg, threads)
+    with _stage("train", timings=timings):
         model = classify.train(ts, cfg.train)
     with _stage("outputs", args.model_out):
         gridio.write_atomic(args.model_out, lambda p: classify.save_model(model, p))
@@ -403,15 +437,17 @@ def cmd_train(args) -> None:
           f"pixels; model written to {args.model_out}")
     del ts                      # evaluation needs the model only
     if eval_dirs:
-        with _stage("evaluate"):
-            acc, rec = evaluate_scenes(eval_dirs, model, cfg)
+        with _stage("evaluate", timings=timings):
+            acc, rec = evaluate_scenes(eval_dirs, model, cfg, threads)
         print(f"held-out accuracy {acc:.4f} recall {rec:.4f}")
+    _print_timings(timings)
 
 
 def _thread_count() -> int:
-    """Threads for the score stage: IRONPATH_THREADS, or when it is unset,
-    the number of CPUs this process may run on (all of the machine's CPUs
-    where the OS has no affinity call, as on macOS and Windows)."""
+    """Threads for the score stage of detect and the per-scene work of train:
+    IRONPATH_THREADS, or when it is unset, the number of CPUs this process
+    may run on (all of the machine's CPUs where the OS has no affinity call,
+    as on macOS and Windows)."""
     raw = os.environ.get("IRONPATH_THREADS")
     if raw is None:
         if hasattr(os, "sched_getaffinity"):
@@ -437,8 +473,7 @@ def cmd_detect(args) -> None:
     paths = {"height": args.height, "light1": args.i1, "light2": args.i2,
              "ref1": args.ref1, "ref2": args.ref2, "model": args.model}
     report["inputs"] = {k: {"path": p, "sha256": _sha256(p)} for k, p in paths.items()}
-    for name, dt in timings.items():
-        print(f"stage {name}: {dt:.3f} s", file=sys.stderr)
+    _print_timings(timings)
     if args.timing:
         report["timing_s"] = timings
     _emit(dump_report(report), args.out)

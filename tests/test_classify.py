@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -160,6 +161,16 @@ class TestDescriptor:
             dense = classify.dense_scores(img, model, threads=2)
             assert np.array_equal(dense.ravel(), classify._sigmoid(d[:, k]))
 
+    def test_rows_destination(self):
+        rng = np.random.default_rng(12)
+        img = rng.uniform(0, 1, (70, 50))
+        uu, vv = rng.integers(0, 50, 30), rng.integers(0, 70, 30)
+        rows = rng.permutation(40)[:30]
+        out = np.full((40, 128), -1.0)
+        assert descriptors_at(img, uu, vv, out, rows) is out
+        assert np.array_equal(out[rows], descriptors_at(img, uu, vv))
+        assert (np.delete(out, rows, axis=0) == -1.0).all()
+
     def test_single_matches_batch(self):
         rng = np.random.default_rng(10)
         img = rng.uniform(0, 1, (40, 50))
@@ -220,6 +231,13 @@ class TestTrainingSet:
         assert np.array_equal(ts.positives, np.vstack([t.positives for t in singles]))
         assert np.array_equal(ts.negatives, np.vstack([t.negatives for t in singles]))
         assert ts.n_pos == 40 + 49 + 58 and len(ts.X) == 3 * ts.n_pos
+        # one scene per task: the same rows on any number of threads, with the
+        # images given as arrays or as functions that return them
+        lazy = [(lambda img=img: img, mask, seed) for img, mask, seed in scenes]
+        for threads in (1, 2, 3):
+            for corpus in (scenes, lazy):
+                other = build_training_set(corpus, 2, threads)
+                assert np.array_equal(other.X, ts.X) and other.n_pos == ts.n_pos
 
     def test_valid_mask_leaves_pixels_out(self):
         lab = np.zeros((30, 40), np.uint8)
@@ -510,6 +528,28 @@ class TestDenseScores:
         model = SvmModel(np.zeros(128), 0.0, TrainHyper())
         with pytest.raises(ValueError, match="threads"):
             classify.dense_scores(np.zeros((4, 4)), model, threads=0)
+
+
+class TestThreadMap:
+    def test_results_in_item_order(self):
+        for threads in (1, 2, 3):
+            assert classify.thread_map(lambda i: i * i, list(range(7)), threads) == \
+                [i * i for i in range(7)]
+        assert classify.thread_map(abs, [], 2) == []
+
+    def test_first_failing_item_raised_when_a_later_one_fails_first(self):
+        later_failed = threading.Event()
+
+        def fn(i):
+            if i == 0:
+                later_failed.wait(10)
+                raise ValueError("item 0")
+            if i == 1:
+                later_failed.set()
+                raise ValueError("item 1")
+            return i
+        with pytest.raises(ValueError, match="item 0"):
+            classify.thread_map(fn, [0, 1, 2], 2)
 
 
 class TestScore:

@@ -3,19 +3,21 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CELL, corpus_scene
+from conftest import CELL, TRAIN_SEEDS, corpus_scene
 import ironpath
 from ironpath import classify, gridio, synth
-from ironpath.cli import (CONFIG_KEYS, ConfigError, PipelineConfig, build_parser,
-                          dump_report, main, parse_config, run_detection)
+from ironpath.cli import (CONFIG_KEYS, ConfigError, PipelineConfig, build_corpus_training_set,
+                          build_parser, dump_report, main, parse_config, run_detection)
 
 SCENE_TEXT = """\
 # small test scene
@@ -41,6 +43,26 @@ def write_scene_dir(tmp_path, name, spec):
     gridio.write_gray(synth.render_reference(spec, 2), d / "ref2.pgm")
     gridio.write_labels(synth.ground_truth(spec), d / "labels.pgm")
     return d
+
+
+def write_corpus(root, seeds, width=140, height=100):
+    """Scene directories scene0, scene1, ... of corpus scenes, ridge
+    directions stratified over the corpus."""
+    for i, seed in enumerate(seeds):
+        write_scene_dir(root, f"scene{i}", corpus_scene(seed, strat_idx=i, strat_total=len(seeds),
+                                                        width=width, height=height))
+    return root
+
+
+# IRONPATH_THREADS values that are a config error
+BAD_THREAD_COUNTS = ["abc", "0", "-1", "", "2.5"]
+
+# tracemalloc peak of build_corpus_training_set on 2 threads, over its
+# training matrix, on the 10-scene 240x180 corpus of TRAIN_SEEDS.  Measured:
+# 10.2-11.1 MiB on 2 threads (6.3 on 1, 13.8 on 3); 19.9-20.5 MiB on 1 thread
+# when every scene's images were loaded before any descriptor was built and
+# each scene's descriptors were copied into the matrix.
+TRAINING_SET_EXTRA_MIB = 15.0
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +434,91 @@ class TestTrainCommand:
         assert "stage evaluate failed: held-out scenes contain no wrinkle pixels" \
             in capsys.readouterr().err
 
+    def test_model_and_held_out_line_identical_for_every_thread_count(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # three scenes each: up to three tasks run at once in both stages
+        corpus = write_corpus(tmp_path / "corpus", (570, 571, 572))
+        holdout = write_corpus(tmp_path / "holdout", (580, 581, 582))
+        models, lines = [], []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("IRONPATH_THREADS", threads)
+            model = tmp_path / f"m{threads}.svmw"
+            assert main(["train", str(corpus), str(model), "--eval-dir", str(holdout)]) == 0
+            models.append(model.read_bytes())
+            lines.append(capsys.readouterr().out.replace(str(model), "MODEL"))
+        assert models[0] == models[1] == models[2]
+        assert lines[0] == lines[1] == lines[2] and "held-out accuracy" in lines[0]
+
+    def test_stage_timings_on_stderr(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "corpus", (590, 591))
+        holdout = write_corpus(tmp_path / "holdout", (592,))
+        assert main(["train", str(corpus), str(tmp_path / "m.svmw"),
+                     "--eval-dir", str(holdout)]) == 0
+        out, err = capsys.readouterr()
+        stages = re.findall(r"^stage (\w+): \d+\.\d{3} s$", err, re.MULTILINE)
+        assert stages == ["inputs", "train", "evaluate"]
+        assert "stage " not in out
+
+    @pytest.mark.parametrize("value", BAD_THREAD_COUNTS)
+    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch, capsys, value):
+        # checked before the corpus is read: a missing corpus would be exit 1
+        monkeypatch.setenv("IRONPATH_THREADS", value)
+        model = tmp_path / "m.svmw"
+        assert main(["train", str(tmp_path / "nope"), str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: IRONPATH_THREADS") and "Traceback" not in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("where", ["corpus", "eval-dir"])
+    @pytest.mark.parametrize("bad", [("light1.pgm", "labels.pgm"), ("labels.pgm", "light1.pgm"),
+                                     ("light1.pgm", "light1.pgm")],
+                             ids=["light1-labels", "labels-light1", "light1-light1"])
+    def test_first_bad_file_in_directory_order(self, tmp_path, capsys, monkeypatch, where, bad):
+        # scene0 is sound, scene1 and scene2 each have one malformed file:
+        # a truncated capture or a label mask of maxval 3
+        scenes = write_corpus(tmp_path / "scenes", (600, 601, 602))
+        for scene, name in zip(("scene1", "scene2"), bad):
+            path = scenes / scene / name
+            if name == "labels.pgm":
+                path.write_bytes(b"P5\n140 100\n3\n" + bytes(140 * 100))
+            else:
+                path.write_bytes(path.read_bytes()[:5000])
+        if where == "corpus":
+            argv = ["train", str(scenes), str(tmp_path / "m.svmw")]
+        else:
+            corpus = write_corpus(tmp_path / "corpus", (603,))
+            argv = ["train", str(corpus), str(tmp_path / "m.svmw"), "--eval-dir", str(scenes)]
+        errs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("IRONPATH_THREADS", threads)
+            assert main(argv) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and "Traceback" not in errs[0]
+        assert errs[0].startswith(f"stage inputs failed: {scenes / 'scene1' / bad[0]}: ")
+
+    def test_scene_without_wrinkles_fails_before_any_descriptor(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        corpus = write_corpus(tmp_path / "corpus", (610,))
+        write_scene_dir(corpus, "scene1", synth.SceneSpec(96, 72, CELL))
+        built = []
+        monkeypatch.setattr(classify, "descriptors_at", lambda *args: built.append(args))
+        monkeypatch.setenv("IRONPATH_THREADS", "2")
+        assert main(["train", str(corpus), str(tmp_path / "m.svmw")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"stage inputs failed: {corpus}: mask contains no wrinkle pixels")
+        assert not built
+
+    def test_training_set_peak_memory(self, tmp_path):
+        corpus = write_corpus(tmp_path / "corpus", TRAIN_SEEDS, width=240, height=180)
+        tracemalloc.start()
+        try:
+            ts = build_corpus_training_set(str(corpus), PipelineConfig(), threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ts.n_pos > 0
+        assert (peak - ts.X.nbytes) / 2**20 < TRAINING_SET_EXTRA_MIB
+
 
 def detect_args(scene_dir, model_file, extra=()):
     return ["detect",
@@ -507,7 +614,7 @@ class TestDetectCommand:
         assert err.startswith("config error: ") and line.split()[0] in err
         assert "stage curvature failed" not in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "", "2.5"])
+    @pytest.mark.parametrize("value", BAD_THREAD_COUNTS)
     def test_bad_thread_count_exit_2(self, tmp_path, model_file, monkeypatch, capsys, value):
         d = write_scene_dir(tmp_path, "flat6", synth.SceneSpec(96, 72, CELL))
         monkeypatch.setenv("IRONPATH_THREADS", value)
