@@ -85,10 +85,6 @@ _OFFS = np.arange(-PATCH // 2, PATCH // 2)
 _GAUSS_W = np.exp(-_OFFS**2 / (2.0 * (PATCH / 2.0) ** 2)).astype(_DTYPE)
 
 
-def _image_array(img) -> np.ndarray:
-    return np.asarray(getattr(img, "data", img), np.float64)
-
-
 def _pad_index(n: int) -> np.ndarray:
     """For each of the n+PATCH-1 padded positions along an image axis, the
     pixel it copies: index -i mirrors to i and index n-1+i to n-i.
@@ -200,7 +196,7 @@ def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
     descriptor is the one the dense engine computes for its pixel, whichever
     pixels are requested.
     """
-    a = _image_array(img)
+    a = np.asarray(img, np.float64)
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
     if out is None:
@@ -490,7 +486,7 @@ def dense_scores(img, model: SvmModel, threads: int = 1) -> np.ndarray:
     each band into its own rows of the result.  The band and tile grid does
     not depend on `threads`, so neither does any score.
     """
-    a = _image_array(img)
+    a = np.asarray(img, np.float64)
     h = a.shape[0]
     out = np.empty(a.shape)
     bands = [(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]

@@ -194,7 +194,7 @@ def dump_report(report: dict) -> str:
 
 # what a stage, a malformed data input or a failed write can raise
 _STAGE_ERRORS = (OSError, ValueError, ArithmeticError, KeyError, TypeError, IndexError,
-                 RecursionError, MemoryError)
+                 AttributeError, RecursionError, MemoryError)
 
 
 @contextlib.contextmanager
@@ -259,7 +259,7 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
     mix = stage("mixture", lambda: mixture.build_mixture(bumps))
     nimg = stage("normalize", lambda: discont.normalize(i1, i2, ref1, ref2))
     mask, scores = stage("score", lambda: discont.score_map(
-        nimg, model, cfg.score_threshold, height.cell_size, height.origin, threads))
+        nimg, model, cfg.score_threshold, threads))
     segments = stage("segments", lambda: discont.extract_segments(
         mask, scores, cfg.hough, height.transform))
     fused = stage("fusion", lambda: fusion.fuse(
@@ -317,11 +317,17 @@ def _scene_labels(scene_dir: str) -> gridio.LabelMask:
     return _read_input(gridio.read_labels, os.path.join(scene_dir, "labels.pgm"))
 
 
-def _scene_image(scene_dir: str) -> discont.NormalizedImage:
+def _scene_image(scene_dir: str, labels: gridio.LabelMask) -> discont.NormalizedImage:
     """The normalized image of a scene directory's captures and references
-    (its height map is not read)."""
-    return discont.normalize(*[_read_input(gridio.read_gray, os.path.join(scene_dir, name))
-                               for name in CAPTURE_FILES])
+    (its height map is not read); the scene's labels must match its size."""
+    with _stage("inputs", scene_dir):       # captures of different sizes
+        nimg = discont.normalize(*[_read_input(gridio.read_gray, os.path.join(scene_dir, name))
+                                   for name in CAPTURE_FILES])
+    if labels.data.shape != nimg.combined.shape:
+        raise StageError("inputs", ValueError(
+            f"{os.path.join(scene_dir, 'labels.pgm')}: labels {labels.data.shape} "
+            f"do not match images {nimg.combined.shape}"))
+    return nimg
 
 
 def _scene_dirs(corpus_dir: str) -> list[str]:
@@ -348,14 +354,14 @@ def build_corpus_training_set(corpus_dir: str, cfg: PipelineConfig,
     before it are read first."""
     dirs = _scene_dirs(corpus_dir)
     labels = []
-    for k, d in enumerate(dirs):
+    for d in dirs:
         try:
             labels.append(_scene_labels(d))
         except StageError:
-            for earlier in dirs[:k]:
-                _scene_image(earlier)
+            for earlier, lab in zip(dirs, labels):
+                _scene_image(earlier, lab)
             raise
-    scenes = [(lambda d=d: _scene_image(d).combined, lab, cfg.seed + 1000 * idx)
+    scenes = [(lambda d=d, lab=lab: _scene_image(d, lab).combined, lab, cfg.seed + 1000 * idx)
               for idx, (d, lab) in enumerate(zip(dirs, labels))]
     return classify.build_training_set(scenes, cfg.negatives_per_positive, threads)
 
@@ -374,7 +380,7 @@ def evaluate_scenes(scene_dirs: list[str], model: classify.SvmModel,
     def counts(scene):
         idx, d = scene
         labels = _scene_labels(d)
-        nimg = _scene_image(d)
+        nimg = _scene_image(d, labels)
         uu, vv, n_pos = classify.sample_pixels(labels, cfg.negatives_per_positive,
                                                cfg.seed + 7000 + idx, valid=nimg.valid)
         scores = classify.score_margins(model, classify.descriptors_at(nimg.combined, uu, vv))

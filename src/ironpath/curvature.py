@@ -133,7 +133,8 @@ def _gaussian_filter(z: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def smooth(grid: FloatGrid, sigma_px: float) -> FloatGrid:
-    """Gaussian blur truncated at 3 sigma with reflect boundaries; 0 = identity."""
+    """Gaussian blur truncated at 3 sigma with symmetric boundaries (the edge
+    sample repeats); 0 = identity."""
     if sigma_px < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma_px}")
     if sigma_px == 0:

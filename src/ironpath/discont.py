@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .classify import SvmModel, dense_scores
-from .gridio import FloatGrid, GrayImage, LabelMask, WorldTransform, LABEL_WRINKLE
+from .gridio import GrayImage, LabelMask, WorldTransform, LABEL_WRINKLE
 
 EPS_REF = 1.0 / 255.0
 
@@ -37,16 +37,10 @@ _HOUGH_BLOCK_CELLS = 1 << 20
 
 @dataclass
 class NormalizedImage:
-    """Per-light normalized images and their root-sum-square combination."""
+    """The root-sum-square combination of the per-light normalized images."""
 
-    i1: np.ndarray
-    i2: np.ndarray
     combined: np.ndarray
     valid: np.ndarray         # False where a reference pixel fell below EPS_REF
-
-    @property
-    def shape(self):
-        return self.combined.shape
 
 
 @dataclass
@@ -103,25 +97,22 @@ def normalize(i1: GrayImage, i2: GrayImage, ref1: GrayImage,
     valid = (r1 >= EPS_REF) & (r2 >= EPS_REF)
     n1 = np.where(valid, np.asarray(i1.data) / np.maximum(r1, EPS_REF), 0.0)
     n2 = np.where(valid, np.asarray(i2.data) / np.maximum(r2, EPS_REF), 0.0)
-    return NormalizedImage(n1, n2, np.sqrt(n1 * n1 + n2 * n2), valid)
+    return NormalizedImage(np.sqrt(n1 * n1 + n2 * n2), valid)
 
 
-def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float = 0.5,
-              cell_size: float = 1.0, origin=(0.0, 0.0),
-              threads: int = 1) -> tuple[LabelMask, FloatGrid]:
+def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float,
+              threads: int = 1) -> tuple[LabelMask, np.ndarray]:
     """Per-pixel classifier scores over the combined image and the mask S >= threshold.
 
     Every pixel is scored from its dense descriptor (classify.dense_scores,
     on up to `threads` worker threads); pixels with an invalid reference
     score 0.
     """
-    img = nimg.combined
-    h, w = img.shape
-    scores = dense_scores(img, model, threads)
+    h, w = nimg.combined.shape
+    scores = dense_scores(nimg.combined, model, threads)
     scores[~nimg.valid] = 0.0
     lab = np.where((scores >= threshold) & nimg.valid, LABEL_WRINKLE, 0)
-    return (LabelMask(w, h, data=lab),
-            FloatGrid(w, h, cell_size, tuple(origin), data=scores))
+    return LabelMask(w, h, data=lab), scores
 
 
 def _window(extent: float, step: float, limit: int) -> int:
@@ -244,16 +235,16 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
                      transform: WorldTransform | None = None) -> list[Discontinuity]:
     """Extract line-segment discontinuities from a wrinkle mask.
 
-    `mask` is a LabelMask (wrinkle label) or boolean array; `scores` a
-    FloatGrid or array of per-pixel classifier scores used as Hough vote
-    weights.  Endpoints are reported in world meters via `transform`
-    (identity cell by default).
+    `mask` is a LabelMask (wrinkle label) or boolean array; `scores` the
+    array of per-pixel classifier scores used as Hough vote weights.
+    Endpoints are reported in world meters via `transform` (identity cell by
+    default).
     """
     p = params or HoughParams()
     t = transform or WorldTransform(1.0)
     m = np.asarray(mask.data == LABEL_WRINKLE if isinstance(mask, LabelMask) else mask,
                    bool)
-    s = np.asarray(getattr(scores, "data", scores), np.float64)
+    s = np.asarray(scores, np.float64)
     h, w = m.shape
     vv, uu = np.nonzero(m)
     if len(uu) == 0:
@@ -273,7 +264,7 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
         nrm = np.array([math.cos(theta0), math.sin(theta0)])
         rho_f, theta_f = rho0, theta0
         sel = (~consumed) & (np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px)
-        # one refit pass tightens lines quantized by the accumulator
+        # two refit passes tighten lines quantized by the accumulator
         for _ in range(2):
             if not sel.any():
                 break

@@ -22,21 +22,17 @@ log = logging.getLogger(__name__)
 class MixtureComponent:
     mean: np.ndarray          # (2,) world meters
     cov: np.ndarray           # (2, 2) SPD, m^2
-    prec: np.ndarray = None   # cached inverse
+    prec: np.ndarray = field(init=False)      # inverse of cov
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, float)
         self.cov = np.asarray(self.cov, float)
-        if self.prec is None:
-            self.prec = np.linalg.inv(self.cov)
+        self.prec = np.linalg.inv(self.cov)
 
 
 @dataclass
 class BumpMixture:
     components: list[MixtureComponent] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.components)
 
 
 def _rotation(theta: float) -> np.ndarray:

@@ -179,7 +179,8 @@ def generate_height(spec: SceneSpec) -> FloatGrid:
 
 
 def surface_normals(height: np.ndarray, cell_size: float) -> np.ndarray:
-    """Unit normals from central-difference gradients, reflect boundaries."""
+    """Unit normals from central-difference gradients, symmetric boundaries
+    (the edge sample repeats)."""
     zp = np.pad(height, 1, mode="symmetric")
     gx = (zp[1:-1, 2:] - zp[1:-1, :-2]) / (2.0 * cell_size)
     gy = (zp[2:, 1:-1] - zp[:-2, 1:-1]) / (2.0 * cell_size)

@@ -200,6 +200,27 @@ class TestErrorContract:
                                     "plan": {"actions": []}}))
         return rpt
 
+    @pytest.mark.parametrize("command", ["overlay", "plan"])
+    @pytest.mark.parametrize("field", ["plan", "mixture", "wrinkles"])
+    @pytest.mark.parametrize("value", [None, 0, "x", [], {}],
+                             ids=["null", "zero", "string", "list", "object"])
+    def test_report_section_of_any_json_type_exit_0_or_1(self, tmp_path, capsys, command,
+                                                         field, value):
+        rpt = tmp_path / "r.json"
+        rpt.write_text(dump_report({"bumps": [], "mixture": [MIXTURE], "wrinkles": [WRINKLE],
+                                    "plan": {"actions": []}, field: value}))
+        height = tmp_path / "h.fgrid"
+        gridio.write_grid(gridio.FloatGrid(64, 48, CELL, data=np.zeros(64 * 48)), height)
+        if command == "overlay":
+            argv = ["overlay", str(rpt), str(height), str(tmp_path / "o.svg")]
+        else:
+            argv = ["plan", str(rpt), "--height", str(height), "--out", str(tmp_path / "o.json")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "Traceback" not in err
+        if code == 1:
+            assert err.startswith(f"stage inputs failed: {rpt}: ")
+
     def test_config_not_utf8_exit_2(self, tmp_path, capsys, flat_dir, model_file):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes("p_min 0.4  # \u00e9t\u00e9\n".encode("latin-1"))
@@ -496,6 +517,44 @@ class TestTrainCommand:
         assert errs[0] == errs[1] and "Traceback" not in errs[0]
         assert errs[0].startswith(f"stage inputs failed: {scenes / 'scene1' / bad[0]}: ")
 
+    @pytest.mark.parametrize("where", ["corpus", "eval-dir"])
+    @pytest.mark.parametrize("size", [(140, 100), (260, 190)], ids=["smaller", "larger"])
+    def test_labels_of_another_size_name_the_file(self, tmp_path, capsys, monkeypatch,
+                                                  where, size):
+        # 200x150 captures; scene1's labels are drawn for another image size
+        scenes = write_corpus(tmp_path / "scenes", (620, 621), width=200, height=150)
+        labels = scenes / "scene1" / "labels.pgm"
+        gridio.write_labels(synth.ground_truth(corpus_scene(621, width=size[0], height=size[1])),
+                            labels)
+        if where == "corpus":
+            argv = ["train", str(scenes), str(tmp_path / "m.svmw")]
+        else:
+            corpus = write_corpus(tmp_path / "corpus", (603,))
+            argv = ["train", str(corpus), str(tmp_path / "m.svmw"), "--eval-dir", str(scenes)]
+        errs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("IRONPATH_THREADS", threads)
+            assert main(argv) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"stage inputs failed: {labels}: labels ({size[1]}, {size[0]}) "
+                                  f"do not match images (150, 200)\n")
+
+    @pytest.mark.parametrize("where", ["corpus", "eval-dir"])
+    def test_captures_of_different_sizes_name_the_scene(self, tmp_path, capsys, where):
+        scenes = write_corpus(tmp_path / "scenes", (620, 621))
+        spec = corpus_scene(621, width=150, height=100)
+        gridio.write_gray(synth.render_illumination(synth.generate_height(spec), spec, 1),
+                          scenes / "scene1" / "light1.pgm")
+        if where == "corpus":
+            argv = ["train", str(scenes), str(tmp_path / "m.svmw")]
+        else:
+            corpus = write_corpus(tmp_path / "corpus", (603,))
+            argv = ["train", str(corpus), str(tmp_path / "m.svmw"), "--eval-dir", str(scenes)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"stage inputs failed: {scenes / 'scene1'}: image dimensions differ: ")
+
     def test_scene_without_wrinkles_fails_before_any_descriptor(self, tmp_path, capsys,
                                                                  monkeypatch):
         corpus = write_corpus(tmp_path / "corpus", (610,))
@@ -689,6 +748,7 @@ class TestLogLevel:
         assert "invalid choice: 'loud'" in capsys.readouterr().err
 
 
+MIXTURE = {"mean_m": [0.03, 0.02], "cov_m2": [[1e-4, 0.0], [0.0, 4e-5]]}
 WRINKLE = {"id": 0, "endpoints_m": [[0.01, 0.01], [0.05, 0.02]], "length_m": 0.041,
            "direction_rad": 0.24, "support": 30, "q": 0.9, "r": 0.8, "p": 0.72,
            "accepted": True}

@@ -41,7 +41,7 @@ class TestNormalize:
         r1 = gray(np.full((8, 8), 0.5))
         other = gray(np.full((8, 8), 0.5))
         out = normalize(i1, other, r1, other)
-        assert np.allclose(out.i1, 0.5, atol=1e-15)
+        assert np.allclose(out.combined, math.hypot(0.5, 1.0), atol=1e-15)
 
     def test_three_four_five(self):
         ones = gray(np.ones((8, 8)))
@@ -82,7 +82,7 @@ class TestScoreMap:
         assert np.all((mask0.data == LABEL_WRINKLE) == nimg.valid)
         mask1, _ = score_map(nimg, trained_model, threshold=1.0)
         assert not (mask1.data == LABEL_WRINKLE).any()
-        assert scores.data.min() >= 0.0 and scores.data.max() < 1.0
+        assert scores.min() >= 0.0 and scores.max() < 1.0
 
     def test_matches_per_pixel_descriptors_on_noisy_scene(self, trained_model):
         spec = corpus_scene(3300)
@@ -90,12 +90,12 @@ class TestScoreMap:
         _, nimg, _ = scene_products(spec)
         nimg.valid[5, 7] = False
         mask, scores = score_map(nimg, trained_model, threshold=0.5)
-        h, w = nimg.shape
+        h, w = nimg.combined.shape
         vv, uu = np.mgrid[0:h, 0:w]
         ref = score_margins(trained_model, descriptors_at(nimg.combined, uu.ravel(),
                                                           vv.ravel())).reshape(h, w)
         ref[~nimg.valid] = 0.0
-        assert np.abs(scores.data - ref).max() <= 1e-12
+        assert np.abs(scores - ref).max() <= 1e-12
         ref_mask = (ref >= 0.5) & nimg.valid
         assert np.array_equal(mask.data == LABEL_WRINKLE, ref_mask)
         assert 0 < ref_mask.sum() < ref_mask.size

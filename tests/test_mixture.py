@@ -15,7 +15,7 @@ def bump(center=(0.3, 0.2), d1=0.04, d2=0.02, orientation=0.0, bump_id=0):
 
 class TestBuildMixture:
     def test_empty(self):
-        assert len(build_mixture([])) == 0
+        assert len(build_mixture([]).components) == 0
 
     def test_axis_aligned_covariance(self):
         mix = build_mixture([bump()])
@@ -36,7 +36,7 @@ class TestBuildMixture:
     def test_degenerate_bump_rejected(self, caplog):
         with caplog.at_level("WARNING"):
             mix = build_mixture([bump(d2=0.0), bump(bump_id=1)])
-        assert len(mix) == 1
+        assert len(mix.components) == 1
         assert "not SPD" in caplog.text
 
 
