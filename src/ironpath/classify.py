@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -467,24 +467,29 @@ def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
                 np.tensordot(model.weights, d.astype(np.float64), axes=1) + model.bias)
 
 
-def thread_map(fn, items: list, threads: int) -> list:
-    """[fn(item) for item in items], run on up to `threads` worker threads.
+def thread_map(fn, items: list, threads: int | Executor) -> list:
+    """[fn(item) for item in items], run on worker threads: on up to
+    `threads` of them, or, given an executor, queued on its workers beside
+    whatever else it runs.
 
     The results are in item order.  When calls fail, the error of the first
     failing item in item order is raised, whichever thread finished first.
     """
+    if isinstance(threads, Executor):
+        return list(threads.map(fn, items))
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     with ThreadPoolExecutor(max(1, min(threads, len(items)))) as pool:
         return list(pool.map(fn, items))
 
 
-def dense_scores(img, model: SvmModel, threads: int = 1) -> np.ndarray:
+def dense_scores(img, model: SvmModel, threads: int | Executor = 1) -> np.ndarray:
     """Classifier score S of every pixel of img, shape (h, w).
 
-    Bands of _BAND_ROWS rows are scored on up to `threads` worker threads,
-    each band into its own rows of the result.  The band and tile grid does
-    not depend on `threads`, so neither does any score.
+    Bands of _BAND_ROWS rows are scored on worker threads (thread_map: up to
+    `threads` of them, or an executor's), each band into its own rows of the
+    result.  The band and tile grid does not depend on the threads, so
+    neither does any score.
     """
     a = np.asarray(img, np.float64)
     h = a.shape[0]

@@ -2,13 +2,13 @@
 
 The JSON report (UTF-8, sorted keys) is the single machine interface; the
 SVG overlay is derived from it.  For fixed inputs, config and seed the report
-is byte-identical across reruns: every stage is deterministic, the score
-stage gives the same bits on any number of threads (IRONPATH_THREADS), and
-timing diagnostics go to stderr unless --timing explicitly adds them to the
-report.  `train` runs its per-scene work, building the training set and
-scoring the held-out scenes, on the same number of threads, and writes the
-same model and held-out line for every number; its stage timings go to
-stderr only.
+is byte-identical across reruns: every stage is deterministic, the height
+scan and the score stage's bands share one pool of IRONPATH_THREADS threads
+and give the same bits on any number of them, and timing diagnostics go to
+stderr unless --timing explicitly adds them to the report.  `train` runs its
+per-scene work, building the training set and scoring the held-out scenes,
+on the same number of threads, and writes the same model and held-out line
+for every number; its stage timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import os
 import pathlib
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -244,28 +245,49 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
                   timings: dict | None = None, threads: int = 1) -> dict:
     """Full detection pipeline on in-memory inputs; returns the report body.
 
-    The score stage runs on up to `threads` threads; the report does not
-    depend on their number."""
-    def stage(name, fn):
-        with _stage(name, timings=timings):
+    The two surface scans meet only at fusion, so they share one pool of
+    `threads` worker threads.  The height scan (curvature, mixture) is its
+    first task; the calling thread normalizes the images meanwhile and then
+    queues the score stage's bands behind it.  On one thread the worker runs
+    the height scan and then the bands; on more, the height scan runs beside
+    the first bands.  The report does not depend on the number of threads.
+    When several stages fail, the first in pipeline order is raised, and
+    `timings` holds the stages in pipeline order."""
+    scan_times, own_times = {}, {}     # the pool task's stages and the calling thread's
+
+    def stage(name, times, fn):
+        with _stage(name, timings=times):
             return fn()
+
+    def height_scan():
+        bumps = stage("curvature", scan_times, lambda: curvature.detect_bumps(height, cfg.bump))
+        return bumps, stage("mixture", scan_times, lambda: mixture.build_mixture(bumps))
 
     for img in (i1, i2, ref1, ref2):
         if img.data.shape != height.data.shape:
             raise StageError("inputs", ValueError(
                 f"image {img.data.shape} does not match height {height.data.shape}"))
 
-    bumps = stage("curvature", lambda: curvature.detect_bumps(height, cfg.bump))
-    mix = stage("mixture", lambda: mixture.build_mixture(bumps))
-    nimg = stage("normalize", lambda: discont.normalize(i1, i2, ref1, ref2))
-    mask, scores = stage("score", lambda: discont.score_map(
-        nimg, model, cfg.score_threshold, threads))
-    segments = stage("segments", lambda: discont.extract_segments(
+    with ThreadPoolExecutor(threads) as pool:
+        scan = pool.submit(height_scan)
+        try:
+            nimg = stage("normalize", own_times,
+                         lambda: discont.normalize(i1, i2, ref1, ref2))
+            mask, scores = stage("score", own_times, lambda: discont.score_map(
+                nimg, model, cfg.score_threshold, pool))
+        except StageError:
+            scan.result()       # a failed height scan comes first
+            raise
+        bumps, mix = scan.result()
+    segments = stage("segments", own_times, lambda: discont.extract_segments(
         mask, scores, cfg.hough, height.transform))
-    fused = stage("fusion", lambda: fusion.fuse(
+    fused = stage("fusion", own_times, lambda: fusion.fuse(
         segments, mix, cfg.p_min, cfg.clearance_samples))
-    plan, waypoints = stage("plan", lambda: planner.plan_ironing(
+    plan, waypoints = stage("plan", own_times, lambda: planner.plan_ironing(
         fused, cfg.iron, (cfg.home_x_m, cfg.home_y_m), surface=height))
+    if timings is not None:
+        timings.update(scan_times)
+        timings.update(own_times)
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -437,23 +459,25 @@ def cmd_train(args) -> None:
         ts = build_corpus_training_set(args.corpus, cfg, threads)
     with _stage("train", timings=timings):
         model = classify.train(ts, cfg.train)
-    with _stage("outputs", args.model_out):
-        gridio.write_atomic(args.model_out, lambda p: classify.save_model(model, p))
-    print(f"trained on {len(ts.positives)} positive / {len(ts.negatives)} negative "
-          f"pixels; model written to {args.model_out}")
+    trained = (f"trained on {len(ts.positives)} positive / {len(ts.negatives)} negative "
+               f"pixels; model written to {args.model_out}")
     del ts                      # evaluation needs the model only
-    if eval_dirs:
+    if eval_dirs:               # before the model is written: a failure leaves none
         with _stage("evaluate", timings=timings):
             acc, rec = evaluate_scenes(eval_dirs, model, cfg, threads)
+    with _stage("outputs", args.model_out):
+        gridio.write_atomic(args.model_out, lambda p: classify.save_model(model, p))
+    print(trained)
+    if eval_dirs:
         print(f"held-out accuracy {acc:.4f} recall {rec:.4f}")
     _print_timings(timings)
 
 
 def _thread_count() -> int:
-    """Threads for the score stage of detect and the per-scene work of train:
-    IRONPATH_THREADS, or when it is unset, the number of CPUs this process
-    may run on (all of the machine's CPUs where the OS has no affinity call,
-    as on macOS and Windows)."""
+    """Threads of detect's pool (the height scan and the score stage's bands)
+    and of train's per-scene work: IRONPATH_THREADS, or when it is unset,
+    the number of CPUs this process may run on (all of the machine's CPUs
+    where the OS has no affinity call, as on macOS and Windows)."""
     raw = os.environ.get("IRONPATH_THREADS")
     if raw is None:
         if hasattr(os, "sched_getaffinity"):

@@ -231,28 +231,60 @@ def _fill_holes(mask: np.ndarray) -> np.ndarray:
 
 
 def _hessian_components(z: np.ndarray, cell: float):
+    """fxx, fyy, fxy by central differences over a symmetrically padded z."""
     zp = np.pad(z, 1, mode="symmetric")
-    fxx = (zp[1:-1, 2:] - 2.0 * z + zp[1:-1, :-2]) / cell**2
-    fyy = (zp[2:, 1:-1] - 2.0 * z + zp[:-2, 1:-1]) / cell**2
-    fxy = (zp[2:, 2:] - zp[2:, :-2] - zp[:-2, 2:] + zp[:-2, :-2]) / (4.0 * cell**2)
+    c2 = cell**2
+    fxx = np.multiply(2.0, z)
+    np.subtract(zp[1:-1, 2:], fxx, out=fxx)
+    fxx += zp[1:-1, :-2]
+    fxx /= c2
+    fyy = np.multiply(2.0, z)
+    np.subtract(zp[2:, 1:-1], fyy, out=fyy)
+    fyy += zp[:-2, 1:-1]
+    fyy /= c2
+    fxy = np.subtract(zp[2:, 2:], zp[2:, :-2])
+    fxy -= zp[:-2, 2:]
+    fxy += zp[:-2, :-2]
+    fxy /= 4.0 * c2
     return fxx, fyy, fxy
 
 
 def hessian(grid: FloatGrid, eps_umbilic_rel: float = 1e-9) -> CurvatureField:
-    """Central-difference Hessian eigenvalues and shape index over the grid."""
+    """Central-difference Hessian eigenvalues and shape index over the grid.
+
+    Each step writes into an array the function already holds, so at most
+    four full-image float64 arrays are alive at once.  The ufuncs and their
+    order are those of the plain expressions
+    tr = fxx + fyy, disc = sqrt((fxx - fyy)**2 + 4 fxy**2),
+    l1, l2 = (tr +- disc) / 2 and s = (2/pi) atan(tr / (l1 - l2)),
+    so every value keeps its bits."""
     z = np.asarray(grid.data, np.float64)
     fxx, fyy, fxy = _hessian_components(z, grid.cell_size)
-    tr = fxx + fyy
-    disc = np.sqrt((fxx - fyy) ** 2 + 4.0 * fxy**2)
-    l1 = 0.5 * (tr + disc)
-    l2 = 0.5 * (tr - disc)
-    lmax = max(np.abs(l1).max(), np.abs(l2).max())
+    tr = np.add(fxx, fyy)
+    disc = fxx
+    disc -= fyy
+    np.square(disc, out=disc)
+    np.square(fxy, out=fxy)
+    fxy *= 4.0
+    disc += fxy
+    np.sqrt(disc, out=disc)
+    l1 = np.add(tr, disc, out=fyy)
+    l1 *= 0.5
+    l2 = np.subtract(tr, disc, out=fxy)
+    l2 *= 0.5
+    den = disc
+    lmax = max(np.abs(l1, out=den).max(), np.abs(l2, out=den).max())
     eps = eps_umbilic_rel * lmax
-    den = l1 - l2
-    s = np.full(l1.shape, np.nan)
+    np.subtract(l1, l2, out=den)
     defined = den >= eps if eps > 0 else den > 0
-    s[defined] = (2.0 / np.pi) * np.arctan(tr[defined] / den[defined])
-    umbilic = ~defined & (np.abs(tr) > 0)
+    s = den                 # the shape index replaces den pixel by pixel
+    np.divide(tr, den, out=s, where=defined)
+    np.arctan(s, out=s, where=defined)
+    np.multiply(2.0 / np.pi, s, out=s, where=defined)
+    np.logical_not(defined, out=defined)
+    s[defined] = np.nan
+    umbilic = (tr > 0) | (tr < 0)           # |tr| > 0, NaN excluded
+    umbilic &= defined
     s[umbilic] = np.sign(tr[umbilic])
     return CurvatureField(l1, l2, s)
 
@@ -317,9 +349,8 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
     hs = np.asarray(smoothed.data, np.float64)
     if p.polarity == "down":
         hs = -hs
-    field_ = hessian(FloatGrid(grid.width, grid.height, cell, grid.origin, data=-hs),
-                     p.eps_umbilic_rel)
-    s = field_.shape_index
+    s = hessian(FloatGrid(grid.width, grid.height, cell, grid.origin, data=-hs),
+                p.eps_umbilic_rel).shape_index
     mask = (s >= BUMP_INDEX_LO) & (s < BUMP_INDEX_HI)
     if p.close_iterations > 0:
         mask = _erode(_dilate(mask, p.close_iterations), p.close_iterations)

@@ -11,6 +11,7 @@ here: the planner splits long wrinkles at twice the iron's length.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import math
@@ -31,8 +32,8 @@ MIN_THETA_RES_DEG = 0.25
 # pixels of an extracted line are retired from later lines.
 CONSUME_PAD_PX = 2.0
 # Votes per np.bincount of the Hough accumulator: a block of theta columns
-# over all mask pixels, whose temporaries take about 8 MiB each.
-_HOUGH_BLOCK_CELLS = 1 << 20
+# over all mask pixels, whose temporaries take about 0.5 MiB each.
+_HOUGH_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -101,12 +102,12 @@ def normalize(i1: GrayImage, i2: GrayImage, ref1: GrayImage,
 
 
 def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float,
-              threads: int = 1) -> tuple[LabelMask, np.ndarray]:
+              threads: int | Executor = 1) -> tuple[LabelMask, np.ndarray]:
     """Per-pixel classifier scores over the combined image and the mask S >= threshold.
 
     Every pixel is scored from its dense descriptor (classify.dense_scores,
-    on up to `threads` worker threads); pixels with an invalid reference
-    score 0.
+    on up to `threads` worker threads or on an executor's); pixels with an
+    invalid reference score 0.
     """
     h, w = nimg.combined.shape
     scores = dense_scores(nimg.combined, model, threads)

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CELL, TRAIN_SEEDS, corpus_scene
 import ironpath
-from ironpath import classify, gridio, synth
+from ironpath import classify, curvature, discont, gridio, mixture, synth
 from ironpath.cli import (CONFIG_KEYS, ConfigError, PipelineConfig, build_corpus_training_set,
                           build_parser, dump_report, main, parse_config, run_detection)
 
@@ -454,6 +455,7 @@ class TestTrainCommand:
                      "--eval-dir", str(holdout)]) == 1
         assert "stage evaluate failed: held-out scenes contain no wrinkle pixels" \
             in capsys.readouterr().err
+        assert not (tmp_path / "m.svmw").exists()      # the model is written last
 
     def test_model_and_held_out_line_identical_for_every_thread_count(self, tmp_path, capsys,
                                                                       monkeypatch):
@@ -711,6 +713,90 @@ class TestDetectCommand:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert main(detect_args(d, model_file, ["--out", str(r2)])) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_first_failing_stage_in_pipeline_order_is_named(self, tmp_path, model_file,
+                                                            monkeypatch, capsys):
+        # the height scan fails on a pool thread after score has failed on
+        # the calling thread; curvature comes first in pipeline order
+        d = write_scene_dir(tmp_path, "flat8", synth.SceneSpec(96, 72, CELL))
+        monkeypatch.setenv("IRONPATH_THREADS", "2")
+        score_failed = threading.Event()
+
+        def detect_bumps(*args):
+            score_failed.wait(10)
+            raise MemoryError("no room for the height scan")
+
+        def score_map(*args):
+            score_failed.set()
+            raise ValueError("bad scores")
+        monkeypatch.setattr(curvature, "detect_bumps", detect_bumps)
+        monkeypatch.setattr(discont, "score_map", score_map)
+        out = tmp_path / "r.json"
+        assert main(detect_args(d, model_file, ["--out", str(out)])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage curvature failed: no room for the height scan")
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("module, name, stage", [
+        (curvature, "detect_bumps", "curvature"), (mixture, "build_mixture", "mixture"),
+        (classify, "_score_band", "score")], ids=["curvature", "mixture", "score-band"])
+    def test_failure_on_a_pool_thread_exit_1(self, tmp_path, model_file, monkeypatch, capsys,
+                                             module, name, stage):
+        d = write_scene_dir(tmp_path, "flat9", synth.SceneSpec(96, 72, CELL))
+        monkeypatch.setenv("IRONPATH_THREADS", "2")
+        failed_on = []
+
+        def fail(*args):
+            failed_on.append(threading.get_ident())
+            raise ValueError(f"{name} broke")
+        monkeypatch.setattr(module, name, fail)
+        out = tmp_path / "r.json"
+        assert main(detect_args(d, model_file, ["--out", str(out)])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage {stage} failed: {name} broke")
+        assert "Traceback" not in err and not out.exists()
+        assert failed_on and threading.get_ident() not in failed_on
+
+    def test_one_thread_runs_height_scan_and_bands_on_one_worker(self, tmp_path, model_file,
+                                                                 monkeypatch):
+        # 150 rows: three bands
+        d = write_scene_dir(tmp_path, "scene", synth.SceneSpec(
+            200, 150, CELL, bumps=[synth.BumpSpec((0.10, 0.15), 0.036, 0.018, 0.9, 0.018)]))
+        monkeypatch.setenv("IRONPATH_THREADS", "1")
+        ran_on = {"curvature": [], "score": []}
+
+        def recorded(stage, fn):
+            def wrapper(*args, **kwargs):
+                ran_on[stage].append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(curvature, "detect_bumps", recorded("curvature", curvature.detect_bumps))
+        monkeypatch.setattr(classify, "_score_band", recorded("score", classify._score_band))
+        assert main(detect_args(d, model_file, ["--out", str(tmp_path / "r.json")])) == 0
+        assert len(ran_on["curvature"]) == 1 and len(ran_on["score"]) == 3
+        (worker,) = set(ran_on["curvature"] + ran_on["score"])
+        assert worker != threading.get_ident()
+
+    def test_stage_timings_in_pipeline_order(self, tmp_path, model_file, monkeypatch, capsys):
+        # the height scan ends after score, yet is printed first
+        d = write_scene_dir(tmp_path, "flat10", synth.SceneSpec(96, 72, CELL))
+        monkeypatch.setenv("IRONPATH_THREADS", "2")
+        scored = threading.Event()
+        detect_bumps, score_map = curvature.detect_bumps, discont.score_map
+
+        def late_detect_bumps(*args):
+            scored.wait(10)
+            return detect_bumps(*args)
+
+        def signalling_score_map(*args):
+            out = score_map(*args)
+            scored.set()
+            return out
+        monkeypatch.setattr(curvature, "detect_bumps", late_detect_bumps)
+        monkeypatch.setattr(discont, "score_map", signalling_score_map)
+        assert main(detect_args(d, model_file, ["--out", str(tmp_path / "t.json")])) == 0
+        assert re.findall(r"^stage (\w+): ", capsys.readouterr().err, re.M) == [
+            "curvature", "mixture", "normalize", "score", "segments", "fusion", "plan"]
 
 
 class TestLogLevel:

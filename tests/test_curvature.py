@@ -92,6 +92,55 @@ class TestHessian:
         assert inside.all() == inside.any() == in_bump_range
 
 
+def hessian_reference(grid, eps_umbilic_rel=1e-9):
+    """hessian's arithmetic as plain expressions, each step a new array."""
+    z = np.asarray(grid.data, np.float64)
+    cell = grid.cell_size
+    zp = np.pad(z, 1, mode="symmetric")
+    fxx = (zp[1:-1, 2:] - 2.0 * z + zp[1:-1, :-2]) / cell**2
+    fyy = (zp[2:, 1:-1] - 2.0 * z + zp[:-2, 1:-1]) / cell**2
+    fxy = (zp[2:, 2:] - zp[2:, :-2] - zp[:-2, 2:] + zp[:-2, :-2]) / (4.0 * cell**2)
+    tr = fxx + fyy
+    disc = np.sqrt((fxx - fyy) ** 2 + 4.0 * fxy**2)
+    l1 = 0.5 * (tr + disc)
+    l2 = 0.5 * (tr - disc)
+    eps = eps_umbilic_rel * max(np.abs(l1).max(), np.abs(l2).max())
+    den = l1 - l2
+    s = np.full(l1.shape, np.nan)
+    defined = den >= eps if eps > 0 else den > 0
+    s[defined] = (2.0 / np.pi) * np.arctan(tr[defined] / den[defined])
+    umbilic = ~defined & (np.abs(tr) > 0)
+    s[umbilic] = np.sign(tr[umbilic])
+    return l1, l2, s
+
+
+def random_grid(seed):
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(3, 90, size=2)
+    scale = 10.0 ** rng.uniform(-6, 1)
+    return FloatGrid(int(w), int(h), CELL, data=scale * rng.normal(size=h * w))
+
+
+class TestHessianBits:
+    """hessian works in buffers it owns; every value keeps the bits of the
+    plain expressions."""
+
+    @pytest.mark.parametrize("eps_umbilic_rel", [1e-9, 0.0, 1e-3])
+    @pytest.mark.parametrize("grid", [
+        *(random_grid(seed) for seed in range(5)),
+        FloatGrid(40, 30, CELL, data=np.full(1200, 0.25)),
+        quadratic_grid(1.0, 1.0, 0.0, cell=CELL),
+        quadratic_grid(-2.5, -2.5, 0.0, n=17, cell=0.5),
+        quadratic_grid(1e-7, 1e-7, 0.0, n=9)],
+        ids=[*(f"random{seed}" for seed in range(5)), "flat", "umbilic-positive",
+             "umbilic-negative", "umbilic-faint"])
+    def test_equal_to_plain_expressions(self, grid, eps_umbilic_rel):
+        f = hessian(grid, eps_umbilic_rel)
+        for got, want in zip((f.lambda1, f.lambda2, f.shape_index),
+                             hessian_reference(grid, eps_umbilic_rel)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestShapeIndex:
     def test_symmetric_saddle_is_zero(self):
         assert shape_index(1.0, -1.0) == 0.0

@@ -214,8 +214,8 @@ def add_at_votes(uu, vv, wts, thetas, diag, rho_res):
 
 class TestHoughVotes:
     # more than 8192 pixels in the largest mask, and blocks of one theta
-    # column up to all of them
-    @pytest.mark.parametrize("block_cells", [discont._HOUGH_BLOCK_CELLS, 1000, 1])
+    # column up to all of them (1 << 20 takes every column of every case)
+    @pytest.mark.parametrize("block_cells", [1 << 20, discont._HOUGH_BLOCK_CELLS, 1000, 1])
     @pytest.mark.parametrize("shape, fill, rho_res, theta_res", [
         ((1, 1), 1.0, 1.0, 1.0), ((30, 41), 0.3, 0.7, 2.5), ((90, 120), 0.05, 1.0, 1.0),
         ((150, 200), 0.35, 0.25, 7.0)], ids=str)
