@@ -15,15 +15,17 @@ image is split into bands of _BAND_ROWS rows; each band builds the planes of
 its rows and the PATCH-1 halo rows below them and takes the horizontal pass
 over them (_band_columns).  When pixels are sampled (descriptors_at), only
 the bands that hold requested pixels are built, and the vertical pass runs at
-those pixels.  When every pixel is scored (dense_scores), the bands are
-scored on worker threads, and the vertical pass, normalization, SVM dot
-product and sigmoid run on tiles of _TILE_ROWS x _TILE_COLS pixels whose
-descriptors (1 MiB) fit in cache.  No thread holds more than one band's
-planes.  Both paths run the same arithmetic per pixel, and the band and tile
-grid does not depend on the thread count, so neither do the scores.  A
-training set is built one scene per task on worker threads, each writing
-its descriptors_at rows straight into the one training matrix, so the
-matrix does not depend on the thread count either.
+those pixels.  When every pixel is scored (dense_scores), each band is one
+task, and the vertical pass, normalization, SVM dot product and sigmoid run
+on tiles of _TILE_ROWS x _TILE_COLS pixels whose descriptors (1 MiB) fit in
+cache.  No task holds more than one band's planes.  Both paths run the same
+arithmetic per pixel, and the band and tile grid does not depend on how the
+tasks are run, so neither do the scores.  A training set is built one scene
+per task, each writing its descriptors_at rows straight into the one
+training matrix, so neither does the matrix.  The module starts no threads:
+dense_scores and build_training_set run their tasks through the map function
+that the caller passes, the builtin map by default or the map of an executor
+that the caller owns.
 
 The engine, from the planes to the normalized descriptor, runs in single
 precision (_DTYPE, as in VLFeat's dense SIFT): the gradients and bin weights
@@ -49,25 +51,24 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gridio import GridFormatError, LabelMask, LABEL_WRINKLE
 
-DESCRIPTOR_SIZE = 128
 PATCH = 16
 CELL_W = 4
 NBINS = 8
+NCELLS = PATCH // CELL_W           # cells per patch side
+DESCRIPTOR_SIZE = NCELLS * NCELLS * NBINS
 # patches whose raw weighted gradient mass falls below this stay at the zero
 # descriptor instead of being normalized into amplified noise (the usual
 # low-contrast floor); keeps descriptor norms in {0, 1}
 MIN_PATCH_NORM = 0.01
 
-NCELLS = PATCH // CELL_W           # cells per patch side
 _DTYPE = np.float32                # the descriptor engine's precision
-_BAND_ROWS = 64                    # rows per band: one thread's work in dense_scores
+_BAND_ROWS = 64                    # rows per band: one task of dense_scores
 _TILE_ROWS = 32                    # a tile of dense_scores' vertical pass onward,
 _TILE_COLS = 64                    # sized so its descriptors (1 MiB) stay in cache
 _CHUNK_PX = 4096                   # pixels per chunk of descriptors_at (bounds memory)
@@ -260,17 +261,20 @@ def sample_pixels(mask: LabelMask, negatives_per_positive: int, seed: int,
 
 def build_training_set(
         scenes: list[tuple[np.ndarray | Callable[[], np.ndarray], LabelMask, int]],
-        negatives_per_positive: int = 3, threads: int = 1) -> TrainingSet:
+        negatives_per_positive: int = 3, map_fn=map) -> TrainingSet:
     """The training set of a corpus of (img, mask, seed) scenes, where img is
     the scene's image or a function of no arguments that returns it.
 
     Every scene's pixels are drawn first (sample_pixels), so that the matrix
     is allocated once at its final size and a scene without wrinkle pixels
-    fails before any image is used.  Then each scene is one task on up to
-    `threads` worker threads (thread_map): it calls its image function, so
-    only the running tasks' images are held, and writes its descriptors
-    straight into its rows of the matrix.  The rows are the positives of all
-    scenes in scene order, then their negatives, on any number of threads.
+    fails before any image is used.  Then each scene is one task, run by
+    map_fn (the builtin map or an executor's map): it calls its image
+    function, so only the running tasks' images are held, and writes its
+    descriptors straight into its rows of the matrix.  The rows are the
+    positives of all scenes in scene order, then their negatives, in
+    whatever order and on whatever threads the tasks run.  When tasks fail,
+    the error of the first failing scene in scene order is raised, as map
+    and Executor.map both do.
     """
     picks = [sample_pixels(mask, negatives_per_positive, seed) for _, mask, seed in scenes]
     if any(n_pos == 0 for _, _, n_pos in picks):
@@ -286,7 +290,7 @@ def build_training_set(
     def fill(task):
         img, uu, vv, rows = task
         descriptors_at(img() if callable(img) else img, uu, vv, X, rows)
-    thread_map(fill, tasks, threads)
+    list(map_fn(fill, tasks))
     return TrainingSet(X, n_pos)
 
 
@@ -467,35 +471,19 @@ def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
                 np.tensordot(model.weights, d.astype(np.float64), axes=1) + model.bias)
 
 
-def thread_map(fn, items: list, threads: int | Executor) -> list:
-    """[fn(item) for item in items], run on worker threads: on up to
-    `threads` of them, or, given an executor, queued on its workers beside
-    whatever else it runs.
-
-    The results are in item order.  When calls fail, the error of the first
-    failing item in item order is raised, whichever thread finished first.
-    """
-    if isinstance(threads, Executor):
-        return list(threads.map(fn, items))
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    with ThreadPoolExecutor(max(1, min(threads, len(items)))) as pool:
-        return list(pool.map(fn, items))
-
-
-def dense_scores(img, model: SvmModel, threads: int | Executor = 1) -> np.ndarray:
+def dense_scores(img, model: SvmModel, map_fn=map) -> np.ndarray:
     """Classifier score S of every pixel of img, shape (h, w).
 
-    Bands of _BAND_ROWS rows are scored on worker threads (thread_map: up to
-    `threads` of them, or an executor's), each band into its own rows of the
-    result.  The band and tile grid does not depend on the threads, so
-    neither does any score.
+    Each band of _BAND_ROWS rows is one task, run by map_fn (the builtin
+    map or an executor's map), and writes its own rows of the result.  The
+    band and tile grid does not depend on where or in what order the tasks
+    run, so neither does any score.
     """
     a = np.asarray(img, np.float64)
     h = a.shape[0]
     out = np.empty(a.shape)
     bands = [(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]
-    thread_map(lambda band: _score_band(a, model, out, *band), bands, threads)
+    list(map_fn(lambda band: _score_band(a, model, out, *band), bands))
     return out
 
 

@@ -11,7 +11,6 @@ here: the planner splits long wrinkles at twice the iron's length.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import math
@@ -102,15 +101,15 @@ def normalize(i1: GrayImage, i2: GrayImage, ref1: GrayImage,
 
 
 def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float,
-              threads: int | Executor = 1) -> tuple[LabelMask, np.ndarray]:
+              map_fn=map) -> tuple[LabelMask, np.ndarray]:
     """Per-pixel classifier scores over the combined image and the mask S >= threshold.
 
     Every pixel is scored from its dense descriptor (classify.dense_scores,
-    on up to `threads` worker threads or on an executor's); pixels with an
-    invalid reference score 0.
+    whose bands map_fn runs: the builtin map or an executor's); pixels with
+    an invalid reference score 0.
     """
     h, w = nimg.combined.shape
-    scores = dense_scores(nimg.combined, model, threads)
+    scores = dense_scores(nimg.combined, model, map_fn)
     scores[~nimg.valid] = 0.0
     lab = np.where((scores >= threshold) & nimg.valid, LABEL_WRINKLE, 0)
     return LabelMask(w, h, data=lab), scores

@@ -13,7 +13,7 @@ from conftest import (CELL, EVAL_SEEDS, TRAIN_SEEDS, corpus_scene,
                       single_bump_scene)
 from ironpath import classify, curvature, gridio, synth
 from ironpath.cli import (PipelineConfig, build_corpus_training_set,
-                          dump_report, evaluate_scenes, run_detection)
+                          dump_report, evaluate_scenes, read_scene, run_detection)
 from ironpath.curvature import BUMP_INDEX_HI, BUMP_INDEX_LO, hessian, shape_index
 from ironpath.discont import extract_segments, normalize
 from ironpath.gridio import FloatGrid, GrayImage
@@ -113,7 +113,7 @@ def test_criterion_5_classifier_corpus(tmp_path):
     ts = build_corpus_training_set(str(train_dir), cfg)
     model = classify.train(ts, cfg.train)
     dirs = sorted(str(p) for p in eval_dir.iterdir())
-    acc, rec = evaluate_scenes(dirs, model, cfg)
+    acc, rec = evaluate_scenes([read_scene(d) for d in dirs], model, cfg)
     dt = time.perf_counter() - t0
     ok = acc >= 0.85 and rec >= 0.80 and dt < 60.0
     report_line(5, ok, f"10-scene training: held-out accuracy {acc:.3f} (>= 0.85), "

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +15,21 @@ from ironpath.classify import (NBINS, PATCH, SvmModel, TrainHyper, TrainingSet,
                                build_training_set, descriptors_at, load_model,
                                save_model, score_margins, train, train_arrays)
 from ironpath.gridio import GridFormatError, LabelMask
+
+
+def reversed_map(fn, items):
+    """map that runs the tasks last to first and returns the results in item
+    order."""
+    return [fn(item) for item in list(items)[::-1]][::-1]
+
+
+def other_maps():
+    """Maps that run tasks in another order or on worker threads: reversed_map,
+    then the maps of pools of 1, 2 and 3 threads."""
+    yield reversed_map
+    for threads in (1, 2, 3):
+        with ThreadPoolExecutor(threads) as pool:
+            yield pool.map
 
 
 def mirror(i, n):
@@ -158,7 +174,8 @@ class TestDescriptor:
         d = descriptors_at(img, uu.ravel(), vv.ravel())
         for k in (0, 37, 127):
             model = SvmModel(np.eye(128)[k], 0.0, TrainHyper())
-            dense = classify.dense_scores(img, model, threads=2)
+            with ThreadPoolExecutor(2) as pool:
+                dense = classify.dense_scores(img, model, pool.map)
             assert np.array_equal(dense.ravel(), classify._sigmoid(d[:, k]))
 
     def test_rows_destination(self):
@@ -231,13 +248,29 @@ class TestTrainingSet:
         assert np.array_equal(ts.positives, np.vstack([t.positives for t in singles]))
         assert np.array_equal(ts.negatives, np.vstack([t.negatives for t in singles]))
         assert ts.n_pos == 40 + 49 + 58 and len(ts.X) == 3 * ts.n_pos
-        # one scene per task: the same rows on any number of threads, with the
-        # images given as arrays or as functions that return them
+        # one scene per task: the same rows in any task order and on any
+        # number of threads, with the images given as arrays or as functions
+        # that return them
         lazy = [(lambda img=img: img, mask, seed) for img, mask, seed in scenes]
-        for threads in (1, 2, 3):
+        for map_fn in other_maps():
             for corpus in (scenes, lazy):
-                other = build_training_set(corpus, 2, threads)
+                other = build_training_set(corpus, 2, map_fn)
                 assert np.array_equal(other.X, ts.X) and other.n_pos == ts.n_pos
+
+    def test_first_failing_scene_raised_when_a_later_one_fails_first(self):
+        later_failed = threading.Event()
+
+        def image(i):
+            if i == 0:
+                later_failed.wait(10)
+                raise ValueError("scene 0")
+            later_failed.set()
+            raise ValueError("scene 1")
+        scenes = [(lambda i=i: image(i), self._mask_with_wrinkles(20, 30, 30), i)
+                  for i in range(2)]
+        with ThreadPoolExecutor(2) as pool, pytest.raises(ValueError, match="scene 0"):
+            build_training_set(scenes, 2, pool.map)
+        assert later_failed.is_set()
 
     def test_valid_mask_leaves_pixels_out(self):
         lab = np.zeros((30, 40), np.uint8)
@@ -488,7 +521,7 @@ class TestOrientationPlanes:
         model = SvmModel(np.random.default_rng(22).normal(size=128), 0.1, TrainHyper())
         tracemalloc.start()
         try:
-            out = classify.dense_scores(img, model, threads=1)
+            out = classify.dense_scores(img, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -500,13 +533,14 @@ class TestDenseScores:
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (17, 9), (65, 129),
                                        (97, 301), (200, 7)], ids="{0[0]}x{0[1]}".format)
     def test_independent_of_thread_count(self, shape):
+        # and of the order in which the bands run
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         img = rng.uniform(0, 1, shape)
         model = SvmModel(rng.normal(size=128), 0.1, TrainHyper())
         one = classify.dense_scores(img, model)
         assert one.shape == shape
-        for threads in (2, 3):
-            assert np.array_equal(classify.dense_scores(img, model, threads), one)
+        for map_fn in other_maps():
+            assert np.array_equal(classify.dense_scores(img, model, map_fn), one)
 
     def test_float32_engine_float64_scores(self):
         # descriptors are float32 numbers in a float64 matrix; the dot
@@ -521,35 +555,8 @@ class TestDenseScores:
         one = classify.dense_scores(img, model)
         assert one.dtype == np.float64
         assert np.abs(one.ravel() - score_margins(model, d)).max() <= 1e-12
-        for threads in (2, 3):
-            assert np.array_equal(classify.dense_scores(img, model, threads), one)
-
-    def test_thread_count_below_one_rejected(self):
-        model = SvmModel(np.zeros(128), 0.0, TrainHyper())
-        with pytest.raises(ValueError, match="threads"):
-            classify.dense_scores(np.zeros((4, 4)), model, threads=0)
-
-
-class TestThreadMap:
-    def test_results_in_item_order(self):
-        for threads in (1, 2, 3):
-            assert classify.thread_map(lambda i: i * i, list(range(7)), threads) == \
-                [i * i for i in range(7)]
-        assert classify.thread_map(abs, [], 2) == []
-
-    def test_first_failing_item_raised_when_a_later_one_fails_first(self):
-        later_failed = threading.Event()
-
-        def fn(i):
-            if i == 0:
-                later_failed.wait(10)
-                raise ValueError("item 0")
-            if i == 1:
-                later_failed.set()
-                raise ValueError("item 1")
-            return i
-        with pytest.raises(ValueError, match="item 0"):
-            classify.thread_map(fn, [0, 1, 2], 2)
+        for map_fn in other_maps():
+            assert np.array_equal(classify.dense_scores(img, model, map_fn), one)
 
 
 class TestScore:

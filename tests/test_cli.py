@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -53,6 +55,17 @@ def write_corpus(root, seeds, width=140, height=100):
         write_scene_dir(root, f"scene{i}", corpus_scene(seed, strat_idx=i, strat_total=len(seeds),
                                                         width=width, height=height))
     return root
+
+
+def count_solves(monkeypatch) -> list:
+    """A list that gains one entry per classify.train_arrays call."""
+    solves, train_arrays = [], classify.train_arrays
+
+    def counted(*args):
+        solves.append(None)
+        return train_arrays(*args)
+    monkeypatch.setattr(classify, "train_arrays", counted)
+    return solves
 
 
 # IRONPATH_THREADS values that are a config error
@@ -472,6 +485,20 @@ class TestTrainCommand:
         assert models[0] == models[1] == models[2]
         assert lines[0] == lines[1] == lines[2] and "held-out accuracy" in lines[0]
 
+    def test_one_pool_for_every_stage(self, tmp_path, monkeypatch):
+        corpus = write_corpus(tmp_path / "corpus", (573, 574))
+        holdout = write_corpus(tmp_path / "holdout", (583,))
+        pools, init = [], ThreadPoolExecutor.__init__
+
+        def counted(self, *args, **kwargs):
+            pools.append(None)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counted)
+        monkeypatch.setenv("IRONPATH_THREADS", "2")
+        assert main(["train", str(corpus), str(tmp_path / "m.svmw"),
+                     "--eval-dir", str(holdout)]) == 0
+        assert len(pools) == 1
+
     def test_stage_timings_on_stderr(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "corpus", (590, 591))
         holdout = write_corpus(tmp_path / "holdout", (592,))
@@ -511,6 +538,7 @@ class TestTrainCommand:
         else:
             corpus = write_corpus(tmp_path / "corpus", (603,))
             argv = ["train", str(corpus), str(tmp_path / "m.svmw"), "--eval-dir", str(scenes)]
+        solves = count_solves(monkeypatch)
         errs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("IRONPATH_THREADS", threads)
@@ -518,6 +546,7 @@ class TestTrainCommand:
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1] and "Traceback" not in errs[0]
         assert errs[0].startswith(f"stage inputs failed: {scenes / 'scene1' / bad[0]}: ")
+        assert not solves           # every input is checked before training
 
     @pytest.mark.parametrize("where", ["corpus", "eval-dir"])
     @pytest.mark.parametrize("size", [(140, 100), (260, 190)], ids=["smaller", "larger"])
@@ -533,6 +562,7 @@ class TestTrainCommand:
         else:
             corpus = write_corpus(tmp_path / "corpus", (603,))
             argv = ["train", str(corpus), str(tmp_path / "m.svmw"), "--eval-dir", str(scenes)]
+        solves = count_solves(monkeypatch)
         errs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("IRONPATH_THREADS", threads)
@@ -541,6 +571,7 @@ class TestTrainCommand:
         assert errs[0] == errs[1]
         assert errs[0].startswith(f"stage inputs failed: {labels}: labels ({size[1]}, {size[0]}) "
                                   f"do not match images (150, 200)\n")
+        assert not solves
 
     @pytest.mark.parametrize("where", ["corpus", "eval-dir"])
     def test_captures_of_different_sizes_name_the_scene(self, tmp_path, capsys, where):
@@ -573,7 +604,8 @@ class TestTrainCommand:
         corpus = write_corpus(tmp_path / "corpus", TRAIN_SEEDS, width=240, height=180)
         tracemalloc.start()
         try:
-            ts = build_corpus_training_set(str(corpus), PipelineConfig(), threads=2)
+            with ThreadPoolExecutor(2) as pool:
+                ts = build_corpus_training_set(str(corpus), PipelineConfig(), pool.map)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -957,3 +989,20 @@ def test_cli_import_loads_no_scipy():
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules); "
             "assert not any(m.startswith('xml.sax') for m in sys.modules)")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_only_cli_imports_threads():
+    # the library stages run their tasks through a map they are given; each
+    # command opens the one pool it uses
+    importers = set()
+    for path in pathlib.Path(ironpath.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("concurrent", "threading") for name in names):
+                importers.add(path.name)
+    assert importers == {"cli.py"}
