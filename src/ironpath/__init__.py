@@ -6,10 +6,10 @@ fuses both into ranked permanent wrinkles, and emits an ordered ironing plan.
 A deterministic synthetic scene generator provides ground truth.
 """
 
-from .gridio import FloatGrid, GrayImage, LabelMask, WorldTransform
+from .gridio import FloatGrid, LabelMask, WorldTransform
 from .synth import SceneSpec, BumpSpec, WrinkleSpec, generate_height, ground_truth
 from .curvature import HeightBump, detect_bumps
-from .mixture import BumpMixture, build_mixture, clearance
+from .mixture import build_mixture, clearance
 from .classify import SvmModel, train
 from .discont import Discontinuity, normalize, score_map, extract_segments
 from .fusion import FusedWrinkle, fuse
@@ -18,10 +18,10 @@ from .planner import IronSpec, IroningPlan, plan_ironing
 __version__ = "0.1.0"
 
 __all__ = [
-    "FloatGrid", "GrayImage", "LabelMask", "WorldTransform",
+    "FloatGrid", "LabelMask", "WorldTransform",
     "SceneSpec", "BumpSpec", "WrinkleSpec", "generate_height", "ground_truth",
     "HeightBump", "detect_bumps",
-    "BumpMixture", "build_mixture", "clearance",
+    "build_mixture", "clearance",
     "SvmModel", "train",
     "Discontinuity", "normalize", "score_map", "extract_segments",
     "FusedWrinkle", "fuse",

@@ -265,9 +265,9 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
         return bumps, stage("mixture", scan_times, lambda: mixture.build_mixture(bumps))
 
     for img in (i1, i2, ref1, ref2):
-        if img.data.shape != height.data.shape:
+        if img.shape != height.data.shape:
             raise StageError("inputs", ValueError(
-                f"image {img.data.shape} does not match height {height.data.shape}"))
+                f"image {img.shape} does not match height {height.data.shape}"))
 
     with ThreadPoolExecutor(threads) as pool:
         scan = pool.submit(height_scan)
@@ -302,7 +302,7 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
         } for b in bumps],
         "mixture": [{
             "mean_m": c.mean.tolist(), "cov_m2": c.cov.tolist(),
-        } for c in mix.components],
+        } for c in mix],
         "wrinkles": [{
             "id": f.discontinuity.id,
             "endpoints_m": [list(f.discontinuity.endpoints[0]),
@@ -519,10 +519,23 @@ def cmd_detect(args) -> None:
     _emit(dump_report(report), args.out)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _finite(x) -> float:
+    """float(x); ValueError when that is not a finite number."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {x!r}")
+    return v
+
+
 def _read_report(path) -> dict:
-    """A detection report; ValueError when it is not a JSON object."""
+    """A detection report; ValueError when it is not a JSON object or holds a
+    bare NaN or Infinity (a detect report writes infinities as strings)."""
     with open(path, "r", encoding="utf-8") as f:
-        report = json.load(f)
+        report = json.load(f, parse_constant=_reject_constant)
     if not isinstance(report, dict):
         raise ValueError("not a JSON object")
     return report
@@ -536,10 +549,11 @@ def cmd_plan(args) -> None:
         for wk in report.get("wrinkles", []):
             (x0, y0), (x1, y1) = wk["endpoints_m"]
             d = discont.Discontinuity(
-                id=int(wk["id"]), endpoints=((float(x0), float(y0)), (float(x1), float(y1))),
+                id=int(wk["id"]),
+                endpoints=((_finite(x0), _finite(y0)), (_finite(x1), _finite(y1))),
                 pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
-                length=float(wk["length_m"]), direction=float(wk["direction_rad"]))
-            fused.append(fusion.fuse_one(d, float(wk["q"]), float(wk["r"]), cfg.p_min))
+                length=_finite(wk["length_m"]), direction=_finite(wk["direction_rad"]))
+            fused.append(fusion.fuse_one(d, _finite(wk["q"]), _finite(wk["r"]), cfg.p_min))
     surface = _read_input(gridio.read_grid, args.height) if args.height else None
     with _stage("plan"):
         plan, waypoints = planner.plan_ironing(fused, cfg.iron, (cfg.home_x_m, cfg.home_y_m),

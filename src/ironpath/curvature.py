@@ -105,11 +105,15 @@ class BumpParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-def _gaussian_filter(z: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian, truncated at 3 sigma, with symmetric boundaries."""
+def smooth(z: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of an (h, w) array, truncated at 3 sigma, with
+    symmetric boundaries (the edge sample repeats); a kernel of radius 0
+    (sigma below 1/6, 0 included) returns z itself."""
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
     r = int(3.0 * sigma + 0.5)
     if r == 0:
-        return z.copy()
+        return z
     x = np.arange(-r, r + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
     w = phi / phi.sum()
@@ -130,17 +134,6 @@ def _gaussian_filter(z: np.ndarray, sigma: float) -> np.ndarray:
             pair *= w[r - j]
             out += pair
     return out
-
-
-def smooth(grid: FloatGrid, sigma_px: float) -> FloatGrid:
-    """Gaussian blur truncated at 3 sigma with symmetric boundaries (the edge
-    sample repeats); 0 = identity."""
-    if sigma_px < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma_px}")
-    if sigma_px == 0:
-        return grid
-    out = _gaussian_filter(np.asarray(grid.data, np.float64), sigma_px)
-    return FloatGrid(grid.width, grid.height, grid.cell_size, grid.origin, data=out)
 
 
 def _dilate(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
@@ -249,8 +242,10 @@ def _hessian_components(z: np.ndarray, cell: float):
     return fxx, fyy, fxy
 
 
-def hessian(grid: FloatGrid, eps_umbilic_rel: float = 1e-9) -> CurvatureField:
-    """Central-difference Hessian eigenvalues and shape index over the grid.
+def hessian(z: np.ndarray, cell: float,
+            eps_umbilic_rel: float = BumpParams.eps_umbilic_rel) -> CurvatureField:
+    """Central-difference Hessian eigenvalues and shape index of the (h, w)
+    heights z on a grid of spacing cell.
 
     Each step writes into an array the function already holds, so at most
     four full-image float64 arrays are alive at once.  The ufuncs and their
@@ -258,8 +253,7 @@ def hessian(grid: FloatGrid, eps_umbilic_rel: float = 1e-9) -> CurvatureField:
     tr = fxx + fyy, disc = sqrt((fxx - fyy)**2 + 4 fxy**2),
     l1, l2 = (tr +- disc) / 2 and s = (2/pi) atan(tr / (l1 - l2)),
     so every value keeps its bits."""
-    z = np.asarray(grid.data, np.float64)
-    fxx, fyy, fxy = _hessian_components(z, grid.cell_size)
+    fxx, fyy, fxy = _hessian_components(np.asarray(z, np.float64), cell)
     tr = np.add(fxx, fyy)
     disc = fxx
     disc -= fyy
@@ -289,7 +283,8 @@ def hessian(grid: FloatGrid, eps_umbilic_rel: float = 1e-9) -> CurvatureField:
     return CurvatureField(l1, l2, s)
 
 
-def shape_index(l1: float, l2: float, eps_umbilic_rel: float = 1e-9) -> float:
+def shape_index(l1: float, l2: float,
+                eps_umbilic_rel: float = BumpParams.eps_umbilic_rel) -> float:
     """(2/pi) * atan((l1+l2)/(l1-l2)); +-1 in the umbilic limit, NaN when flat."""
     if l2 > l1:
         raise ValueError("requires lambda1 >= lambda2")
@@ -345,12 +340,10 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
     """
     p = params or BumpParams()
     cell = grid.cell_size
-    smoothed = smooth(grid, p.smooth_sigma_px)
-    hs = np.asarray(smoothed.data, np.float64)
+    hs = smooth(grid.data, p.smooth_sigma_px)
     if p.polarity == "down":
         hs = -hs
-    s = hessian(FloatGrid(grid.width, grid.height, cell, grid.origin, data=-hs),
-                p.eps_umbilic_rel).shape_index
+    s = hessian(-hs, cell, p.eps_umbilic_rel).shape_index
     mask = (s >= BUMP_INDEX_LO) & (s < BUMP_INDEX_HI)
     if p.close_iterations > 0:
         mask = _erode(_dilate(mask, p.close_iterations), p.close_iterations)

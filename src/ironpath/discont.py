@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .classify import SvmModel, dense_scores
-from .gridio import GrayImage, LabelMask, WorldTransform, LABEL_WRINKLE
+from .gridio import LabelMask, WorldTransform, LABEL_WRINKLE
 
 EPS_REF = 1.0 / 255.0
 
@@ -86,17 +86,19 @@ class HoughParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-def normalize(i1: GrayImage, i2: GrayImage, ref1: GrayImage,
-              ref2: GrayImage) -> NormalizedImage:
-    """I'_k = I_k / ref_k with floor EPS_REF; combined = sqrt(I'_1^2 + I'_2^2)."""
-    shapes = {img.data.shape for img in (i1, i2, ref1, ref2)}
+def normalize(i1: np.ndarray, i2: np.ndarray, ref1: np.ndarray,
+              ref2: np.ndarray) -> NormalizedImage:
+    """I'_k = I_k / ref_k with floor EPS_REF; combined = sqrt(I'_1^2 + I'_2^2).
+
+    The four images are (h, w) intensity arrays of one shape."""
+    shapes = {np.shape(img) for img in (i1, i2, ref1, ref2)}
     if len(shapes) != 1:
         raise ValueError(f"image dimensions differ: {sorted(shapes)}")
-    r1 = np.asarray(ref1.data, np.float64)
-    r2 = np.asarray(ref2.data, np.float64)
+    r1 = np.asarray(ref1, np.float64)
+    r2 = np.asarray(ref2, np.float64)
     valid = (r1 >= EPS_REF) & (r2 >= EPS_REF)
-    n1 = np.where(valid, np.asarray(i1.data) / np.maximum(r1, EPS_REF), 0.0)
-    n2 = np.where(valid, np.asarray(i2.data) / np.maximum(r2, EPS_REF), 0.0)
+    n1 = np.where(valid, np.asarray(i1) / np.maximum(r1, EPS_REF), 0.0)
+    n2 = np.where(valid, np.asarray(i2) / np.maximum(r2, EPS_REF), 0.0)
     return NormalizedImage(np.sqrt(n1 * n1 + n2 * n2), valid)
 
 

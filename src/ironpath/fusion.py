@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discont import Discontinuity
-from .mixture import BumpMixture, clearance
+from .mixture import MixtureComponent, clearance
 
 
 @dataclass
@@ -37,7 +37,7 @@ def fuse_one(d: Discontinuity, q: float, r: float, p_min: float) -> FusedWrinkle
     return FusedWrinkle(d, q, r, p, p >= p_min)
 
 
-def fuse(ds: list[Discontinuity], mix: BumpMixture, p_min: float = 0.3,
+def fuse(ds: list[Discontinuity], mix: list[MixtureComponent], p_min: float = 0.3,
          samples: int = 16) -> list[FusedWrinkle]:
     """Score every discontinuity; sort by p descending, ties broken by id."""
     fused = [fuse_one(d, clearance(mix, d.endpoints, samples), confidence(d), p_min)

@@ -7,7 +7,8 @@ FGRID   ASCII header line ``FGRID <width> <height> <cell_size_m>\\n`` followed
         first.  Lossless for float32 payloads.
 PGM     Binary P5.  Grayscale images use maxval 65535 (two bytes per sample,
         big-endian); label masks use maxval 2 (one byte per sample).
-        Grayscale intensity = sample / 65535.
+        Grayscale intensity = sample / 65535; in memory an image is a plain
+        (height, width) float64 array of intensities in [0, 1].
 """
 
 from __future__ import annotations
@@ -83,23 +84,6 @@ class FloatGrid:
     @property
     def transform(self) -> WorldTransform:
         return WorldTransform(self.cell_size, self.origin)
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """Grayscale image with intensities normalized to [0, 1]."""
-
-    width: int
-    height: int
-    data: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.size != self.width * self.height:
-            raise ValueError(f"data length {d.size} != {self.width}x{self.height}")
-        if not np.all(np.isfinite(d)) or d.min() < 0.0 or d.max() > 1.0:
-            raise ValueError("intensities must lie in [0, 1]")
-        object.__setattr__(self, "data", _readonly(d.reshape(self.height, self.width)))
 
 
 @dataclass(frozen=True)
@@ -179,14 +163,20 @@ def _read_pgm_header(f, path):
     return vals
 
 
-def write_gray(img: GrayImage, path) -> None:
-    samples = np.rint(np.clip(img.data, 0.0, 1.0) * 65535.0).astype(">u2")
+def write_gray(img: np.ndarray, path) -> None:
+    """Write an (h, w) intensity array; values outside [0, 1] are clipped."""
+    img = np.asarray(img, np.float64)
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image contains non-finite values")
+    samples = np.rint(np.clip(img, 0.0, 1.0) * 65535.0).astype(">u2")
+    h, w = img.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{img.width} {img.height}\n65535\n".encode("ascii"))
+        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         f.write(samples.tobytes())
 
 
-def read_gray(path) -> GrayImage:
+def read_gray(path) -> np.ndarray:
+    """A read-only (h, w) float64 intensity array in [0, 1]."""
     with open(path, "rb") as f:
         w, h, maxval = _read_pgm_header(f, path)
         if maxval != 65535:
@@ -195,7 +185,7 @@ def read_gray(path) -> GrayImage:
     if len(payload) != w * h * 2:
         raise GridFormatError(f"{path}: payload {len(payload)} bytes, expected {w * h * 2}")
     samples = np.frombuffer(payload, dtype=">u2").astype(np.float64)
-    return GrayImage(w, h, data=samples / 65535.0)
+    return _readonly((samples / 65535.0).reshape(h, w))
 
 
 def write_labels(mask: LabelMask, path) -> None:

@@ -1,9 +1,9 @@
 """Bump-clearance model: per-bump Gaussians and the clearance score Q.
 
 Each detected bump contributes an unnormalized (peak 1) Gaussian around its
-center.  The clearance of a candidate wrinkle segment is the mean, over
-equally spaced sample points, of the product over bumps of
-(1 - proximity); an empty mixture gives clearance 1.
+center; the mixture is the list of these components.  The clearance of a
+candidate wrinkle segment is the mean, over equally spaced sample points, of
+the product over bumps of (1 - proximity); an empty mixture gives clearance 1.
 """
 
 from __future__ import annotations
@@ -30,17 +30,12 @@ class MixtureComponent:
         self.prec = np.linalg.inv(self.cov)
 
 
-@dataclass
-class BumpMixture:
-    components: list[MixtureComponent] = field(default_factory=list)
-
-
 def _rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
-def build_mixture(bumps: list[HeightBump]) -> BumpMixture:
+def build_mixture(bumps: list[HeightBump]) -> list[MixtureComponent]:
     """One component per bump: cov = R(orientation) diag(d1^2, d2^2) R^T.
 
     Bumps whose covariance is not SPD (d2 == 0, or non-finite axes) are
@@ -56,7 +51,7 @@ def build_mixture(bumps: list[HeightBump]) -> BumpMixture:
                         b.id, b.d1, b.d2)
             continue
         comps.append(MixtureComponent(np.asarray(b.center), cov))
-    return BumpMixture(comps)
+    return comps
 
 
 def proximity(c: MixtureComponent, pts: np.ndarray) -> np.ndarray:
@@ -66,7 +61,7 @@ def proximity(c: MixtureComponent, pts: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.einsum("ni,ij,nj->n", d, c.prec, d))
 
 
-def clearance(mix: BumpMixture, endpoints, samples: int = 16) -> float:
+def clearance(mix: list[MixtureComponent], endpoints, samples: int = 16) -> float:
     """Q for a segment given as ((x0, y0), (x1, y1)) world endpoints.
 
     Mean over `samples` equally spaced points (endpoints included) of
@@ -74,13 +69,11 @@ def clearance(mix: BumpMixture, endpoints, samples: int = 16) -> float:
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    if not mix.components:
-        return 1.0
     p0 = np.asarray(endpoints[0], float)
     p1 = np.asarray(endpoints[1], float)
     t = np.linspace(0.0, 1.0, samples)[:, None]
     pts = p0[None, :] * (1.0 - t) + p1[None, :] * t
     keep = np.ones(samples)
-    for c in mix.components:
+    for c in mix:
         keep *= 1.0 - proximity(c, pts)
     return float(keep.mean())

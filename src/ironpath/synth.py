@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridio import (FloatGrid, GrayImage, LabelMask,
-                     LABEL_BACKGROUND, LABEL_WRINKLE, LABEL_BUMP)
+from .gridio import FloatGrid, LabelMask, LABEL_BACKGROUND, LABEL_WRINKLE, LABEL_BUMP
 
 _MASK64 = (1 << 64) - 1
 
@@ -188,8 +187,9 @@ def surface_normals(height: np.ndarray, cell_size: float) -> np.ndarray:
     return np.stack([-gx * inv, -gy * inv, inv], axis=-1)
 
 
-def render_illumination(height: FloatGrid, spec: SceneSpec, light_index: int) -> GrayImage:
-    """Lambertian render I = clamp(albedo * max(0, n.s), 0, 1) + noise.
+def render_illumination(height: FloatGrid, spec: SceneSpec, light_index: int) -> np.ndarray:
+    """Lambertian render I = clamp(albedo * max(0, n.s), 0, 1) + noise, as an
+    (h, w) array.
 
     light_index is 1 or 2.  Noise streams differ per light so the two images
     are independent; output is re-clamped to keep intensities in [0, 1].
@@ -204,10 +204,10 @@ def render_illumination(height: FloatGrid, spec: SceneSpec, light_index: int) ->
         img += spec.noise.image_sigma * unit_normals(
             spec.seed, 10 + light_index, img.size).reshape(img.shape)
         img = np.clip(img, 0.0, 1.0)
-    return GrayImage(height.width, height.height, data=img)
+    return img
 
 
-def render_reference(spec: SceneSpec, light_index: int) -> GrayImage:
+def render_reference(spec: SceneSpec, light_index: int) -> np.ndarray:
     """Flat-cloth calibration capture: the scene rendered with zero height, no noise."""
     flat = FloatGrid(spec.width, spec.height, spec.cell_size, spec.origin,
                      data=np.zeros(spec.width * spec.height))

@@ -16,7 +16,7 @@ from ironpath.cli import (PipelineConfig, build_corpus_training_set,
                           dump_report, evaluate_scenes, read_scene, run_detection)
 from ironpath.curvature import BUMP_INDEX_HI, BUMP_INDEX_LO, hessian, shape_index
 from ironpath.discont import extract_segments, normalize
-from ironpath.gridio import FloatGrid, GrayImage
+from ironpath.gridio import FloatGrid
 from ironpath.planner import (STATIC, SLIDING, IronSpec, order_actions,
                               select_motion, split_wrinkle)
 from test_planner import greedy_oracle, random_instance, wrinkle
@@ -38,7 +38,7 @@ def test_criterion_1_hessian_oracle():
     for _ in range(20):
         a, b, c = rng.uniform(-2.0, 2.0, 3)
         grid = FloatGrid(n, n, 1.0, data=0.5 * (a * X**2 + b * Y**2) + c * X * Y)
-        f = hessian(grid)
+        f = hessian(grid.data, grid.cell_size)
         ev = np.linalg.eigvalsh(np.array([[a, c], [c, b]]))
         worst = max(worst,
                     np.abs(f.lambda1[interior] - ev[1]).max(),
@@ -85,13 +85,12 @@ def test_criterion_4_normalization_identities():
     rng = np.random.default_rng(21)
     ref1 = rng.uniform(0.25, 0.95, (40, 50))
     ref2 = rng.uniform(0.25, 0.95, (40, 50))
-    g = lambda a: GrayImage(a.shape[1], a.shape[0], data=a)
-    out = normalize(g(ref1), g(ref2), g(ref1), g(ref2))
+    out = normalize(ref1, ref2, ref1, ref2)
     identity_ok = bool(np.all(np.abs(out.combined - math.sqrt(2.0)) < 1e-6))
     i1 = rng.uniform(0.1, 0.9, (40, 50))
     i2 = rng.uniform(0.1, 0.9, (40, 50))
-    a = normalize(g(i1), g(i2), g(ref1), g(ref2))
-    b = normalize(g(i1 / 2), g(i2 / 2), g(ref1 / 2), g(ref2 / 2))
+    a = normalize(i1, i2, ref1, ref2)
+    b = normalize(i1 / 2, i2 / 2, ref1 / 2, ref2 / 2)
     homogeneity_ok = bool(np.array_equal(a.combined, b.combined)
                           and np.array_equal(a.valid, b.valid))
     ok = identity_ok and homogeneity_ok

@@ -291,6 +291,33 @@ class TestErrorContract:
         assert main(["plan", str(rpt)]) == 1
         assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: ")
 
+    @pytest.mark.parametrize("field, value", [
+        ("endpoints_m", [["0.1", "nan"], [0.3, 0.2]]), ("q", "inf"), ("r", "-inf"),
+        ("length_m", math.nan), ("direction_rad", math.inf), ("q", -math.inf)],
+        ids=["string-nan", "string-inf", "string-minus-inf", "bare-nan", "bare-infinity",
+             "bare-minus-infinity"])
+    def test_plan_non_finite_number_exit_1(self, tmp_path, capsys, field, value):
+        # json.dumps writes a float NaN or infinity as a bare NaN or Infinity
+        rpt = tmp_path / "r.json"
+        rpt.write_text(json.dumps({"wrinkles": [{**WRINKLE, field: value}]}))
+        out = tmp_path / "o.json"
+        assert main(["plan", str(rpt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage inputs failed: {rpt}: non-finite number ")
+        assert not out.exists()
+
+    def test_overlay_bare_nan_exit_1(self, tmp_path, capsys):
+        rpt = tmp_path / "r.json"
+        rpt.write_text(json.dumps({"mixture": [{**MIXTURE, "mean_m": [math.nan, 0.02]}],
+                                   "wrinkles": [], "plan": {"actions": []}}))
+        height = tmp_path / "h.fgrid"
+        gridio.write_grid(gridio.FloatGrid(64, 48, CELL, data=np.zeros(64 * 48)), height)
+        out = tmp_path / "o.svg"
+        assert main(["overlay", str(rpt), str(height), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage inputs failed: {rpt}: non-finite number NaN")
+        assert not out.exists()
+
     def test_plan_missing_height_exit_1(self, tmp_path, capsys):
         height = tmp_path / "nope.fgrid"
         assert main(["plan", str(self._report(tmp_path)), "--height", str(height)]) == 1
@@ -973,8 +1000,8 @@ class TestRunDetection:
     def test_dimension_mismatch_fails_cleanly(self, trained_model):
         from ironpath.cli import StageError
         height = gridio.FloatGrid(64, 48, CELL, data=np.zeros(64 * 48))
-        img_ok = gridio.GrayImage(64, 48, data=np.full(64 * 48, 0.5))
-        img_bad = gridio.GrayImage(32, 48, data=np.full(32 * 48, 0.5))
+        img_ok = np.full((48, 64), 0.5)
+        img_bad = np.full((48, 32), 0.5)
         with pytest.raises(StageError, match="inputs"):
             run_detection(height, img_bad, img_ok, img_ok, img_ok,
                           trained_model, PipelineConfig())

@@ -18,20 +18,23 @@ def quadratic_grid(a, b, c, n=41, cell=1.0):
     return FloatGrid(n, n, cell, data=0.5 * (a * X**2 + b * Y**2) + c * X * Y)
 
 
+def hessian_of(grid):
+    return hessian(grid.data, grid.cell_size)
+
+
 class TestSmooth:
     def test_sigma_zero_is_identity(self):
-        g = FloatGrid(8, 6, CELL, data=np.arange(48, dtype=float))
-        assert smooth(g, 0.0) is g
+        z = np.arange(48, dtype=float).reshape(6, 8)
+        assert smooth(z, 0.0) is z
 
     def test_constant_unchanged(self):
-        g = FloatGrid(16, 12, CELL, data=np.full(192, 3.5))
-        assert np.allclose(smooth(g, 2.5).data, 3.5, atol=1e-12)
+        assert np.allclose(smooth(np.full((12, 16), 3.5), 2.5), 3.5, atol=1e-12)
 
     def test_impulse_center_matches_kernel_oracle(self):
         n = 33
         data = np.zeros((n, n))
         data[n // 2, n // 2] = 1.0
-        out = smooth(FloatGrid(n, n, CELL, data=data), 2.0).data
+        out = smooth(data, 2.0)
         # discrete truncated kernel: radius int(3*2 + 0.5), normalized to sum 1
         r = int(3.0 * 2.0 + 0.5)
         k = np.exp(-np.arange(-r, r + 1) ** 2 / 8.0)
@@ -40,34 +43,33 @@ class TestSmooth:
         assert abs(out[n // 2, n // 2] - 1.0 / (2 * math.pi * 4.0)) < 1e-3
 
     def test_negative_sigma_rejected(self):
-        g = FloatGrid(8, 6, CELL, data=np.zeros(48))
         with pytest.raises(ValueError):
-            smooth(g, -1.0)
+            smooth(np.zeros((6, 8)), -1.0)
 
 
 class TestHessian:
     def test_isotropic_paraboloid(self):
-        f = hessian(quadratic_grid(1.0, 1.0, 0.0))
+        f = hessian_of(quadratic_grid(1.0, 1.0, 0.0))
         interior = (slice(2, -2), slice(2, -2))
         assert np.allclose(f.lambda1[interior], 1.0, atol=1e-6)
         assert np.allclose(f.lambda2[interior], 1.0, atol=1e-6)
 
     def test_anisotropic_paraboloid(self):
-        f = hessian(quadratic_grid(2.0, 1.0, 0.0))
+        f = hessian_of(quadratic_grid(2.0, 1.0, 0.0))
         interior = (slice(2, -2), slice(2, -2))
         assert np.allclose(f.lambda1[interior], 2.0, atol=1e-6)
         assert np.allclose(f.lambda2[interior], 1.0, atol=1e-6)
 
     def test_saddle_xy(self):
         # z = x y has Hessian [[0, 1], [1, 0]] with eigenvalues +-1
-        f = hessian(quadratic_grid(0.0, 0.0, 1.0))
+        f = hessian_of(quadratic_grid(0.0, 0.0, 1.0))
         interior = (slice(2, -2), slice(2, -2))
         assert np.allclose(f.lambda1[interior], 1.0, atol=1e-6)
         assert np.allclose(f.lambda2[interior], -1.0, atol=1e-6)
 
     def test_world_unit_scaling(self):
         # same surface sampled at another cell size gives the same eigenvalues
-        f = hessian(quadratic_grid(1.5, 0.5, 0.2, cell=0.002))
+        f = hessian_of(quadratic_grid(1.5, 0.5, 0.2, cell=0.002))
         interior = (slice(2, -2), slice(2, -2))
         lam = 1.0 + math.sqrt(0.25 + 0.04)
         assert np.allclose(f.lambda1[interior], lam, atol=1e-6)
@@ -75,7 +77,7 @@ class TestHessian:
     def test_sorted_eigenvalues(self):
         rng = np.random.default_rng(2)
         g = FloatGrid(16, 16, CELL, data=rng.normal(size=256))
-        f = hessian(g)
+        f = hessian_of(g)
         assert np.all(f.lambda1 >= f.lambda2)
 
     @pytest.mark.parametrize("a, b, expected, in_bump_range", [
@@ -83,7 +85,7 @@ class TestHessian:
         (1.0, 1.0, 1.0, False), (-1.0, -1.0, -1.0, False), (0.0, 0.0, math.nan, False)])
     def test_shape_index_of_quadratic_surfaces(self, a, b, expected, in_bump_range):
         # the grid rule detect_bumps thresholds, not the scalar shape_index
-        s = hessian(quadratic_grid(a, b, 0.0)).shape_index[2:-2, 2:-2]
+        s = hessian_of(quadratic_grid(a, b, 0.0)).shape_index[2:-2, 2:-2]
         if math.isnan(expected):
             assert np.isnan(s).all()
         else:
@@ -135,7 +137,7 @@ class TestHessianBits:
         ids=[*(f"random{seed}" for seed in range(5)), "flat", "umbilic-positive",
              "umbilic-negative", "umbilic-faint"])
     def test_equal_to_plain_expressions(self, grid, eps_umbilic_rel):
-        f = hessian(grid, eps_umbilic_rel)
+        f = hessian(grid.data, grid.cell_size, eps_umbilic_rel)
         for got, want in zip((f.lambda1, f.lambda2, f.shape_index),
                              hessian_reference(grid, eps_umbilic_rel)):
             assert np.array_equal(got, want, equal_nan=True)
@@ -284,8 +286,7 @@ def scipy_reference_bumps(ndimage, grid, p):
                                  mode="reflect", truncate=3.0)
     if p.polarity == "down":
         hs = -hs
-    s = hessian(FloatGrid(grid.width, grid.height, cell, grid.origin, data=-hs),
-                p.eps_umbilic_rel).shape_index
+    s = hessian(-hs, cell, p.eps_umbilic_rel).shape_index
     mask = (s >= curvature.BUMP_INDEX_LO) & (s < curvature.BUMP_INDEX_HI)
     if p.close_iterations > 0:
         mask = ndimage.binary_closing(mask, structure=S8, iterations=p.close_iterations,
@@ -380,8 +381,7 @@ class TestScipyEquivalence:
     def test_gaussian(self, ndimage, shape, sigma):
         z = np.random.default_rng(sum(shape)).normal(0.0, 0.01, shape)
         ref = ndimage.gaussian_filter(z, sigma, mode="reflect", truncate=3.0)
-        g = FloatGrid(shape[1], shape[0], CELL, data=z)
-        assert np.array_equal(smooth(g, sigma).data, ref)
+        assert np.array_equal(smooth(z, sigma), ref)
 
     @pytest.mark.parametrize("close_iterations", [0, 2])
     def test_detect_bumps_many_components(self, ndimage, close_iterations):
@@ -389,8 +389,7 @@ class TestScipyEquivalence:
         p = BumpParams(min_pixels=1, min_volume_m3=0.0, close_iterations=close_iterations)
         if close_iterations == 0:
             # the scene exercises what the bounding-box loop must get right
-            s = hessian(FloatGrid(g.width, g.height, CELL,
-                                  data=-smooth(g, p.smooth_sigma_px).data)).shape_index
+            s = hessian(-smooth(g.data, p.smooth_sigma_px), CELL).shape_index
             labels, n, boxes = curvature._label(curvature._fill_holes(
                 (s >= curvature.BUMP_INDEX_LO) & (s < curvature.BUMP_INDEX_HI)))
             assert n >= 50

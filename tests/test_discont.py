@@ -9,12 +9,7 @@ from ironpath import discont
 from ironpath.discont import (EPS_REF, HoughParams, _greedy_nms, _hough_votes,
                               extract_segments, normalize, score_map)
 from ironpath.classify import descriptors_at, score_margins
-from ironpath.gridio import GrayImage, LABEL_WRINKLE, WorldTransform
-
-
-def gray(arr):
-    arr = np.asarray(arr, float)
-    return GrayImage(arr.shape[1], arr.shape[0], data=arr)
+from ironpath.gridio import LABEL_WRINKLE, WorldTransform
 
 
 def band_mask(w, h, p0, p1, hw_px):
@@ -32,20 +27,20 @@ class TestNormalize:
     def test_capture_equals_reference_gives_uniform_sqrt2(self):
         rng = np.random.default_rng(0)
         ref = rng.uniform(0.3, 0.9, (24, 32))
-        out = normalize(gray(ref), gray(ref), gray(ref), gray(ref))
+        out = normalize(ref, ref, ref, ref)
         assert np.all(np.abs(out.combined - math.sqrt(2.0)) < 1e-6)
         assert out.valid.all()
 
     def test_plain_division(self):
-        i1 = gray(np.full((8, 8), 0.25))
-        r1 = gray(np.full((8, 8), 0.5))
-        other = gray(np.full((8, 8), 0.5))
+        i1 = np.full((8, 8), 0.25)
+        r1 = np.full((8, 8), 0.5)
+        other = np.full((8, 8), 0.5)
         out = normalize(i1, other, r1, other)
         assert np.allclose(out.combined, math.hypot(0.5, 1.0), atol=1e-15)
 
     def test_three_four_five(self):
-        ones = gray(np.ones((8, 8)))
-        out = normalize(gray(np.full((8, 8), 0.6)), gray(np.full((8, 8), 0.8)),
+        ones = np.ones((8, 8))
+        out = normalize(np.full((8, 8), 0.6), np.full((8, 8), 0.8),
                         ones, ones)
         assert np.allclose(out.combined, 1.0, atol=1e-12)
 
@@ -55,23 +50,23 @@ class TestNormalize:
         i2 = rng.uniform(0.2, 0.8, (16, 16))
         r1 = rng.uniform(0.4, 0.9, (16, 16))
         r2 = rng.uniform(0.4, 0.9, (16, 16))
-        a = normalize(gray(i1), gray(i2), gray(r1), gray(r2))
-        b = normalize(gray(i1 / 2), gray(i2 / 2), gray(r1 / 2), gray(r2 / 2))
+        a = normalize(i1, i2, r1, r2)
+        b = normalize(i1 / 2, i2 / 2, r1 / 2, r2 / 2)
         assert np.array_equal(a.combined, b.combined)
 
     def test_low_reference_flags_invalid(self):
         r1 = np.full((8, 8), 0.5)
         r1[2, 3] = EPS_REF / 2
-        out = normalize(gray(np.full((8, 8), 0.4)), gray(np.full((8, 8), 0.4)),
-                        gray(r1), gray(np.full((8, 8), 0.5)))
+        out = normalize(np.full((8, 8), 0.4), np.full((8, 8), 0.4),
+                        r1, np.full((8, 8), 0.5))
         assert not out.valid[2, 3]
         assert out.valid.sum() == 63
         assert out.combined[2, 3] == 0.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            normalize(gray(np.ones((8, 8))), gray(np.ones((8, 9))),
-                      gray(np.ones((8, 8))), gray(np.ones((8, 8))))
+            normalize(np.ones((8, 8)), np.ones((8, 9)),
+                      np.ones((8, 8)), np.ones((8, 8)))
 
 
 class TestScoreMap:

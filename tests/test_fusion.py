@@ -5,7 +5,7 @@ import pytest
 
 from ironpath.discont import Discontinuity
 from ironpath.fusion import confidence, fuse
-from ironpath.mixture import BumpMixture, MixtureComponent
+from ironpath.mixture import MixtureComponent
 
 
 def disc(endpoints=((0.0, 0.0), (0.1, 0.0)), scores=(0.9,), disc_id=0):
@@ -40,7 +40,7 @@ class TestConfidence:
 
 class TestFuse:
     def test_empty_mixture_p_equals_r(self):
-        out = fuse([disc(scores=(0.9,))], BumpMixture(), p_min=0.3)
+        out = fuse([disc(scores=(0.9,))], [], p_min=0.3)
         assert out[0].q == 1.0
         assert out[0].p == pytest.approx(0.9, abs=1e-15)
         assert out[0].accepted
@@ -48,7 +48,7 @@ class TestFuse:
     def test_through_bump_rejected(self):
         # segment spanning 2 sigma through an isotropic bump center
         sigma = 0.04
-        mix = BumpMixture([component((0.3, 0.2), sigma)])
+        mix = [component((0.3, 0.2), sigma)]
         d = disc(endpoints=((0.3 - sigma, 0.2), (0.3 + sigma, 0.2)),
                  scores=(0.9,) * 5)
         out = fuse([d], mix, p_min=0.3)
@@ -58,7 +58,7 @@ class TestFuse:
 
     def test_invariant_p_product(self):
         rng = np.random.default_rng(3)
-        mix = BumpMixture([component(rng.uniform(0, 0.5, 2)) for _ in range(3)])
+        mix = [component(rng.uniform(0, 0.5, 2)) for _ in range(3)]
         ds = [disc(endpoints=(tuple(rng.uniform(0, 0.5, 2)),
                               tuple(rng.uniform(0, 0.5, 2))),
                    scores=rng.uniform(0.1, 0.9, 4), disc_id=i)
@@ -70,22 +70,22 @@ class TestFuse:
     def test_sorted_descending_ties_by_id(self):
         ds = [disc(scores=(0.5,), disc_id=2), disc(scores=(0.5,), disc_id=0),
               disc(scores=(0.7,), disc_id=1)]
-        out = fuse(ds, BumpMixture())
+        out = fuse(ds, [])
         assert [f.discontinuity.id for f in out] == [1, 0, 2]
 
     def test_order_independent_of_input_order(self):
         rng = np.random.default_rng(4)
         ds = [disc(scores=(s,), disc_id=i)
               for i, s in enumerate(rng.uniform(0.2, 0.9, 8))]
-        a = fuse(list(ds), BumpMixture())
-        b = fuse(ds[::-1], BumpMixture())
+        a = fuse(list(ds), [])
+        b = fuse(ds[::-1], [])
         assert [f.discontinuity.id for f in a] == [f.discontinuity.id for f in b]
 
     def test_removing_component_never_decreases_p(self):
         rng = np.random.default_rng(5)
         comps = [component(rng.uniform(0, 0.4, 2)) for _ in range(4)]
         d = disc(endpoints=((0.05, 0.05), (0.35, 0.3)), scores=(0.8,) * 3)
-        p_full = fuse([d], BumpMixture(comps))[0].p
+        p_full = fuse([d], comps)[0].p
         for k in range(4):
-            reduced = BumpMixture(comps[:k] + comps[k + 1:])
+            reduced = comps[:k] + comps[k + 1:]
             assert fuse([d], reduced)[0].p >= p_full - 1e-15

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ironpath import classify, gridio
-from ironpath.gridio import (FloatGrid, GrayImage, GridFormatError, LabelMask,
-                             WorldTransform)
+from ironpath.gridio import FloatGrid, GridFormatError, LabelMask, WorldTransform
 
 
 class TestFloatGrid:
@@ -72,24 +71,37 @@ class TestFloatGrid:
 
 class TestGrayImage:
     def test_extreme_samples(self, tmp_path):
-        img = GrayImage(3, 3, data=[1.0, 0.0] + [0.25] * 7)
+        img = np.array([1.0, 0.0] + [0.25] * 7).reshape(3, 3)
         p = tmp_path / "g.pgm"
         gridio.write_gray(img, p)
         back = gridio.read_gray(p)
-        assert back.data[0, 0] == 1.0
-        assert back.data[0, 1] == 0.0
+        assert back.shape == (3, 3) and not back.flags.writeable
+        assert back[0, 0] == 1.0
+        assert back[0, 1] == 0.0
 
     def test_roundtrip_quantization_bound(self, tmp_path):
         rng = np.random.default_rng(7)
-        img = GrayImage(31, 17, data=rng.uniform(0, 1, 31 * 17))
+        img = rng.uniform(0, 1, (17, 31))
         p = tmp_path / "q.pgm"
         gridio.write_gray(img, p)
-        err = np.abs(gridio.read_gray(p).data - img.data)
+        back = gridio.read_gray(p)
+        assert back.shape == (17, 31)
+        err = np.abs(back - img)
         assert err.max() <= 1.0 / 131070
 
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            GrayImage(3, 3, data=[1.5] + [0.0] * 8)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_non_finite(self, tmp_path, bad):
+        img = np.full((3, 4), 0.5)
+        img[1, 2] = bad
+        p = tmp_path / "n.pgm"
+        with pytest.raises(ValueError, match="non-finite"):
+            gridio.write_gray(img, p)
+        assert not p.exists()
+
+    def test_write_clips_to_unit_range(self, tmp_path):
+        p = tmp_path / "c.pgm"
+        gridio.write_gray(np.array([[1.5, -0.5, 0.5]]), p)
+        assert np.array_equal(gridio.read_gray(p), [[1.0, 0.0, 32768 / 65535]])
 
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "t.pgm"

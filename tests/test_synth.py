@@ -64,14 +64,14 @@ class TestGenerateHeight:
 class TestRenderIllumination:
     def test_flat_vertical_light(self):
         spec = SceneSpec(32, 24, CELL, albedo=0.8, lights=vertical_lights())
-        img = render_illumination(generate_height(spec), spec, 1).data
+        img = render_illumination(generate_height(spec), spec, 1)
         assert np.all(img == 0.8)
 
     def test_flat_light_at_60_degrees(self):
         d = (math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3))
         spec = SceneSpec(32, 24, CELL, albedo=1.0,
                          lights=(LightSpec(d), LightSpec(d)))
-        img = render_illumination(generate_height(spec), spec, 1).data
+        img = render_illumination(generate_height(spec), spec, 1)
         assert np.allclose(img, 0.5, atol=1e-12)
 
     def test_slope_facing_away_from_grazing_light_clamps_to_zero(self):
@@ -86,23 +86,23 @@ class TestRenderIllumination:
         assert n @ d <= 0    # oracle: the lit side faces away
         spec = SceneSpec(w, h, CELL, albedo=1.0,
                          lights=(LightSpec(tuple(d)), LightSpec((0, 0, 1))))
-        img = render_illumination(grid, spec, 1).data
+        img = render_illumination(grid, spec, 1)
         assert np.all(img[:, 2:-2] == 0.0)
 
     def test_flat_scene_renders_uniform_both_lights(self):
         spec = SceneSpec(32, 24, CELL)
         flat = generate_height(spec)
         for k in (1, 2):
-            img = render_illumination(flat, spec, k).data
+            img = render_illumination(flat, spec, k)
             assert np.ptp(img) == 0.0
 
     def test_image_noise_deterministic_and_clamped(self):
         spec = SceneSpec(32, 24, CELL, noise=NoiseSpec(0.0, 0.05), seed=9)
         flat = generate_height(spec)
-        a = render_illumination(flat, spec, 1).data
-        assert np.array_equal(a, render_illumination(flat, spec, 1).data)
+        a = render_illumination(flat, spec, 1)
+        assert np.array_equal(a, render_illumination(flat, spec, 1))
         assert a.min() >= 0.0 and a.max() <= 1.0
-        assert not np.array_equal(a, render_illumination(flat, spec, 2).data)
+        assert not np.array_equal(a, render_illumination(flat, spec, 2))
 
     def test_bad_light_index(self):
         spec = SceneSpec(32, 24, CELL)
@@ -112,7 +112,7 @@ class TestRenderIllumination:
     def test_per_pixel_albedo(self):
         a = np.linspace(0.2, 0.9, 32 * 24).reshape(24, 32)
         spec = SceneSpec(32, 24, CELL, albedo=a, lights=vertical_lights())
-        img = render_illumination(generate_height(spec), spec, 1).data
+        img = render_illumination(generate_height(spec), spec, 1)
         assert np.allclose(img, a, atol=1e-15)
         bad = SceneSpec(32, 24, CELL, albedo=np.ones((5, 5)))
         with pytest.raises(ValueError, match="albedo"):
@@ -121,7 +121,7 @@ class TestRenderIllumination:
     def test_reference_is_noise_free_flat_render(self):
         spec = SceneSpec(32, 24, CELL, albedo=0.7, noise=NoiseSpec(0.01, 0.02),
                          seed=5)
-        ref = render_reference(spec, 1).data
+        ref = render_reference(spec, 1)
         assert np.ptp(ref) == 0.0
 
 
