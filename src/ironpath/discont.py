@@ -7,17 +7,32 @@ transform, greedy non-maximum suppression in (rho, theta), a total-least-
 squares line refit, and projection of supporting pixels into gap-split runs,
 one segment per run clipped to the image.  Runs are not split by length
 here: the planner splits long wrinkles at twice the iron's length.
+
+Segment extraction runs on the calling thread, and per candidate and per
+line it is bound by numpy call overhead, so both loops are built to make few
+calls.  Suppression evaluates its exact test from tables built once per
+call: per theta column, the side of the theta wrap and the theta test over
+every column and over the window of columns where it can hold.  Candidates
+are settled in blocks, each against a raster of the cells earlier blocks
+suppress and then against itself; a block's kept stencils enter the raster
+in one assignment.  The kept lines then take pixels in vote order; the
+pixels not yet taken are compacted after each extracted line, so a line
+that finds none, most of them, costs a few calls on a short array, and the
+loop ends when no pixel is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import logging
 import math
 import numpy as np
 
 from .classify import SvmModel, dense_scores
 from .gridio import LabelMask, WorldTransform, LABEL_WRINKLE
+
+log = logging.getLogger(__name__)
 
 EPS_REF = 1.0 / 255.0
 
@@ -33,6 +48,12 @@ CONSUME_PAD_PX = 2.0
 # Votes per np.bincount of the Hough accumulator: a block of theta columns
 # over all mask pixels, whose temporaries take about 0.5 MiB each.
 _HOUGH_BLOCK_CELLS = 1 << 16
+# Candidates per block of _greedy_nms: each block settles its unsuppressed
+# candidates against each other in one (n, n) table lookup.
+_NMS_BLOCK = 64
+# Stencil cells per raster assignment of _greedy_nms, which bounds its
+# temporaries when the NMS windows span the whole accumulator.
+_NMS_STENCIL_CELLS = 1 << 18
 
 
 @dataclass
@@ -113,7 +134,7 @@ def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float,
     h, w = nimg.combined.shape
     scores = dense_scores(nimg.combined, model, map_fn)
     scores[~nimg.valid] = 0.0
-    lab = np.where((scores >= threshold) & nimg.valid, LABEL_WRINKLE, 0)
+    lab = np.where((scores >= threshold) & nimg.valid, np.uint8(LABEL_WRINKLE), np.uint8(0))
     return LabelMask(w, h, data=lab), scores
 
 
@@ -152,43 +173,83 @@ def _hough_votes(uu, vv, wts, thetas, diag: int, rho_res: float) -> np.ndarray:
 def _greedy_nms(acc: np.ndarray, thetas: np.ndarray, diag: int, p: HoughParams):
     """Vote-ordered greedy suppression; returns kept (rho, theta) line params.
 
-    Each kept line marks the accumulator cells it suppresses in a boolean
-    raster, so a later candidate costs one lookup.  The suppression test is
-    evaluated exactly, on a window around the kept cell and around its mirror
-    across the theta wrap (where rho flips sign): a superset of the cells for
-    which it can hold.
+    A candidate is kept unless an earlier kept cell suppresses it.  With
+    R = (np.arange(nrho) - diag) * rho_res_px, kept cell (ri, ti) suppresses
+    cell (r, c) when min(dth, pi - dth) < nms_t for dth = |theta_c - theta_i|,
+    and |R[r] - R[ri]| < nms_rho_px if dth <= pi/2, else |R[r] + R[ri]|
+    (theta wraps mod pi; rho flips sign across the wrap).  The theta half of
+    the test is a table per theta column, both over every column and over
+    the window of columns where it can hold; as -R[ri] == R[2*diag - ri]
+    exactly, the rho half is the direct test around the mirror row.
+
+    Candidates go in vote order, in blocks of the next _NMS_BLOCK that a
+    boolean raster does not already suppress.  The raster holds every cell
+    the kept cells of earlier blocks suppress, padded by the rho window so
+    that no stencil leaves it.  A block is settled against itself by one
+    pairwise test and a pass in vote order, and the stencils of its kept
+    cells are ORed into the raster in one assignment.
     """
     cand = np.argwhere(acc >= p.min_votes)
-    if len(cand) == 0:
-        return []
-    votes = acc[cand[:, 0], cand[:, 1]]
-    order = np.lexsort((cand[:, 1], cand[:, 0], -votes))
-    nms_t = math.radians(p.nms_theta_deg)
+    # argwhere lists cells by row, then column: a stable sort keeps that
+    # order among tied votes
+    cand = cand[np.argsort(-acc[cand[:, 0], cand[:, 1]], kind="stable")]
     nrho, ntheta = acc.shape
+    nms_t = math.radians(p.nms_theta_deg)
     wr = _window(p.nms_rho_px, p.rho_res_px, nrho)
     wt = _window(nms_t, math.pi / ntheta, ntheta)
-    all_cols = np.arange(ntheta)
-    suppressed = np.zeros(acc.shape, bool)
-    kept = []
-    for ri, ti in cand[order].tolist():
-        if suppressed[ri, ti]:
+    # theta tables [ti, c], one plane per side: the test holds and
+    # dth <= pi/2 (direct side), or it holds and dth > pi/2 (mirror side)
+    dth = np.abs(thetas[None, :] - thetas[:, None])
+    near = np.minimum(dth, math.pi - dth) < nms_t
+    sides = np.stack([near & (dth <= math.pi / 2), near & ~(dth <= math.pi / 2)])
+    # the same over wcols[ti], the columns where the test can hold
+    cols = np.arange(ntheta)
+    wcols = (np.broadcast_to(cols, (ntheta, ntheta)) if 2 * wt + 1 >= ntheta
+             else (cols[:, None] + np.arange(-wt, wt + 1)) % ntheta)
+    sides_w = np.take_along_axis(sides, wcols[None], 2)
+    # R of padded row i is rho[i]; a cell's raster index is its padded row
+    # times ntheta plus its column
+    rho = (np.arange(-wr, nrho + wr) - diag) * p.rho_res_px
+    span = np.arange(-wr, wr + 1)
+    suppressed = np.zeros((nrho + 2 * wr) * ntheta, bool)
+    cand_at = (cand[:, 0] + wr) * ntheta + cand[:, 1]
+    per_assign = max(1, _NMS_STENCIL_CELLS // (2 * len(span) * wcols.shape[1]))
+    kept_r, kept_t = [], []
+    pos = 0
+    while pos < len(cand):
+        # the next block: up to _NMS_BLOCK live candidates among the next
+        # 8 blocks' worth, most of which the raster suppresses late on
+        ahead = cand_at[pos:pos + 8 * _NMS_BLOCK]
+        live = np.flatnonzero(~suppressed[ahead])[:_NMS_BLOCK]
+        if len(live) == 0:
+            pos += len(ahead)
             continue
-        rho = (ri - diag) * p.rho_res_px
-        theta = thetas[ti]
-        kept.append((rho, theta))
-        # rows and columns may repeat: a repeated one gets the same values
-        near = np.arange(-wr, wr + 1)
-        rows = np.concatenate([ri + near, 2 * diag - ri + near])
-        rows = rows[(rows >= 0) & (rows < nrho)]
-        cols = (all_cols if 2 * wt + 1 >= ntheta
-                else (ti + np.arange(-wt, wt + 1)) % ntheta)
-        rho_c = ((rows - diag) * p.rho_res_px)[:, None]
-        dth = np.abs(thetas[cols][None, :] - theta)
-        # theta wraps mod pi; rho flips sign across the wrap
-        drho = np.where(dth <= math.pi / 2, np.abs(rho_c - rho), np.abs(rho_c + rho))
-        dth = np.minimum(dth, math.pi - dth)
-        suppressed[np.ix_(rows, cols)] |= (drho < p.nms_rho_px) & (dth < nms_t)
-    return kept
+        ri, ti = cand[pos + live].T
+        pos += int(live[-1]) + 1
+        # hits[i, j]: candidate i suppresses candidate j
+        r = rho[ri + wr]
+        pair = ti[:, None], ti[None, :]
+        hits = ((sides[0][pair] & (np.abs(r[None, :] - r[:, None]) < p.nms_rho_px))
+                | (sides[1][pair] & (np.abs(r[None, :] + r[:, None]) < p.nms_rho_px)))
+        keep = np.zeros(len(ri), bool)
+        dead = np.zeros(len(ri), bool)
+        for j in range(len(ri)):
+            if not dead[j]:
+                keep[j] = True
+                dead |= hits[j]
+        ri, ti = ri[keep], ti[keep]
+        kept_r += r[keep].tolist()
+        kept_t += thetas[ti].tolist()
+        for k0 in range(0, len(ri), per_assign):
+            # stencils [side, cell, row, window column]: the rows around the
+            # kept cell on the direct side, around its mirror row on the other
+            kr, kt = ri[k0:k0 + per_assign], ti[k0:k0 + per_assign]
+            centre = np.stack([kr, 2 * diag - kr]) + wr
+            rows = centre[:, :, None] + span
+            on = ((np.abs(rho[rows] - rho[centre][:, :, None]) < p.nms_rho_px)[..., None]
+                  & sides_w[:, kt, None, :])
+            suppressed[(rows[..., None] * ntheta + wcols[kt, None, :])[on]] = True
+    return list(zip(kept_r, kept_t))
 
 
 def _refit_line(uu, vv, wts, sel):
@@ -207,6 +268,22 @@ def _refit_line(uu, vv, wts, sel):
         nrm = -nrm
     rho = float(mu @ nrm)
     return rho, math.atan2(nrm[1], nrm[0]) % math.pi, nrm
+
+
+def _refit_gated(uu, vv, wts, sel, gating: float):
+    """Two weighted total-least-squares refits, the first to the pixels
+    `sel`, the next to the pixels within `gating` of the first line; two
+    passes tighten lines quantized by the accumulator.
+
+    Returns (rho, theta, nrm, sel, dist) of the last line, with `dist` every
+    pixel's distance to it; None when a pass selects no pixel."""
+    for _ in range(2):
+        rho, theta, nrm = _refit_line(uu, vv, wts, sel)
+        dist = np.abs(uu * nrm[0] + vv * nrm[1] - rho)
+        sel = dist <= gating
+        if not sel.any():
+            return None
+    return rho, theta, nrm, sel, dist
 
 
 def _split_runs(ts: np.ndarray, gap: float):
@@ -240,7 +317,9 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
     `mask` is a LabelMask (wrinkle label) or boolean array; `scores` the
     array of per-pixel classifier scores used as Hough vote weights.
     Endpoints are reported in world meters via `transform` (identity cell by
-    default).
+    default).  Logs one DEBUG line of counts: the accumulator cells at or
+    above min_votes, the lines NMS kept, the lines refit (whose gating band
+    held a free pixel) and the segments.
     """
     p = params or HoughParams()
     t = transform or WorldTransform(1.0)
@@ -249,8 +328,6 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
     s = np.asarray(scores, np.float64)
     h, w = m.shape
     vv, uu = np.nonzero(m)
-    if len(uu) == 0:
-        return []
     wts = s[vv, uu]
     pix = np.column_stack([uu, vv])
     uu, vv = uu.astype(np.float64), vv.astype(np.float64)
@@ -259,26 +336,29 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
     thetas = np.arange(ntheta) * math.pi / ntheta
     diag = int(math.ceil(math.hypot(w, h) / p.rho_res_px))
     acc = _hough_votes(uu, vv, wts, thetas, diag, p.rho_res_px)
+    lines = _greedy_nms(acc, thetas, diag, p)
 
-    consumed = np.zeros(len(uu), bool)
+    # the pixels no extracted line has taken yet: their indices, coordinates
+    # and weights, compacted after each line
+    free, fu, fv, fw = np.arange(len(uu)), uu, vv, wts
     segs: list[Discontinuity] = []
-    for rho0, theta0 in _greedy_nms(acc, thetas, diag, p):
-        nrm = np.array([math.cos(theta0), math.sin(theta0)])
-        rho_f, theta_f = rho0, theta0
-        sel = (~consumed) & (np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px)
-        # two refit passes tighten lines quantized by the accumulator
-        for _ in range(2):
-            if not sel.any():
-                break
-            rho_f, theta_f, nrm = _refit_line(uu, vv, wts, sel)
-            sel = (~consumed) & (np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px)
+    refit = 0
+    for rho0, theta0 in lines:
+        if len(free) == 0:
+            break
+        sel = np.abs(fu * math.cos(theta0) + fv * math.sin(theta0) - rho0) <= p.gating_px
         if not sel.any():
             continue
+        refit += 1
+        fit = _refit_gated(fu, fv, fw, sel, p.gating_px)
+        if fit is None:
+            continue
+        rho_f, theta_f, nrm, sel, dist = fit
         d = np.array([-nrm[1], nrm[0]])
-        proj = uu[sel] * d[0] + vv[sel] * d[1]
+        proj = fu[sel] * d[0] + fv[sel] * d[1]
         order = np.argsort(proj, kind="stable")
         ts_ = proj[order]
-        sel_idx = np.nonzero(sel)[0][order]
+        sel_idx = free[np.nonzero(sel)[0][order]]
         for lo, hi in zip(*_split_runs(ts_, p.gap_px)):
             span = _clip_span(rho_f, nrm, d, ts_[lo], ts_[hi], w, h)
             if span is None:
@@ -298,5 +378,8 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
                 length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
                 direction=float(math.atan2(d[1], d[0]) % math.pi),
                 rho=rho_f, theta=theta_f))
-        consumed |= np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px + CONSUME_PAD_PX
+        left = dist > p.gating_px + CONSUME_PAD_PX
+        free, fu, fv, fw = free[left], fu[left], fv[left], fw[left]
+    log.debug("%d cells at or above min_votes, %d lines kept, %d refit, %d segments",
+              np.count_nonzero(acc >= p.min_votes), len(lines), refit, len(segs))
     return segs

@@ -876,6 +876,13 @@ class TestLogLevel:
         # the ridge leaves thin components that the curvature scan drops
         assert "DEBUG ironpath.curvature: discarded 2 degenerate" in err
         assert logged.read_bytes() == plain.read_bytes()
+        # one line of segment counters, whose last matches the report
+        counts = re.findall(r"^DEBUG ironpath\.discont: (\d+) cells at or above min_votes, "
+                            r"(\d+) lines kept, (\d+) refit, (\d+) segments$", err, re.M)
+        assert len(counts) == 1
+        cells, kept, refit, segments = map(int, counts[0])
+        assert cells >= kept >= refit >= 1
+        assert segments == len(json.loads(plain.read_text())["wrinkles"]) >= 1
         # the level is set for one command only
         assert main(detect_args(d, model_file, ["--out", str(plain)])) == 0
         assert "ironpath.curvature" not in capsys.readouterr().err

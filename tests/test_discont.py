@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CELL, corpus_scene, scene_products
 from ironpath import discont
-from ironpath.discont import (EPS_REF, HoughParams, _greedy_nms, _hough_votes,
-                              extract_segments, normalize, score_map)
+from ironpath.discont import (CONSUME_PAD_PX, EPS_REF, Discontinuity, HoughParams,
+                              _clip_span, _greedy_nms, _hough_votes, _refit_line,
+                              _split_runs, _window, extract_segments, normalize,
+                              score_map)
 from ironpath.classify import descriptors_at, score_margins
-from ironpath.gridio import LABEL_WRINKLE, WorldTransform
+from ironpath.gridio import LABEL_WRINKLE, LabelMask, WorldTransform
 
 
 def band_mask(w, h, p0, p1, hw_px):
@@ -280,3 +282,220 @@ class TestGreedyNms:
     def test_raster_matches_pairwise_reference(self, case):
         acc, thetas, diag, p = case
         assert _greedy_nms(acc, thetas, diag, p) == pairwise_nms(acc, thetas, diag, p)
+
+
+def accumulator(mask, scores, p):
+    """The Hough accumulator extract_segments builds, with its thetas and diag."""
+    vv, uu = np.nonzero(mask)
+    ntheta = max(1, int(round(180.0 / p.theta_res_deg)))
+    thetas = np.arange(ntheta) * math.pi / ntheta
+    h, w = mask.shape
+    diag = int(math.ceil(math.hypot(w, h) / p.rho_res_px))
+    acc = _hough_votes(uu.astype(np.float64), vv.astype(np.float64), scores[vv, uu],
+                       thetas, diag, p.rho_res_px)
+    return acc, thetas, diag
+
+
+def dense_accumulator(seed, diag, theta_res, p):
+    """Thousands of candidates: votes on a coarse grid of levels (many ties),
+    about 40 % of the cells at or above p.min_votes."""
+    ntheta = max(1, int(round(180.0 / theta_res)))
+    rng = np.random.default_rng(seed)
+    acc = rng.integers(0, 40, (2 * diag + 1, ntheta)) * 0.5
+    return acc, np.arange(ntheta) * math.pi / ntheta, diag, p
+
+
+DENSE_CASES = {
+    "default": (0, 30, 1.0, HoughParams(min_votes=12.0)),
+    "coarse": (1, 45, 2.5, HoughParams(rho_res_px=0.7, min_votes=12.0, nms_rho_px=3.0,
+                                       nms_theta_deg=12.0)),
+    # theta windows that span every column, rho windows of a few rows
+    "all-columns": (2, 80, 7.0, HoughParams(rho_res_px=2.5, min_votes=12.0, nms_rho_px=9.0,
+                                            nms_theta_deg=120.0)),
+    "narrow": (3, 30, 2.5, HoughParams(min_votes=15.0, nms_rho_px=1.5, nms_theta_deg=4.0)),
+}
+BLOCKS = (1, 7, discont._NMS_BLOCK)
+
+
+class TestGreedyNmsBlocks:
+    """Candidates that span many blocks, against the pairwise reference."""
+
+    @pytest.mark.parametrize("case", sorted(DENSE_CASES))
+    def test_dense_accumulators(self, monkeypatch, case):
+        seed, diag, theta_res, p = DENSE_CASES[case]
+        acc, thetas, diag, p = dense_accumulator(seed, diag, theta_res, p)
+        assert (acc >= p.min_votes).sum() >= 1000
+        want = pairwise_nms(acc, thetas, diag, p)
+        assert len(want) > 40
+        for block in BLOCKS:
+            monkeypatch.setattr(discont, "_NMS_BLOCK", block)
+            assert _greedy_nms(acc, thetas, diag, p) == want, block
+
+    def test_cluttered_scene(self, monkeypatch, trained_model):
+        # the score mask of a noisy corpus scene: ridges plus scattered
+        # false positives, thousands of cells at min_votes
+        _, nimg, _ = scene_products(corpus_scene(3300))
+        mask, scores = score_map(nimg, trained_model, threshold=0.5)
+        p = HoughParams()
+        acc, thetas, diag = accumulator(mask.data == LABEL_WRINKLE, scores, p)
+        assert (acc >= p.min_votes).sum() >= 2000
+        want = pairwise_nms(acc, thetas, diag, p)
+        assert len(want) > 2 * discont._NMS_BLOCK
+        for block in BLOCKS:
+            monkeypatch.setattr(discont, "_NMS_BLOCK", block)
+            assert _greedy_nms(acc, thetas, diag, p) == want, block
+
+
+def raster_nms(acc: np.ndarray, thetas: np.ndarray, diag: int, p: HoughParams):
+    """Reference NMS: a suppression raster updated one kept cell at a time."""
+    cand = np.argwhere(acc >= p.min_votes)
+    if len(cand) == 0:
+        return []
+    votes = acc[cand[:, 0], cand[:, 1]]
+    order = np.lexsort((cand[:, 1], cand[:, 0], -votes))
+    nms_t = math.radians(p.nms_theta_deg)
+    nrho, ntheta = acc.shape
+    wr = _window(p.nms_rho_px, p.rho_res_px, nrho)
+    wt = _window(nms_t, math.pi / ntheta, ntheta)
+    all_cols = np.arange(ntheta)
+    suppressed = np.zeros(acc.shape, bool)
+    kept = []
+    for ri, ti in cand[order].tolist():
+        if suppressed[ri, ti]:
+            continue
+        rho = (ri - diag) * p.rho_res_px
+        theta = thetas[ti]
+        kept.append((rho, theta))
+        # rows and columns may repeat: a repeated one gets the same values
+        near = np.arange(-wr, wr + 1)
+        rows = np.concatenate([ri + near, 2 * diag - ri + near])
+        rows = rows[(rows >= 0) & (rows < nrho)]
+        cols = (all_cols if 2 * wt + 1 >= ntheta
+                else (ti + np.arange(-wt, wt + 1)) % ntheta)
+        rho_c = ((rows - diag) * p.rho_res_px)[:, None]
+        dth = np.abs(thetas[cols][None, :] - theta)
+        # theta wraps mod pi; rho flips sign across the wrap
+        drho = np.where(dth <= math.pi / 2, np.abs(rho_c - rho), np.abs(rho_c + rho))
+        dth = np.minimum(dth, math.pi - dth)
+        suppressed[np.ix_(rows, cols)] |= (drho < p.nms_rho_px) & (dth < nms_t)
+    return kept
+
+
+def reference_segments(mask, scores, params=None, transform=None):
+    """Reference extract_segments: raster_nms, then every kept line gated
+    against every pixel, with a consumed flag per pixel."""
+    p = params or HoughParams()
+    t = transform or WorldTransform(1.0)
+    m = np.asarray(mask.data == LABEL_WRINKLE if isinstance(mask, LabelMask) else mask,
+                   bool)
+    s = np.asarray(scores, np.float64)
+    h, w = m.shape
+    vv, uu = np.nonzero(m)
+    if len(uu) == 0:
+        return []
+    wts = s[vv, uu]
+    pix = np.column_stack([uu, vv])
+    uu, vv = uu.astype(np.float64), vv.astype(np.float64)
+
+    ntheta = max(1, int(round(180.0 / p.theta_res_deg)))
+    thetas = np.arange(ntheta) * math.pi / ntheta
+    diag = int(math.ceil(math.hypot(w, h) / p.rho_res_px))
+    acc = _hough_votes(uu, vv, wts, thetas, diag, p.rho_res_px)
+
+    consumed = np.zeros(len(uu), bool)
+    segs = []
+    for rho0, theta0 in raster_nms(acc, thetas, diag, p):
+        nrm = np.array([math.cos(theta0), math.sin(theta0)])
+        rho_f, theta_f = rho0, theta0
+        sel = (~consumed) & (np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px)
+        # two refit passes tighten lines quantized by the accumulator
+        for _ in range(2):
+            if not sel.any():
+                break
+            rho_f, theta_f, nrm = _refit_line(uu, vv, wts, sel)
+            sel = (~consumed) & (np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px)
+        if not sel.any():
+            continue
+        d = np.array([-nrm[1], nrm[0]])
+        proj = uu[sel] * d[0] + vv[sel] * d[1]
+        order = np.argsort(proj, kind="stable")
+        ts_ = proj[order]
+        sel_idx = np.nonzero(sel)[0][order]
+        for lo, hi in zip(*_split_runs(ts_, p.gap_px)):
+            span = _clip_span(rho_f, nrm, d, ts_[lo], ts_[hi], w, h)
+            if span is None:
+                continue
+            a, b = span
+            if b - a < p.min_len_px:
+                continue
+            idx = sel_idx[(ts_ >= a) & (ts_ <= b)]      # the run's pixels inside the image
+            px0 = np.clip(rho_f * nrm + a * d, 0.0, [w - 1.0, h - 1.0])
+            px1 = np.clip(rho_f * nrm + b * d, 0.0, [w - 1.0, h - 1.0])
+            p0 = t.pixel_to_world(px0[0], px0[1])
+            p1 = t.pixel_to_world(px1[0], px1[1])
+            segs.append(Discontinuity(
+                id=len(segs), endpoints=(p0, p1),
+                pixels=pix[idx],
+                scores=wts[idx],
+                length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
+                direction=float(math.atan2(d[1], d[0]) % math.pi),
+                rho=rho_f, theta=theta_f))
+        consumed |= np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px + CONSUME_PAD_PX
+    return segs
+
+
+@st.composite
+def band_scenes(draw):
+    """Band masks with scattered pixels, weights from two levels (tied votes),
+    and non-default Hough parameters."""
+    w, h = draw(st.integers(12, 40)), draw(st.integers(12, 40))
+    mask = np.zeros((h, w), bool)
+    for _ in range(draw(st.integers(1, 3))):
+        u0, v0 = draw(st.integers(-4, w + 4)), draw(st.integers(-4, h + 4))
+        u1, v1 = draw(st.integers(-4, w + 4)), draw(st.integers(-4, h + 4))
+        if (u0, v0) != (u1, v1):
+            mask |= band_mask(w, h, (u0, v0), (u1, v1), draw(st.sampled_from([0.5, 1.0, 2.0])))
+    for u, v in draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                              max_size=25)):
+        mask[v, u] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = np.where(mask, rng.choice([0.5, 1.0], mask.shape), 0.0)
+    p = HoughParams(
+        rho_res_px=draw(st.sampled_from([1.0, 0.7, 2.5])),
+        theta_res_deg=draw(st.sampled_from([1.0, 2.5, 7.0, 45.0])),
+        min_votes=draw(st.sampled_from([4.0, 2.0, 8.0])),
+        gating_px=draw(st.sampled_from([2.0, 1.0, 0.0, math.inf])),
+        gap_px=draw(st.sampled_from([2.0, 0.0, 5.0])),
+        min_len_px=draw(st.sampled_from([4.0, 0.0, 10.0])),
+        nms_rho_px=draw(st.sampled_from([5.0, 0.0, 2.5, 100.0])),
+        # 200 degrees: the theta window spans every column
+        nms_theta_deg=draw(st.sampled_from([5.0, 0.0, 30.0, 200.0])))
+    transform = WorldTransform(draw(st.sampled_from([1.0, CELL])), (0.5, -0.25))
+    return mask, scores, p, transform
+
+
+def assert_same_segments(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.id == b.id
+        assert a.endpoints == b.endpoints
+        assert a.pixels.dtype == b.pixels.dtype and np.array_equal(a.pixels, b.pixels)
+        assert a.scores.dtype == b.scores.dtype and np.array_equal(a.scores, b.scores)
+        assert (a.length, a.direction, a.rho, a.theta) == (b.length, b.direction, b.rho, b.theta)
+
+
+class TestExtractSegmentsReference:
+    @settings(max_examples=150, deadline=None)
+    @given(band_scenes())
+    def test_matches_reference_loop(self, case):
+        mask, scores, p, transform = case
+        assert_same_segments(extract_segments(mask, scores, p, transform),
+                             reference_segments(mask, scores, p, transform))
+
+    def test_cluttered_scene(self, trained_model):
+        _, nimg, _ = scene_products(corpus_scene(3300))
+        mask, scores = score_map(nimg, trained_model, threshold=0.5)
+        t = WorldTransform(CELL)
+        segs = extract_segments(mask, scores, transform=t)
+        assert len(segs) >= 3
+        assert_same_segments(segs, reference_segments(mask, scores, transform=t))
