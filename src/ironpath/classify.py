@@ -261,7 +261,7 @@ def sample_pixels(mask: LabelMask, negatives_per_positive: int, seed: int,
 
 def build_training_set(
         scenes: list[tuple[np.ndarray | Callable[[], np.ndarray], LabelMask, int]],
-        negatives_per_positive: int = 3, map_fn=map) -> TrainingSet:
+        negatives_per_positive: int, map_fn=map) -> TrainingSet:
     """The training set of a corpus of (img, mask, seed) scenes, where img is
     the scene's image or a function of no arguments that returns it.
 

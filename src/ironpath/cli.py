@@ -36,11 +36,6 @@ CAPTURE_FILES = ("light1.pgm", "light2.pgm", "ref1.pgm", "ref2.pgm")
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
-# Largest accepted `clearance_samples`: more points along one segment than a
-# 1280x960 scan has pixels along its diagonal (1600), several times over.
-MAX_CLEARANCE_SAMPLES = 10_000
-
-
 class ConfigError(ValueError):
     """A bad config file, config value, argument or environment value (exit 2)."""
 
@@ -63,7 +58,6 @@ class PipelineConfig:
     seed: int = 0
     score_threshold: float = 0.5
     negatives_per_positive: int = 3
-    clearance_samples: int = 16
     p_min: float = 0.3
     home_x_m: float = 0.0
     home_y_m: float = 0.0
@@ -75,8 +69,7 @@ class PipelineConfig:
     def __post_init__(self):
         # seed plus a small scene offset keys a Philox generator (keys < 2**128)
         for name, lo, hi in (("seed", 0, 2**64 - 1), ("score_threshold", 0, 1), ("p_min", 0, 1),
-                             ("negatives_per_positive", 1, math.inf),
-                             ("clearance_samples", 2, MAX_CLEARANCE_SAMPLES)):
+                             ("negatives_per_positive", 1, math.inf)):
             if not lo <= getattr(self, name) <= hi:
                 raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)}")
         for name in ("home_x_m", "home_y_m"):
@@ -93,7 +86,6 @@ CONFIG_KEYS = {
     "seed": (None, "seed"),
     "smooth_sigma_px": ("bump", "smooth_sigma_px"),
     "polarity": ("bump", "polarity"),
-    "eps_umbilic_rel": ("bump", "eps_umbilic_rel"),
     "min_volume_m3": ("bump", "min_volume_m3"),
     "min_pixels": ("bump", "min_pixels"),
     "close_iterations": ("bump", "close_iterations"),
@@ -109,7 +101,6 @@ CONFIG_KEYS = {
     "min_len_px": ("hough", "min_len_px"),
     "nms_rho_px": ("hough", "nms_rho_px"),
     "nms_theta_deg": ("hough", "nms_theta_deg"),
-    "clearance_samples": (None, "clearance_samples"),
     "p_min": (None, "p_min"),
     "iron_long_axis_m": ("iron", "long_axis"),
     "iron_short_axis_m": ("iron", "short_axis"),
@@ -282,8 +273,7 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
         bumps, mix = scan.result()
     segments = stage("segments", own_times, lambda: discont.extract_segments(
         mask, scores, cfg.hough, height.transform))
-    fused = stage("fusion", own_times, lambda: fusion.fuse(
-        segments, mix, cfg.p_min, cfg.clearance_samples))
+    fused = stage("fusion", own_times, lambda: fusion.fuse(segments, mix, cfg.p_min))
     plan, waypoints = stage("plan", own_times, lambda: planner.plan_ironing(
         fused, cfg.iron, (cfg.home_x_m, cfg.home_y_m), surface=height))
     if timings is not None:

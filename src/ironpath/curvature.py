@@ -47,6 +47,11 @@ MAX_SMOOTH_SIGMA_PX = 1000.0
 # over the whole image.
 MAX_CLOSE_ITERATIONS = 100
 
+# Relative tolerance of the umbilic test: where the eigenvalue gap is below
+# this fraction of the largest |eigenvalue| (of the whole image in `hessian`),
+# the shape index takes its umbilic limit +-1, or NaN where the trace is 0.
+EPS_UMBILIC_REL = 1e-9
+
 # Relative-height floor for the Gaussian fit: only pixels at or above this
 # fraction of a component's peak take part.
 FIT_FLOOR = 0.05
@@ -82,7 +87,6 @@ class HeightBump:
 class BumpParams:
     smooth_sigma_px: float = 2.0
     polarity: str = "up"          # "up": bumps are height maxima; "down": minima
-    eps_umbilic_rel: float = 1e-9
     min_volume_m3: float = 1e-6
     min_pixels: int = 5
     close_iterations: int = 2     # morphological closing passes on the bump mask
@@ -94,9 +98,6 @@ class BumpParams:
                              f"got {self.smooth_sigma_px}")
         if self.polarity not in ("up", "down"):
             raise ValueError(f"polarity must be 'up' or 'down', got {self.polarity!r}")
-        if not 0.0 <= self.eps_umbilic_rel < math.inf:
-            raise ValueError(f"eps_umbilic_rel must be finite and >= 0, "
-                             f"got {self.eps_umbilic_rel}")
         if not 0 <= self.close_iterations <= MAX_CLOSE_ITERATIONS:
             raise ValueError(f"close_iterations must be in [0, {MAX_CLOSE_ITERATIONS}], "
                              f"got {self.close_iterations}")
@@ -242,8 +243,7 @@ def _hessian_components(z: np.ndarray, cell: float):
     return fxx, fyy, fxy
 
 
-def hessian(z: np.ndarray, cell: float,
-            eps_umbilic_rel: float = BumpParams.eps_umbilic_rel) -> CurvatureField:
+def hessian(z: np.ndarray, cell: float) -> CurvatureField:
     """Central-difference Hessian eigenvalues and shape index of the (h, w)
     heights z on a grid of spacing cell.
 
@@ -268,7 +268,7 @@ def hessian(z: np.ndarray, cell: float,
     l2 *= 0.5
     den = disc
     lmax = max(np.abs(l1, out=den).max(), np.abs(l2, out=den).max())
-    eps = eps_umbilic_rel * lmax
+    eps = EPS_UMBILIC_REL * lmax
     np.subtract(l1, l2, out=den)
     defined = den >= eps if eps > 0 else den > 0
     s = den                 # the shape index replaces den pixel by pixel
@@ -283,12 +283,11 @@ def hessian(z: np.ndarray, cell: float,
     return CurvatureField(l1, l2, s)
 
 
-def shape_index(l1: float, l2: float,
-                eps_umbilic_rel: float = BumpParams.eps_umbilic_rel) -> float:
+def shape_index(l1: float, l2: float) -> float:
     """(2/pi) * atan((l1+l2)/(l1-l2)); +-1 in the umbilic limit, NaN when flat."""
     if l2 > l1:
         raise ValueError("requires lambda1 >= lambda2")
-    eps = eps_umbilic_rel * max(abs(l1), abs(l2))
+    eps = EPS_UMBILIC_REL * max(abs(l1), abs(l2))
     if l1 - l2 < eps or l1 == l2:
         tr = l1 + l2
         return math.copysign(1.0, tr) if tr != 0.0 else math.nan
@@ -343,7 +342,7 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
     hs = smooth(grid.data, p.smooth_sigma_px)
     if p.polarity == "down":
         hs = -hs
-    s = hessian(-hs, cell, p.eps_umbilic_rel).shape_index
+    s = hessian(-hs, cell).shape_index
     mask = (s >= BUMP_INDEX_LO) & (s < BUMP_INDEX_HI)
     if p.close_iterations > 0:
         mask = _erode(_dilate(mask, p.close_iterations), p.close_iterations)

@@ -37,10 +37,9 @@ def fuse_one(d: Discontinuity, q: float, r: float, p_min: float) -> FusedWrinkle
     return FusedWrinkle(d, q, r, p, p >= p_min)
 
 
-def fuse(ds: list[Discontinuity], mix: list[MixtureComponent], p_min: float = 0.3,
-         samples: int = 16) -> list[FusedWrinkle]:
+def fuse(ds: list[Discontinuity], mix: list[MixtureComponent],
+         p_min: float) -> list[FusedWrinkle]:
     """Score every discontinuity; sort by p descending, ties broken by id."""
-    fused = [fuse_one(d, clearance(mix, d.endpoints, samples), confidence(d), p_min)
-             for d in ds]
+    fused = [fuse_one(d, clearance(mix, d.endpoints), confidence(d), p_min) for d in ds]
     fused.sort(key=lambda f: (-f.p, f.discontinuity.id))
     return fused

@@ -100,7 +100,8 @@ class LabelMask:
             raise ValueError(f"data length {d.size} != {self.width}x{self.height}")
         if not np.all((d >= 0) & (d <= 2)):
             raise ValueError("labels must be 0 (background), 1 (wrinkle) or 2 (bump)")
-        object.__setattr__(self, "data", _readonly(d.reshape(self.height, self.width).astype(np.uint8)))
+        object.__setattr__(self, "data", _readonly(
+            d.reshape(self.height, self.width).astype(np.uint8, copy=False)))
 
 
 # --- FGRID ---

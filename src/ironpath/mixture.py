@@ -17,6 +17,9 @@ from .curvature import HeightBump
 
 log = logging.getLogger(__name__)
 
+# Points along a segment at which its clearance is sampled.
+CLEARANCE_SAMPLES = 16
+
 
 @dataclass
 class MixtureComponent:
@@ -61,19 +64,17 @@ def proximity(c: MixtureComponent, pts: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.einsum("ni,ij,nj->n", d, c.prec, d))
 
 
-def clearance(mix: list[MixtureComponent], endpoints, samples: int = 16) -> float:
+def clearance(mix: list[MixtureComponent], endpoints) -> float:
     """Q for a segment given as ((x0, y0), (x1, y1)) world endpoints.
 
-    Mean over `samples` equally spaced points (endpoints included) of
+    Mean over CLEARANCE_SAMPLES equally spaced points (endpoints included) of
     prod_j (1 - proximity_j).  Empty mixture => 1.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
     p0 = np.asarray(endpoints[0], float)
     p1 = np.asarray(endpoints[1], float)
-    t = np.linspace(0.0, 1.0, samples)[:, None]
+    t = np.linspace(0.0, 1.0, CLEARANCE_SAMPLES)[:, None]
     pts = p0[None, :] * (1.0 - t) + p1[None, :] * t
-    keep = np.ones(samples)
+    keep = np.ones(CLEARANCE_SAMPLES)
     for c in mix:
         keep *= 1.0 - proximity(c, pts)
     return float(keep.mean())

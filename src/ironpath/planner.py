@@ -111,7 +111,7 @@ def _entry_points(w: FusedWrinkle, iron: IronSpec):
 
 
 def order_actions(ws: list[FusedWrinkle], iron: IronSpec,
-                  home: tuple[float, float] = (0.0, 0.0)) -> IroningPlan:
+                  home: tuple[float, float]) -> IroningPlan:
     """Greedy nearest-endpoint ordering starting from the highest-p wrinkle.
 
     The first wrinkle is entered at the point nearer home; afterwards the
@@ -195,8 +195,7 @@ def emit_waypoints(plan: IroningPlan, iron: IronSpec,
     return out
 
 
-def plan_ironing(fused: list[FusedWrinkle], iron: IronSpec,
-                 home: tuple[float, float] = (0.0, 0.0),
+def plan_ironing(fused: list[FusedWrinkle], iron: IronSpec, home: tuple[float, float],
                  surface: Optional[FloatGrid] = None):
     """Split accepted wrinkles, order greedily, and (optionally) emit waypoints."""
     accepted = [f for f in fused if f.accepted]

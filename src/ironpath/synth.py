@@ -187,6 +187,14 @@ def surface_normals(height: np.ndarray, cell_size: float) -> np.ndarray:
     return np.stack([-gx * inv, -gy * inv, inv], axis=-1)
 
 
+def _light_vector(spec: SceneSpec, light_index: int) -> np.ndarray:
+    """s = direction * intensity of light 1 or 2."""
+    if light_index not in (1, 2):
+        raise ValueError(f"light_index must be 1 or 2, got {light_index}")
+    li = spec.lights[light_index - 1]
+    return np.asarray(li.direction, float) * li.intensity
+
+
 def render_illumination(height: FloatGrid, spec: SceneSpec, light_index: int) -> np.ndarray:
     """Lambertian render I = clamp(albedo * max(0, n.s), 0, 1) + noise, as an
     (h, w) array.
@@ -194,11 +202,8 @@ def render_illumination(height: FloatGrid, spec: SceneSpec, light_index: int) ->
     light_index is 1 or 2.  Noise streams differ per light so the two images
     are independent; output is re-clamped to keep intensities in [0, 1].
     """
-    if light_index not in (1, 2):
-        raise ValueError(f"light_index must be 1 or 2, got {light_index}")
-    li = spec.lights[light_index - 1]
+    s = _light_vector(spec, light_index)
     n = surface_normals(np.asarray(height.data, np.float64), height.cell_size)
-    s = np.asarray(li.direction, float) * li.intensity
     img = np.clip(spec.albedo * np.maximum(n @ s, 0.0), 0.0, 1.0)
     if spec.noise.image_sigma > 0:
         img += spec.noise.image_sigma * unit_normals(
@@ -208,13 +213,12 @@ def render_illumination(height: FloatGrid, spec: SceneSpec, light_index: int) ->
 
 
 def render_reference(spec: SceneSpec, light_index: int) -> np.ndarray:
-    """Flat-cloth calibration capture: the scene rendered with zero height, no noise."""
-    flat = FloatGrid(spec.width, spec.height, spec.cell_size, spec.origin,
-                     data=np.zeros(spec.width * spec.height))
-    quiet = SceneSpec(spec.width, spec.height, spec.cell_size, spec.origin,
-                      albedo=spec.albedo, lights=spec.lights,
-                      noise=NoiseSpec(0.0, 0.0), seed=spec.seed)
-    return render_illumination(flat, quiet, light_index)
+    """Flat-cloth calibration capture: the scene rendered with zero height and
+    no noise, as an (h, w) array.  The flat normal is (0, 0, 1), so n.s is the
+    light's z component."""
+    s_z = _light_vector(spec, light_index)[2]
+    return np.clip(np.broadcast_to(spec.albedo * max(s_z, 0.0), (spec.height, spec.width)),
+                   0.0, 1.0)
 
 
 def ground_truth(spec: SceneSpec) -> LabelMask:

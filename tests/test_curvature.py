@@ -94,7 +94,7 @@ class TestHessian:
         assert inside.all() == inside.any() == in_bump_range
 
 
-def hessian_reference(grid, eps_umbilic_rel=1e-9):
+def hessian_reference(grid, eps_umbilic_rel):
     """hessian's arithmetic as plain expressions, each step a new array."""
     z = np.asarray(grid.data, np.float64)
     cell = grid.cell_size
@@ -136,8 +136,11 @@ class TestHessianBits:
         quadratic_grid(1e-7, 1e-7, 0.0, n=9)],
         ids=[*(f"random{seed}" for seed in range(5)), "flat", "umbilic-positive",
              "umbilic-negative", "umbilic-faint"])
-    def test_equal_to_plain_expressions(self, grid, eps_umbilic_rel):
-        f = hessian(grid.data, grid.cell_size, eps_umbilic_rel)
+    def test_equal_to_plain_expressions(self, monkeypatch, grid, eps_umbilic_rel):
+        # the module constant is the tolerance; the other values take every
+        # grid through the eps == 0 branch and a wide umbilic band
+        monkeypatch.setattr(curvature, "EPS_UMBILIC_REL", eps_umbilic_rel)
+        f = hessian(grid.data, grid.cell_size)
         for got, want in zip((f.lambda1, f.lambda2, f.shape_index),
                              hessian_reference(grid, eps_umbilic_rel)):
             assert np.array_equal(got, want, equal_nan=True)
@@ -286,7 +289,7 @@ def scipy_reference_bumps(ndimage, grid, p):
                                  mode="reflect", truncate=3.0)
     if p.polarity == "down":
         hs = -hs
-    s = hessian(-hs, cell, p.eps_umbilic_rel).shape_index
+    s = hessian(-hs, cell).shape_index
     mask = (s >= curvature.BUMP_INDEX_LO) & (s < curvature.BUMP_INDEX_HI)
     if p.close_iterations > 0:
         mask = ndimage.binary_closing(mask, structure=S8, iterations=p.close_iterations,

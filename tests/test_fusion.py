@@ -63,29 +63,29 @@ class TestFuse:
                               tuple(rng.uniform(0, 0.5, 2))),
                    scores=rng.uniform(0.1, 0.9, 4), disc_id=i)
               for i in range(6)]
-        for f in fuse(ds, mix):
+        for f in fuse(ds, mix, p_min=0.3):
             assert f.p == pytest.approx(f.q * f.r, abs=1e-12)
             assert f.accepted == (f.p >= 0.3)
 
     def test_sorted_descending_ties_by_id(self):
         ds = [disc(scores=(0.5,), disc_id=2), disc(scores=(0.5,), disc_id=0),
               disc(scores=(0.7,), disc_id=1)]
-        out = fuse(ds, [])
+        out = fuse(ds, [], p_min=0.3)
         assert [f.discontinuity.id for f in out] == [1, 0, 2]
 
     def test_order_independent_of_input_order(self):
         rng = np.random.default_rng(4)
         ds = [disc(scores=(s,), disc_id=i)
               for i, s in enumerate(rng.uniform(0.2, 0.9, 8))]
-        a = fuse(list(ds), [])
-        b = fuse(ds[::-1], [])
+        a = fuse(list(ds), [], p_min=0.3)
+        b = fuse(ds[::-1], [], p_min=0.3)
         assert [f.discontinuity.id for f in a] == [f.discontinuity.id for f in b]
 
     def test_removing_component_never_decreases_p(self):
         rng = np.random.default_rng(5)
         comps = [component(rng.uniform(0, 0.4, 2)) for _ in range(4)]
         d = disc(endpoints=((0.05, 0.05), (0.35, 0.3)), scores=(0.8,) * 3)
-        p_full = fuse([d], comps)[0].p
+        p_full = fuse([d], comps, p_min=0.3)[0].p
         for k in range(4):
             reduced = comps[:k] + comps[k + 1:]
-            assert fuse([d], reduced)[0].p >= p_full - 1e-15
+            assert fuse([d], reduced, p_min=0.3)[0].p >= p_full - 1e-15

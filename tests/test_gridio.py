@@ -128,6 +128,15 @@ class TestLabelMask:
         with pytest.raises(ValueError):
             LabelMask(3, 3, data=[3] + [0] * 8)
 
+    def test_uint8_data_is_a_readonly_view(self):
+        a = np.array([0, 1, 2] * 3, np.uint8)
+        mask = LabelMask(3, 3, data=a)
+        assert np.shares_memory(mask.data, a)
+        with pytest.raises(ValueError):
+            mask.data[0, 0] = 1
+        converted = LabelMask(3, 3, data=a.astype(np.int64)).data
+        assert converted.dtype == np.uint8 and np.array_equal(converted, mask.data)
+
 
 class TestWriteAtomic:
     def test_failed_writer_leaves_nothing_behind(self, tmp_path):

@@ -76,7 +76,7 @@ class TestClearance:
         comp_a = MixtureComponent(np.array([r_a, 0.0]), np.eye(2))
         comp_b = MixtureComponent(np.array([0.0, r_b]), np.eye(2))
         mix = [comp_a, comp_b]
-        q = clearance(mix, (pt, pt), samples=16)
+        q = clearance(mix, (pt, pt))
         assert q == pytest.approx(0.7 * 0.5, abs=1e-12)
 
     def test_bounds_and_component_monotonicity(self):
@@ -112,7 +112,3 @@ class TestClearance:
                  for c0 in comps]
         q1 = clearance(moved, (R @ seg[0] + [tx, ty], R @ seg[1] + [tx, ty]))
         assert abs(q1 - q0) < 1e-9
-
-    def test_samples_validation(self):
-        with pytest.raises(ValueError):
-            clearance([], ((0, 0), (1, 1)), samples=1)

@@ -148,7 +148,7 @@ class TestOrderActions:
     def test_align_angle_matches_direction(self):
         rng = np.random.default_rng(7)
         ws = random_instance(rng, 5)
-        for a in order_actions(ws, IRON).actions:
+        for a in order_actions(ws, IRON, home=(0.0, 0.0)).actions:
             w = next(x for x in ws if x.discontinuity.id == a.wrinkle_id)
             assert a.align_angle == pytest.approx(w.discontinuity.direction, abs=1e-12)
 
@@ -181,7 +181,7 @@ class TestOrderActions:
         assert wins >= 9
 
     def test_empty_plan(self):
-        plan = order_actions([], IRON)
+        plan = order_actions([], IRON, home=(0.0, 0.0))
         assert plan.actions == [] and plan.total_travel == 0.0
 
 
@@ -213,7 +213,7 @@ class TestWaypoints:
 
     def test_force_is_spring_model(self):
         w = wrinkle((0.3, 0.4), (0.5, 0.4))
-        plan = order_actions([w], IRON)
+        plan = order_actions([w], IRON, home=(0.0, 0.0))
         assert plan.actions[0].force == pytest.approx(
             IRON.foam_stiffness * IRON.press_depth, abs=1e-12)
 
@@ -233,7 +233,7 @@ class TestWaypoints:
 
     def test_out_of_bounds_raises(self):
         w = wrinkle((5.0, 5.0), (5.2, 5.0))
-        plan = order_actions([w], IRON)
+        plan = order_actions([w], IRON, home=(0.0, 0.0))
         with pytest.raises(ValueError, match="outside"):
             emit_waypoints(plan, IRON, self.flat_surface())
 
