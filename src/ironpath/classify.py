@@ -259,11 +259,10 @@ def sample_pixels(mask: LabelMask, negatives_per_positive: int, seed: int,
     return np.concatenate([pu, cu[pick]]), np.concatenate([pv, cv[pick]]), len(pu)
 
 
-def build_training_set(
-        scenes: list[tuple[np.ndarray | Callable[[], np.ndarray], LabelMask, int]],
-        negatives_per_positive: int, map_fn=map) -> TrainingSet:
+def build_training_set(scenes: list[tuple[Callable[[], np.ndarray], LabelMask, int]],
+                       negatives_per_positive: int, map_fn=map) -> TrainingSet:
     """The training set of a corpus of (img, mask, seed) scenes, where img is
-    the scene's image or a function of no arguments that returns it.
+    a function of no arguments that returns the scene's image.
 
     Every scene's pixels are drawn first (sample_pixels), so that the matrix
     is allocated once at its final size and a scene without wrinkle pixels
@@ -289,7 +288,7 @@ def build_training_set(
 
     def fill(task):
         img, uu, vv, rows = task
-        descriptors_at(img() if callable(img) else img, uu, vv, X, rows)
+        descriptors_at(img(), uu, vv, X, rows)
     list(map_fn(fill, tasks))
     return TrainingSet(X, n_pos)
 
@@ -431,9 +430,8 @@ def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
     return SvmModel(w, float(b), hyper)
 
 
-def train(ts: TrainingSet, hyper: TrainHyper | None = None) -> SvmModel:
+def train(ts: TrainingSet, hyper: TrainHyper) -> SvmModel:
     """The SVM of a training set, trained on its matrix without a copy."""
-    hyper = hyper or TrainHyper()
     if len(ts.positives) == 0 or len(ts.negatives) == 0:
         raise ValueError("both classes must be non-empty")
     y = np.ones(len(ts.X))

@@ -283,7 +283,7 @@ def run_detection(height: gridio.FloatGrid, i1, i2, ref1, ref2,
     return {
         "schema_version": SCHEMA_VERSION,
         "config": config_values(cfg),
-        "grid": {"width": height.width, "height": height.height,
+        "grid": {"width": height.data.shape[1], "height": height.data.shape[0],
                  "cell_size_m": height.cell_size, "origin_m": list(height.origin)},
         "bumps": [{
             "id": b.id, "center_m": list(b.center), "volume_m3": b.volume,
@@ -514,11 +514,14 @@ def _reject_constant(name: str):
 
 
 def _finite(x) -> float:
-    """float(x); ValueError when that is not a finite number."""
-    v = float(x)
-    if not math.isfinite(v):
+    """x as a float when it is a finite JSON number, an int or a float but not
+    a bool; ValueError otherwise, and as a non-finite number for a string
+    that spells one (a detect report writes infinities as "inf" and "-inf")."""
+    if isinstance(x, str) and not math.isfinite(float(x)):
         raise ValueError(f"non-finite number {x!r}")
-    return v
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ValueError(f"not a finite number: {x!r}")
+    return float(x)
 
 
 def _read_report(path) -> dict:
@@ -538,8 +541,10 @@ def cmd_plan(args) -> None:
         fused = []
         for wk in report.get("wrinkles", []):
             (x0, y0), (x1, y1) = wk["endpoints_m"]
+            if isinstance(wk["id"], bool) or not isinstance(wk["id"], int):
+                raise ValueError(f"wrinkle id {wk['id']!r} is not an integer")
             d = discont.Discontinuity(
-                id=int(wk["id"]),
+                id=wk["id"],
                 endpoints=((_finite(x0), _finite(y0)), (_finite(x1), _finite(y1))),
                 pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
                 length=_finite(wk["length_m"]), direction=_finite(wk["direction_rad"]))

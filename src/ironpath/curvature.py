@@ -327,7 +327,7 @@ def _pca_moments(x, y, w):
     return np.array([mx, my]), d1, d2, orientation
 
 
-def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[HeightBump]:
+def detect_bumps(grid: FloatGrid, params: BumpParams) -> list[HeightBump]:
     """Detect smooth height bumps, sorted by volume descending.
 
     The shape-index rule is evaluated on the negated (polarity "up") smoothed
@@ -337,24 +337,23 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
     Axis lengths come from a Gaussian fit to the relative heights, which is
     unbiased by the annular shape of the in-range region.
     """
-    p = params or BumpParams()
     cell = grid.cell_size
-    hs = smooth(grid.data, p.smooth_sigma_px)
-    if p.polarity == "down":
+    hs = smooth(grid.data, params.smooth_sigma_px)
+    if params.polarity == "down":
         hs = -hs
     s = hessian(-hs, cell).shape_index
     mask = (s >= BUMP_INDEX_LO) & (s < BUMP_INDEX_HI)
-    if p.close_iterations > 0:
-        mask = _erode(_dilate(mask, p.close_iterations), p.close_iterations)
+    if params.close_iterations > 0:
+        mask = _erode(_dilate(mask, params.close_iterations), params.close_iterations)
     labels, _, boxes = _label(_fill_holes(mask))
     n_degenerate = 0
     bumps = []
-    ox, oy = grid.origin
+    to_world = grid.transform.pixel_to_world
     for k, (r0, r1, c0, c1) in enumerate(boxes, 1):
         # the component lies inside its box, so the box is all the work reads
         comp = labels[r0:r1, c0:c1] == k
         npx = int(comp.sum())
-        if npx < p.min_pixels:
+        if npx < params.min_pixels:
             n_degenerate += 1
             continue
         boundary = comp & ~_erode(comp)
@@ -362,7 +361,7 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
         base = hbox[boundary].min()
         rel = hbox[comp] - base
         volume = float(rel.sum() * cell * cell)
-        if volume < p.min_volume_m3:
+        if volume < params.min_volume_m3:
             continue
         vv, uu = np.nonzero(comp)
         vv += r0
@@ -373,8 +372,7 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
             n_degenerate += 1
             continue
         sel = w >= FIT_FLOOR * peak
-        x = ox + uu[sel] * cell
-        y = oy + vv[sel] * cell
+        x, y = to_world(uu[sel], vv[sel])
         fit = None
         if sel.sum() >= 6:
             try:
@@ -387,7 +385,7 @@ def detect_bumps(grid: FloatGrid, params: BumpParams | None = None) -> list[Heig
             n_degenerate += 1
             continue
         center, d1, d2, orientation = fit
-        if d2 < p.min_minor_axis_m:
+        if d2 < params.min_minor_axis_m:
             # a sharp ridge leaves a long sliver of in-range pixels; a real
             # bump cannot be thinner than the smoothing scale
             n_degenerate += 1

@@ -74,8 +74,6 @@ class Discontinuity:
     scores: np.ndarray          # (N,)
     length: float               # meters
     direction: float            # radians in [0, pi)
-    rho: float = 0.0            # fitted line params, pixel units
-    theta: float = 0.0
 
     @property
     def midpoint(self) -> tuple[float, float]:
@@ -131,11 +129,10 @@ def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float,
     whose bands map_fn runs: the builtin map or an executor's); pixels with
     an invalid reference score 0.
     """
-    h, w = nimg.combined.shape
     scores = dense_scores(nimg.combined, model, map_fn)
     scores[~nimg.valid] = 0.0
     lab = np.where((scores >= threshold) & nimg.valid, np.uint8(LABEL_WRINKLE), np.uint8(0))
-    return LabelMask(w, h, data=lab), scores
+    return LabelMask(lab), scores
 
 
 def _window(extent: float, step: float, limit: int) -> int:
@@ -253,7 +250,9 @@ def _greedy_nms(acc: np.ndarray, thetas: np.ndarray, diag: int, p: HoughParams):
 
 
 def _refit_line(uu, vv, wts, sel):
-    """Weighted total-least-squares line through the selected pixels."""
+    """Weighted total-least-squares line through the selected pixels: (rho,
+    n), the unit normal n with theta = atan2(n[1], n[0]) in [0, pi) and
+    rho = mean . n."""
     su, sv, sw = uu[sel], vv[sel], wts[sel]
     wsum = sw.sum()
     mu = np.array([(sw * su).sum(), (sw * sv).sum()]) / wsum
@@ -263,11 +262,9 @@ def _refit_line(uu, vv, wts, sel):
     _, evec = np.linalg.eigh(cov)
     direction = evec[:, 1]
     nrm = np.array([-direction[1], direction[0]])
-    # normalize so theta lies in [0, pi) and rho = mu . n(theta)
     if nrm[1] < 0 or (nrm[1] == 0 and nrm[0] < 0):
         nrm = -nrm
-    rho = float(mu @ nrm)
-    return rho, math.atan2(nrm[1], nrm[0]) % math.pi, nrm
+    return float(mu @ nrm), nrm
 
 
 def _refit_gated(uu, vv, wts, sel, gating: float):
@@ -275,15 +272,15 @@ def _refit_gated(uu, vv, wts, sel, gating: float):
     `sel`, the next to the pixels within `gating` of the first line; two
     passes tighten lines quantized by the accumulator.
 
-    Returns (rho, theta, nrm, sel, dist) of the last line, with `dist` every
+    Returns (rho, nrm, sel, dist) of the last line, with `dist` every
     pixel's distance to it; None when a pass selects no pixel."""
     for _ in range(2):
-        rho, theta, nrm = _refit_line(uu, vv, wts, sel)
+        rho, nrm = _refit_line(uu, vv, wts, sel)
         dist = np.abs(uu * nrm[0] + vv * nrm[1] - rho)
         sel = dist <= gating
         if not sel.any():
             return None
-    return rho, theta, nrm, sel, dist
+    return rho, nrm, sel, dist
 
 
 def _split_runs(ts: np.ndarray, gap: float):
@@ -310,33 +307,27 @@ def _clip_span(rho, nrm, d, t0, t1, w, h):
     return (t0, t1) if t0 < t1 else None
 
 
-def extract_segments(mask, scores, params: HoughParams | None = None,
-                     transform: WorldTransform | None = None) -> list[Discontinuity]:
-    """Extract line-segment discontinuities from a wrinkle mask.
+def extract_segments(mask: LabelMask, scores: np.ndarray, params: HoughParams,
+                     transform: WorldTransform) -> list[Discontinuity]:
+    """Extract line-segment discontinuities from the wrinkle pixels of `mask`.
 
-    `mask` is a LabelMask (wrinkle label) or boolean array; `scores` the
-    array of per-pixel classifier scores used as Hough vote weights.
-    Endpoints are reported in world meters via `transform` (identity cell by
-    default).  Logs one DEBUG line of counts: the accumulator cells at or
-    above min_votes, the lines NMS kept, the lines refit (whose gating band
-    held a free pixel) and the segments.
+    `scores` is the array of per-pixel classifier scores used as Hough vote
+    weights.  Endpoints are reported in world meters via `transform`.  Logs
+    one DEBUG line of counts: the accumulator cells at or above min_votes,
+    the lines NMS kept, the lines refit (whose gating band held a free
+    pixel) and the segments.
     """
-    p = params or HoughParams()
-    t = transform or WorldTransform(1.0)
-    m = np.asarray(mask.data == LABEL_WRINKLE if isinstance(mask, LabelMask) else mask,
-                   bool)
-    s = np.asarray(scores, np.float64)
-    h, w = m.shape
-    vv, uu = np.nonzero(m)
-    wts = s[vv, uu]
+    h, w = mask.data.shape
+    vv, uu = np.nonzero(mask.data == LABEL_WRINKLE)
+    wts = np.asarray(scores, np.float64)[vv, uu]
     pix = np.column_stack([uu, vv])
     uu, vv = uu.astype(np.float64), vv.astype(np.float64)
 
-    ntheta = max(1, int(round(180.0 / p.theta_res_deg)))
+    ntheta = max(1, int(round(180.0 / params.theta_res_deg)))
     thetas = np.arange(ntheta) * math.pi / ntheta
-    diag = int(math.ceil(math.hypot(w, h) / p.rho_res_px))
-    acc = _hough_votes(uu, vv, wts, thetas, diag, p.rho_res_px)
-    lines = _greedy_nms(acc, thetas, diag, p)
+    diag = int(math.ceil(math.hypot(w, h) / params.rho_res_px))
+    acc = _hough_votes(uu, vv, wts, thetas, diag, params.rho_res_px)
+    lines = _greedy_nms(acc, thetas, diag, params)
 
     # the pixels no extracted line has taken yet: their indices, coordinates
     # and weights, compacted after each line
@@ -346,40 +337,39 @@ def extract_segments(mask, scores, params: HoughParams | None = None,
     for rho0, theta0 in lines:
         if len(free) == 0:
             break
-        sel = np.abs(fu * math.cos(theta0) + fv * math.sin(theta0) - rho0) <= p.gating_px
+        sel = np.abs(fu * math.cos(theta0) + fv * math.sin(theta0) - rho0) <= params.gating_px
         if not sel.any():
             continue
         refit += 1
-        fit = _refit_gated(fu, fv, fw, sel, p.gating_px)
+        fit = _refit_gated(fu, fv, fw, sel, params.gating_px)
         if fit is None:
             continue
-        rho_f, theta_f, nrm, sel, dist = fit
+        rho_f, nrm, sel, dist = fit
         d = np.array([-nrm[1], nrm[0]])
         proj = fu[sel] * d[0] + fv[sel] * d[1]
         order = np.argsort(proj, kind="stable")
         ts_ = proj[order]
         sel_idx = free[np.nonzero(sel)[0][order]]
-        for lo, hi in zip(*_split_runs(ts_, p.gap_px)):
+        for lo, hi in zip(*_split_runs(ts_, params.gap_px)):
             span = _clip_span(rho_f, nrm, d, ts_[lo], ts_[hi], w, h)
             if span is None:
                 continue
             a, b = span
-            if b - a < p.min_len_px:
+            if b - a < params.min_len_px:
                 continue
             idx = sel_idx[(ts_ >= a) & (ts_ <= b)]      # the run's pixels inside the image
             px0 = np.clip(rho_f * nrm + a * d, 0.0, [w - 1.0, h - 1.0])
             px1 = np.clip(rho_f * nrm + b * d, 0.0, [w - 1.0, h - 1.0])
-            p0 = t.pixel_to_world(px0[0], px0[1])
-            p1 = t.pixel_to_world(px1[0], px1[1])
+            p0 = transform.pixel_to_world(px0[0], px0[1])
+            p1 = transform.pixel_to_world(px1[0], px1[1])
             segs.append(Discontinuity(
                 id=len(segs), endpoints=(p0, p1),
                 pixels=pix[idx],
                 scores=wts[idx],
                 length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
-                direction=float(math.atan2(d[1], d[0]) % math.pi),
-                rho=rho_f, theta=theta_f))
-        left = dist > p.gating_px + CONSUME_PAD_PX
+                direction=float(math.atan2(d[1], d[0]) % math.pi)))
+        left = dist > params.gating_px + CONSUME_PAD_PX
         free, fu, fv, fw = free[left], fu[left], fv[left], fw[left]
     log.debug("%d cells at or above min_votes, %d lines kept, %d refit, %d segments",
-              np.count_nonzero(acc >= p.min_votes), len(lines), refit, len(segs))
+              np.count_nonzero(acc >= params.min_votes), len(lines), refit, len(segs))
     return segs

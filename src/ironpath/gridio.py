@@ -9,14 +9,20 @@ PGM     Binary P5.  Grayscale images use maxval 65535 (two bytes per sample,
         big-endian); label masks use maxval 2 (one byte per sample).
         Grayscale intensity = sample / 65535; in memory an image is a plain
         (height, width) float64 array of intensities in [0, 1].
+
+In memory a raster is its array, and its size is the array's shape: a
+height grid (FloatGrid) is a float64 array plus the WorldTransform frame of
+its pixel centres, a label mask (LabelMask) a uint8 array.  WorldTransform
+does every pixel<->world conversion of the pipeline.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,50 +42,50 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WorldTransform:
-    """Pixel-center to world-plane mapping: world = origin + (u, v) * cell_size."""
+    """Pixel-center to world-plane mapping: world = origin + (u, v) * cell_size.
+
+    The one place pixel and world coordinates are converted, for scalars and
+    arrays alike, and the one check of a cell size."""
 
     cell_size: float
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (self.cell_size > 0):
-            raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
 
-    def pixel_to_world(self, u: float, v: float) -> tuple[float, float]:
+    def pixel_to_world(self, u, v):
         return (self.origin[0] + u * self.cell_size,
                 self.origin[1] + v * self.cell_size)
 
-    def world_to_pixel(self, x: float, y: float) -> tuple[float, float]:
+    def world_to_pixel(self, x, y):
         return ((x - self.origin[0]) / self.cell_size,
                 (y - self.origin[1]) / self.cell_size)
 
 
 @dataclass(frozen=True)
 class FloatGrid:
-    """Scalar field over a regular grid (heights in meters, or unitless scores).
+    """Scalar field over a regular grid (heights in meters): its (h, w)
+    array, at least 3x3, row-major with the top row first, and the
+    WorldTransform frame of its pixel centres.
 
-    ``data`` is float64 with shape (height, width), row-major, top row first.
-    The file payload is float32, so a grid read from disk round-trips
-    bit-exactly; in-memory precision stays double for differentiation.
+    ``data`` is kept as a read-only float64 array.  The file payload is
+    float32, so a grid read from disk round-trips bit-exactly; in-memory
+    precision stays double for differentiation.
     """
 
-    width: int
-    height: int
+    data: np.ndarray
     cell_size: float
     origin: tuple[float, float] = (0.0, 0.0)
-    data: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.width < 3 or self.height < 3:
-            raise ValueError(f"grid must be at least 3x3, got {self.width}x{self.height}")
-        if not (self.cell_size > 0):
-            raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
         d = np.asarray(self.data, dtype=np.float64)
-        if d.size != self.width * self.height:
-            raise ValueError(f"data length {d.size} != {self.width}x{self.height}")
+        if d.ndim != 2 or min(d.shape) < 3:
+            raise ValueError(f"grid must be a 2-D array of at least 3x3, got shape {d.shape}")
+        WorldTransform(self.cell_size, self.origin)      # the cell-size check
         if not np.all(np.isfinite(d)):
             raise ValueError("grid contains non-finite values")
-        object.__setattr__(self, "data", _readonly(d.reshape(self.height, self.width)))
+        object.__setattr__(self, "data", _readonly(d))
 
     @property
     def transform(self) -> WorldTransform:
@@ -88,26 +94,24 @@ class FloatGrid:
 
 @dataclass(frozen=True)
 class LabelMask:
-    """Per-pixel labels: 0 background, 1 wrinkle, 2 bump."""
+    """Per-pixel labels of an (h, w) uint8 array: 0 background, 1 wrinkle, 2 bump."""
 
-    width: int
-    height: int
-    data: np.ndarray = field(default=None)
+    data: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.data)
-        if d.size != self.width * self.height:
-            raise ValueError(f"data length {d.size} != {self.width}x{self.height}")
+        if d.ndim != 2:
+            raise ValueError(f"labels must be a 2-D array, got shape {d.shape}")
         if not np.all((d >= 0) & (d <= 2)):
             raise ValueError("labels must be 0 (background), 1 (wrinkle) or 2 (bump)")
-        object.__setattr__(self, "data", _readonly(
-            d.reshape(self.height, self.width).astype(np.uint8, copy=False)))
+        object.__setattr__(self, "data", _readonly(d.astype(np.uint8, copy=False)))
 
 
 # --- FGRID ---
 
 def write_grid(grid: FloatGrid, path) -> None:
-    header = f"FGRID {grid.width} {grid.height} {grid.cell_size!r}\n"
+    h, w = grid.data.shape
+    header = f"FGRID {w} {h} {grid.cell_size!r}\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         f.write(np.ascontiguousarray(grid.data, dtype="<f4").tobytes())
@@ -124,6 +128,8 @@ def read_grid(path) -> FloatGrid:
             cell = float(parts[3])
         except ValueError as e:
             raise GridFormatError(f"{path}: bad FGRID header {header!r}") from e
+        if w < 0 or h < 0:
+            raise GridFormatError(f"{path}: bad FGRID header {header!r}")
         payload = f.read()
     expected = w * h * 4
     if len(payload) != expected:
@@ -131,7 +137,7 @@ def read_grid(path) -> FloatGrid:
     data = np.frombuffer(payload, dtype="<f4")
     if not np.all(np.isfinite(data)):
         raise GridFormatError(f"{path}: non-finite value in payload")
-    return FloatGrid(w, h, cell, data=data)
+    return FloatGrid(data.reshape(h, w), cell)
 
 
 # --- PGM ---
@@ -161,6 +167,8 @@ def _read_pgm_header(f, path):
             vals.append(int(tok))
         except ValueError as e:
             raise GridFormatError(f"{path}: bad PGM header token {tok!r}") from e
+        if vals[-1] < 0:
+            raise GridFormatError(f"{path}: bad PGM header token {tok!r}")
     return vals
 
 
@@ -190,8 +198,9 @@ def read_gray(path) -> np.ndarray:
 
 
 def write_labels(mask: LabelMask, path) -> None:
+    h, w = mask.data.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{mask.width} {mask.height}\n2\n".encode("ascii"))
+        f.write(f"P5\n{w} {h}\n2\n".encode("ascii"))
         f.write(mask.data.tobytes())
 
 
@@ -203,7 +212,7 @@ def read_labels(path) -> LabelMask:
         payload = f.read()
     if len(payload) != w * h:
         raise GridFormatError(f"{path}: payload {len(payload)} bytes, expected {w * h}")
-    return LabelMask(w, h, data=np.frombuffer(payload, dtype=np.uint8))
+    return LabelMask(np.frombuffer(payload, dtype=np.uint8).reshape(h, w))
 
 
 def write_atomic(path, writer) -> None:

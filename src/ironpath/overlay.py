@@ -50,13 +50,9 @@ def _p_color(p: float) -> str:
 
 def render_overlay(report: dict, height: FloatGrid) -> str:
     """Build the SVG document text for a detection report."""
-    w, h = height.width, height.height
+    h, w = height.data.shape
     cell = height.cell_size
-    ox, oy = height.origin
-
-    def px(x: float, y: float) -> tuple[float, float]:
-        return ((x - ox) / cell, (y - oy) / cell)
-
+    px = height.transform.world_to_pixel
     png = base64.b64encode(_png_rgb(_heat_rgb(np.asarray(height.data)))).decode("ascii")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

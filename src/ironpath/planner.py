@@ -152,12 +152,13 @@ def order_actions(ws: list[FusedWrinkle], iron: IronSpec,
 def _surface_z(surface: FloatGrid, x: float, y: float) -> float:
     """Bilinear height sample; raises when (x, y) leaves the grid."""
     u, v = surface.transform.world_to_pixel(x, y)
-    if not (0.0 <= u <= surface.width - 1 and 0.0 <= v <= surface.height - 1):
+    d = surface.data
+    h, w = d.shape
+    if not (0.0 <= u <= w - 1 and 0.0 <= v <= h - 1):
         raise ValueError(f"point ({x:.4f}, {y:.4f}) outside the surface grid")
     u0, v0 = int(math.floor(u)), int(math.floor(v))
-    u1, v1 = min(u0 + 1, surface.width - 1), min(v0 + 1, surface.height - 1)
+    u1, v1 = min(u0 + 1, w - 1), min(v0 + 1, h - 1)
     fu, fv = u - u0, v - v0
-    d = surface.data
     top = (1 - fu) * d[v0, u0] + fu * d[v0, u1]
     bot = (1 - fu) * d[v1, u0] + fu * d[v1, u1]
     return float((1 - fv) * top + fv * bot)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridio import FloatGrid, LabelMask, LABEL_BACKGROUND, LABEL_WRINKLE, LABEL_BUMP
+from .gridio import (FloatGrid, LabelMask, WorldTransform, LABEL_BACKGROUND, LABEL_WRINKLE,
+                     LABEL_BUMP)
 
 _MASK64 = (1 << 64) - 1
 
@@ -70,8 +71,7 @@ class SceneSpec:
     def validate(self) -> None:
         if self.width < 3 or self.height < 3:
             raise ValueError("scene must be at least 3x3 pixels")
-        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
-            raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
+        WorldTransform(self.cell_size, self.origin)     # the cell-size check
         _check_finite("origin", *self.origin)
         if isinstance(self.albedo, np.ndarray) and self.albedo.shape != (self.height, self.width):
             raise ValueError(f"per-pixel albedo must be (height, width), "
@@ -132,9 +132,8 @@ def unit_normals(seed: int, stream: int, n: int) -> np.ndarray:
 
 
 def _world_coords(spec: SceneSpec):
-    u = spec.origin[0] + np.arange(spec.width) * spec.cell_size
-    v = spec.origin[1] + np.arange(spec.height) * spec.cell_size
-    return np.meshgrid(u, v)
+    t = WorldTransform(spec.cell_size, spec.origin)
+    return np.meshgrid(*t.pixel_to_world(np.arange(spec.width), np.arange(spec.height)))
 
 
 def _bump_field(b: BumpSpec, X, Y) -> np.ndarray:
@@ -174,7 +173,7 @@ def generate_height(spec: SceneSpec) -> FloatGrid:
         z[inside] += wk.ridge_height * prof
     if spec.noise.height_sigma > 0:
         z += spec.noise.height_sigma * unit_normals(spec.seed, 1, z.size).reshape(z.shape)
-    return FloatGrid(spec.width, spec.height, spec.cell_size, spec.origin, data=z)
+    return FloatGrid(z, spec.cell_size, spec.origin)
 
 
 def surface_normals(height: np.ndarray, cell_size: float) -> np.ndarray:
@@ -231,7 +230,7 @@ def ground_truth(spec: SceneSpec) -> LabelMask:
         lab[_bump_field(b, X, Y) > 0.1] = LABEL_BUMP
     for wk in spec.wrinkles:
         lab[_polyline_distance(wk, X, Y) <= wk.ridge_half_width] = LABEL_WRINKLE
-    return LabelMask(spec.width, spec.height, data=lab)
+    return LabelMask(lab)
 
 
 # --- scene file parsing ---

@@ -1,5 +1,7 @@
 """Shared scene builders and the session-scoped trained classifier."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,12 +81,20 @@ def single_bump_scene(seed, width=320, height=240):
     return spec, bump
 
 
+def segment_line(s):
+    """(rho, theta) of the line through a segment, from its endpoints and
+    direction: theta in [0, pi) is the angle of the line's normal n and rho
+    = p . n for a point p on it; pixel units for a unit WorldTransform."""
+    theta = (s.direction + math.pi / 2) % math.pi
+    return float(np.dot(s.endpoints[0], (math.cos(theta), math.sin(theta)))), theta
+
+
 def build_training_arrays(specs, cfg=None):
     cfg = cfg or PipelineConfig()
     scenes = []
     for idx, spec in enumerate(specs):
         _, nimg, labels = scene_products(spec)
-        scenes.append((nimg.combined, labels, 1000 * idx))
+        scenes.append((lambda img=nimg.combined: img, labels, 1000 * idx))
     return classify.build_training_set(scenes, cfg.negatives_per_positive)
 
 

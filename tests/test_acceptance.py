@@ -9,14 +9,14 @@ import time
 
 import numpy as np
 
-from conftest import (CELL, EVAL_SEEDS, TRAIN_SEEDS, corpus_scene,
+from conftest import (CELL, EVAL_SEEDS, TRAIN_SEEDS, corpus_scene, segment_line,
                       single_bump_scene)
-from ironpath import classify, curvature, gridio, synth
+from ironpath import classify, curvature, synth
 from ironpath.cli import (PipelineConfig, build_corpus_training_set,
                           dump_report, evaluate_scenes, read_scene, run_detection)
 from ironpath.curvature import BUMP_INDEX_HI, BUMP_INDEX_LO, hessian, shape_index
-from ironpath.discont import extract_segments, normalize
-from ironpath.gridio import FloatGrid
+from ironpath.discont import HoughParams, extract_segments, normalize
+from ironpath.gridio import FloatGrid, WorldTransform
 from ironpath.planner import (STATIC, SLIDING, IronSpec, order_actions,
                               select_motion, split_wrinkle)
 from test_planner import greedy_oracle, random_instance, wrinkle
@@ -37,7 +37,7 @@ def test_criterion_1_hessian_oracle():
     interior = (slice(2, -2), slice(2, -2))
     for _ in range(20):
         a, b, c = rng.uniform(-2.0, 2.0, 3)
-        grid = FloatGrid(n, n, 1.0, data=0.5 * (a * X**2 + b * Y**2) + c * X * Y)
+        grid = FloatGrid(0.5 * (a * X**2 + b * Y**2) + c * X * Y, 1.0)
         f = hessian(grid.data, grid.cell_size)
         ev = np.linalg.eigvalsh(np.array([[a, c], [c, b]]))
         worst = max(worst,
@@ -68,7 +68,7 @@ def test_criterion_3_bump_recovery():
     hits = 0
     for seed in range(300, 320):
         spec, b = single_bump_scene(seed)
-        bumps = curvature.detect_bumps(synth.generate_height(spec))
+        bumps = curvature.detect_bumps(synth.generate_height(spec), curvature.BumpParams())
         if len(bumps) != 1:
             continue
         d = bumps[0]
@@ -134,15 +134,16 @@ def test_criterion_6_segment_extraction():
         p1 = np.array([cx + dx, cy + dy])
         spec = synth.SceneSpec(w, h, CELL, wrinkles=[synth.WrinkleSpec(
             [tuple(p0 * CELL), tuple(p1 * CELL)], 1.5 * CELL, 0.002)])
-        mask = np.asarray(synth.ground_truth(spec).data) == gridio.LABEL_WRINKLE
-        segs = extract_segments(mask, np.ones((h, w)))
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                if (segs[i].rho, segs[i].theta) == (segs[j].rho, segs[j].theta):
-                    continue
-                dth = abs(segs[i].theta - segs[j].theta)
-                drho = (abs(segs[i].rho - segs[j].rho) if dth <= math.pi / 2
-                        else abs(segs[i].rho + segs[j].rho))
+        segs = extract_segments(synth.ground_truth(spec), np.ones((h, w)), HoughParams(),
+                                WorldTransform(1.0))
+        lines = [segment_line(s) for s in segs]
+        for i in range(len(lines)):
+            for j in range(i + 1, len(lines)):
+                (rho_i, th_i), (rho_j, th_j) = lines[i], lines[j]
+                if th_i == th_j and abs(rho_i - rho_j) < 1e-6:
+                    continue            # two runs of one line
+                dth = abs(th_i - th_j)
+                drho = abs(rho_i - rho_j) if dth <= math.pi / 2 else abs(rho_i + rho_j)
                 dth = min(dth, math.pi - dth)
                 if drho < 5.0 and math.degrees(dth) < 5.0:
                     nms_ok = False

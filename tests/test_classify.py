@@ -200,12 +200,12 @@ class TestTrainingSet:
     def _mask_with_wrinkles(self, n=100, w=60, h=60):
         lab = np.zeros((h, w), np.uint8)
         lab.ravel()[:n] = 1
-        return LabelMask(w, h, data=lab)
+        return LabelMask(lab)
 
     def test_counts(self):
         rng = np.random.default_rng(1)
         img = rng.uniform(0, 1, (60, 60))
-        ts = build_training_set([(img, self._mask_with_wrinkles(100), 5)], 3)
+        ts = build_training_set([(lambda: img, self._mask_with_wrinkles(100), 5)], 3)
         assert len(ts.positives) == 100
         assert len(ts.negatives) == 300
 
@@ -213,10 +213,10 @@ class TestTrainingSet:
         rng = np.random.default_rng(1)
         img = rng.uniform(0, 1, (60, 60))
         mask = self._mask_with_wrinkles(50)
-        a = build_training_set([(img, mask, 7)], 3)
-        b = build_training_set([(img, mask, 7)], 3)
+        a = build_training_set([(lambda: img, mask, 7)], 3)
+        b = build_training_set([(lambda: img, mask, 7)], 3)
         assert np.array_equal(a.negatives, b.negatives)
-        c = build_training_set([(img, mask, 8)], 3)
+        c = build_training_set([(lambda: img, mask, 8)], 3)
         assert not np.array_equal(a.negatives, c.negatives)
 
     def test_negatives_avoid_wrinkle_pixels(self):
@@ -227,20 +227,20 @@ class TestTrainingSet:
         lab[10, 10] = 1
         img = np.zeros((h, w))
         img[10, 10] = 1.0
-        ts = build_training_set([(img, LabelMask(w, h, data=lab), 3)], 200)
+        ts = build_training_set([(lambda: img, LabelMask(lab), 3)], 200)
         assert len(ts.positives) == 1
         assert not any(np.array_equal(n, ts.positives[0]) for n in ts.negatives)
 
     def test_empty_positive_set_rejected(self):
         img = np.zeros((40, 40))
-        lab = LabelMask(40, 40, data=np.zeros(1600, np.uint8))
+        lab = LabelMask(np.zeros((40, 40), np.uint8))
         with pytest.raises(ValueError, match="no wrinkle"):
-            build_training_set([(img, lab, 0)], 3)
+            build_training_set([(lambda: img, lab, 0)], 3)
 
     def test_corpus_rows_in_scene_order(self):
         # one matrix: the positives of every scene, then the negatives
         rng = np.random.default_rng(2)
-        scenes = [(rng.uniform(0, 1, (50, 60 + 7 * i)),
+        scenes = [(lambda img=rng.uniform(0, 1, (50, 60 + 7 * i)): img,
                    self._mask_with_wrinkles(40 + 9 * i, 60 + 7 * i, 50), 11 + i)
                   for i in range(3)]
         ts = build_training_set(scenes, 2)
@@ -249,13 +249,10 @@ class TestTrainingSet:
         assert np.array_equal(ts.negatives, np.vstack([t.negatives for t in singles]))
         assert ts.n_pos == 40 + 49 + 58 and len(ts.X) == 3 * ts.n_pos
         # one scene per task: the same rows in any task order and on any
-        # number of threads, with the images given as arrays or as functions
-        # that return them
-        lazy = [(lambda img=img: img, mask, seed) for img, mask, seed in scenes]
+        # number of threads
         for map_fn in other_maps():
-            for corpus in (scenes, lazy):
-                other = build_training_set(corpus, 2, map_fn)
-                assert np.array_equal(other.X, ts.X) and other.n_pos == ts.n_pos
+            other = build_training_set(scenes, 2, map_fn)
+            assert np.array_equal(other.X, ts.X) and other.n_pos == ts.n_pos
 
     def test_first_failing_scene_raised_when_a_later_one_fails_first(self):
         later_failed = threading.Event()
@@ -277,7 +274,7 @@ class TestTrainingSet:
         lab[5:8, 3:30] = 1
         valid = np.ones((30, 40), bool)
         valid[:, :10] = False
-        uu, vv, n_pos = classify.sample_pixels(LabelMask(40, 30, data=lab), 2, 4, valid)
+        uu, vv, n_pos = classify.sample_pixels(LabelMask(lab), 2, 4, valid)
         assert n_pos == 3 * 20 and len(uu) == 3 * n_pos
         assert valid[vv, uu].all()
         assert (lab[vv[:n_pos], uu[:n_pos]] == 1).all()
@@ -437,7 +434,7 @@ class TestSolverOracle:
         ts = TrainingSet(np.ascontiguousarray(X[order]), int((y > 0).sum()))
         tracemalloc.start()
         try:
-            train(ts)
+            train(ts, TrainHyper())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -447,7 +444,7 @@ class TestSolverOracle:
 class TestTrain:
     def test_separable_reaches_full_accuracy(self):
         ts = separable_set()
-        model = train(ts)
+        model = train(ts, TrainHyper())
         X = np.vstack([ts.positives, ts.negatives])
         y = np.concatenate([np.ones(60), -np.ones(60)])
         assert accuracy(model, X, y) == 1.0
@@ -466,14 +463,14 @@ class TestTrain:
         x = np.zeros((1, 128))
         x[0, 0] = 1.0
         ts = TrainingSet(np.vstack([x, x]), 1)
-        model = train(ts)
+        model = train(ts, TrainHyper())
         X = np.vstack([x, x])
         y = np.array([1.0, -1.0])
         assert accuracy(model, X, y) == 0.5
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
-            train(TrainingSet(np.zeros((3, 128)), 0))
+            train(TrainingSet(np.zeros((3, 128)), 0), TrainHyper())
 
 
 def whole_image_planes(img):

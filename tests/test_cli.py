@@ -223,7 +223,7 @@ class TestErrorContract:
         rpt.write_text(dump_report({"bumps": [], "mixture": [MIXTURE], "wrinkles": [WRINKLE],
                                     "plan": {"actions": []}, field: value}))
         height = tmp_path / "h.fgrid"
-        gridio.write_grid(gridio.FloatGrid(64, 48, CELL, data=np.zeros(64 * 48)), height)
+        gridio.write_grid(gridio.FloatGrid(np.zeros((48, 64)), CELL), height)
         if command == "overlay":
             argv = ["overlay", str(rpt), str(height), str(tmp_path / "o.svg")]
         else:
@@ -283,8 +283,25 @@ class TestErrorContract:
         assert err.startswith(f"stage inputs failed: {height}: ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_detect_infinite_cell_size_exit_1(self, tmp_path, capsys, recwarn, flat_dir,
+                                              model_file):
+        # the one cell-size check refuses it when the grid is read, before
+        # any stage computes with it
+        height = tmp_path / "h.fgrid"
+        header, payload = (flat_dir / "height.fgrid").read_bytes().split(b"\n", 1)
+        height.write_bytes(header.rsplit(b" ", 1)[0] + b" inf\n" + payload)
+        argv = detect_args(flat_dir, model_file, ["--out", str(tmp_path / "r.json")])
+        argv[1] = str(height)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage inputs failed: {height}: cell_size must be finite")
+        assert not recwarn.list and not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("field, value", [("length_m", "long"), ("q", [0.5]),
-                                              ("id", "first"), ("endpoints_m", [[0, 0]])])
+                                              ("id", "first"), ("endpoints_m", [[0, 0]]),
+                                              ("id", 1.5), ("id", True), ("id", "1"),
+                                              ("q", True), ("r", "0.5"), ("direction_rad", False),
+                                              ("endpoints_m", [[0.01, "0.01"], [0.05, 0.02]])])
     def test_plan_report_field_of_wrong_type_exit_1(self, tmp_path, capsys, field, value):
         rpt = tmp_path / "r.json"
         rpt.write_text(dump_report({"wrinkles": [WRINKLE, {**WRINKLE, "id": 1, field: value}]}))
@@ -292,7 +309,7 @@ class TestErrorContract:
         assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: ")
 
     @pytest.mark.parametrize("field, value", [
-        ("endpoints_m", [["0.1", "nan"], [0.3, 0.2]]), ("q", "inf"), ("r", "-inf"),
+        ("endpoints_m", [[0.1, "nan"], [0.3, 0.2]]), ("q", "inf"), ("r", "-inf"),
         ("length_m", math.nan), ("direction_rad", math.inf), ("q", -math.inf)],
         ids=["string-nan", "string-inf", "string-minus-inf", "bare-nan", "bare-infinity",
              "bare-minus-infinity"])
@@ -311,7 +328,7 @@ class TestErrorContract:
         rpt.write_text(json.dumps({"mixture": [{**MIXTURE, "mean_m": [math.nan, 0.02]}],
                                    "wrinkles": [], "plan": {"actions": []}}))
         height = tmp_path / "h.fgrid"
-        gridio.write_grid(gridio.FloatGrid(64, 48, CELL, data=np.zeros(64 * 48)), height)
+        gridio.write_grid(gridio.FloatGrid(np.zeros((48, 64)), CELL), height)
         out = tmp_path / "o.svg"
         assert main(["overlay", str(rpt), str(height), str(out)]) == 1
         err = capsys.readouterr().err
@@ -953,7 +970,7 @@ class TestOverlayCommand:
         return tag.rsplit("}", 1)[-1]
 
     def test_empty_report_background_only(self, tmp_path):
-        g = gridio.FloatGrid(64, 48, CELL, data=np.zeros(64 * 48))
+        g = gridio.FloatGrid(np.zeros((48, 64)), CELL)
         gridio.write_grid(g, tmp_path / "h.fgrid")
         rpt = tmp_path / "empty.json"
         rpt.write_text(dump_report({"bumps": [], "mixture": [], "wrinkles": [],
@@ -987,7 +1004,7 @@ class TestOverlayCommand:
     @pytest.mark.parametrize("kind", ["truncated", "partial"])
     def test_malformed_report_exit_1(self, tmp_path, capsys, kind):
         rpt, why = malformed_reports(tmp_path)[kind]
-        g = gridio.FloatGrid(64, 48, CELL, data=np.zeros(64 * 48))
+        g = gridio.FloatGrid(np.zeros((48, 64)), CELL)
         gridio.write_grid(g, tmp_path / "h.fgrid")
         out = tmp_path / "o.svg"
         assert main(["overlay", str(rpt), str(tmp_path / "h.fgrid"), str(out)]) == 1
@@ -1006,7 +1023,7 @@ def test_dump_report_keeps_sign_of_infinity():
 class TestRunDetection:
     def test_dimension_mismatch_fails_cleanly(self, trained_model):
         from ironpath.cli import StageError
-        height = gridio.FloatGrid(64, 48, CELL, data=np.zeros(64 * 48))
+        height = gridio.FloatGrid(np.zeros((48, 64)), CELL)
         img_ok = np.full((48, 64), 0.5)
         img_bad = np.full((48, 32), 0.5)
         with pytest.raises(StageError, match="inputs"):

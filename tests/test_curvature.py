@@ -15,7 +15,7 @@ def quadratic_grid(a, b, c, n=41, cell=1.0):
     """z = 0.5*(a x^2 + b y^2) + c x y sampled with x, y in world units."""
     x = (np.arange(n) - n // 2) * cell
     X, Y = np.meshgrid(x, x)
-    return FloatGrid(n, n, cell, data=0.5 * (a * X**2 + b * Y**2) + c * X * Y)
+    return FloatGrid(0.5 * (a * X**2 + b * Y**2) + c * X * Y, cell)
 
 
 def hessian_of(grid):
@@ -76,7 +76,7 @@ class TestHessian:
 
     def test_sorted_eigenvalues(self):
         rng = np.random.default_rng(2)
-        g = FloatGrid(16, 16, CELL, data=rng.normal(size=256))
+        g = FloatGrid(rng.normal(size=(16, 16)), CELL)
         f = hessian_of(g)
         assert np.all(f.lambda1 >= f.lambda2)
 
@@ -120,7 +120,7 @@ def random_grid(seed):
     rng = np.random.default_rng(seed)
     h, w = rng.integers(3, 90, size=2)
     scale = 10.0 ** rng.uniform(-6, 1)
-    return FloatGrid(int(w), int(h), CELL, data=scale * rng.normal(size=h * w))
+    return FloatGrid(scale * rng.normal(size=(h, w)), CELL)
 
 
 class TestHessianBits:
@@ -130,7 +130,7 @@ class TestHessianBits:
     @pytest.mark.parametrize("eps_umbilic_rel", [1e-9, 0.0, 1e-3])
     @pytest.mark.parametrize("grid", [
         *(random_grid(seed) for seed in range(5)),
-        FloatGrid(40, 30, CELL, data=np.full(1200, 0.25)),
+        FloatGrid(np.full((30, 40), 0.25), CELL),
         quadratic_grid(1.0, 1.0, 0.0, cell=CELL),
         quadratic_grid(-2.5, -2.5, 0.0, n=17, cell=0.5),
         quadratic_grid(1e-7, 1e-7, 0.0, n=9)],
@@ -185,13 +185,13 @@ class TestShapeIndex:
 
 class TestDetectBumps:
     def test_flat_grid_empty(self):
-        g = FloatGrid(64, 48, CELL, data=np.zeros(64 * 48))
-        assert detect_bumps(g) == []
+        g = FloatGrid(np.zeros((48, 64)), CELL)
+        assert detect_bumps(g, BumpParams()) == []
 
     def test_single_bump_recovery(self):
         spec = synth.SceneSpec(320, 240, CELL, bumps=[
             synth.BumpSpec((0.32, 0.24), 0.040, 0.020, 0.5, 0.020)])
-        bumps = detect_bumps(synth.generate_height(spec))
+        bumps = detect_bumps(synth.generate_height(spec), BumpParams())
         assert len(bumps) == 1
         b = bumps[0]
         assert math.hypot(b.center[0] - 0.32, b.center[1] - 0.24) <= CELL
@@ -204,7 +204,7 @@ class TestDetectBumps:
         b1 = synth.BumpSpec((0.20, 0.24), 0.040, 0.020, 0.3, 0.020)
         b2 = synth.BumpSpec((0.45, 0.24), 0.030, 0.018, 1.2, 0.015)
         spec = synth.SceneSpec(320, 240, CELL, bumps=[b1, b2])
-        bumps = detect_bumps(synth.generate_height(spec))
+        bumps = detect_bumps(synth.generate_height(spec), BumpParams())
         assert len(bumps) == 2
         # analytic volumes 2*pi*peak*smaj*smin: b1 > b2
         assert bumps[0].volume > bumps[1].volume
@@ -218,8 +218,8 @@ class TestDetectBumps:
             synth.BumpSpec((0.16, 0.16), 0.035, 0.018, 0.8, 0.018)])
         moved = synth.SceneSpec(200, 160, CELL, bumps=[
             synth.BumpSpec((0.16 + shift_px * CELL, 0.16), 0.035, 0.018, 0.8, 0.018)])
-        c0 = detect_bumps(synth.generate_height(base))[0].center
-        c1 = detect_bumps(synth.generate_height(moved))[0].center
+        c0 = detect_bumps(synth.generate_height(base), BumpParams())[0].center
+        c1 = detect_bumps(synth.generate_height(moved), BumpParams())[0].center
         assert c1[0] - c0[0] == pytest.approx(shift_px * CELL, abs=0.25 * CELL)
         assert c1[1] - c0[1] == pytest.approx(0.0, abs=0.25 * CELL)
 
@@ -233,7 +233,7 @@ class TestDetectBumps:
         spec = synth.SceneSpec(200, 160, CELL, bumps=[
             synth.BumpSpec((0.2, 0.16), 0.035, 0.018, 0.8, 0.018)])
         g = synth.generate_height(spec)
-        dent = FloatGrid(200, 160, CELL, data=-np.asarray(g.data, np.float64))
+        dent = FloatGrid(-g.data, CELL)
         found = detect_bumps(dent, BumpParams(polarity="down"))
         assert len(found) == 1
         assert math.hypot(found[0].center[0] - 0.2, found[0].center[1] - 0.16) <= CELL
@@ -245,13 +245,13 @@ class TestDetectBumps:
         # volume threshold; the minor-axis floor must reject it
         spec = synth.SceneSpec(320, 240, CELL, wrinkles=[
             synth.WrinkleSpec([(0.14, 0.08), (0.40, 0.14)], 0.003, 0.0025)])
-        assert detect_bumps(synth.generate_height(spec)) == []
+        assert detect_bumps(synth.generate_height(spec), BumpParams()) == []
 
     def test_noisy_seeded_scenes(self):
         hits = 0
         for seed in range(40, 46):
             spec, b = single_bump_scene(seed)
-            bumps = detect_bumps(synth.generate_height(spec))
+            bumps = detect_bumps(synth.generate_height(spec), BumpParams())
             if len(bumps) != 1:
                 continue
             d = bumps[0]
@@ -341,7 +341,7 @@ def many_bump_grid(seed=0, n=150, width=240, height=180):
         u = (x - cx) * np.cos(th) + (y - cy) * np.sin(th)
         v = -(x - cx) * np.sin(th) + (y - cy) * np.cos(th)
         z += r.uniform(0.002, 0.01) * np.exp(-0.5 * (u * u / s1**2 + v * v / s2**2))
-    return FloatGrid(width, height, CELL, data=z)
+    return FloatGrid(z, CELL)
 
 
 class TestScipyEquivalence:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CELL, corpus_scene, scene_products
+from conftest import CELL, corpus_scene, scene_products, segment_line
 from ironpath import discont
 from ironpath.discont import (CONSUME_PAD_PX, EPS_REF, Discontinuity, HoughParams,
                               _clip_span, _greedy_nms, _hough_votes, _refit_line,
@@ -12,6 +12,11 @@ from ironpath.discont import (CONSUME_PAD_PX, EPS_REF, Discontinuity, HoughParam
                               score_map)
 from ironpath.classify import descriptors_at, score_margins
 from ironpath.gridio import LABEL_WRINKLE, LabelMask, WorldTransform
+
+
+def segments(mask, scores, params=HoughParams(), transform=WorldTransform(1.0)):
+    """extract_segments of a boolean wrinkle mask, by default in pixel units."""
+    return extract_segments(LabelMask(mask.astype(np.uint8)), scores, params, transform)
 
 
 def band_mask(w, h, p0, p1, hw_px):
@@ -109,13 +114,13 @@ class TestScoreMap:
 
 class TestExtractSegments:
     def test_empty_mask(self):
-        assert extract_segments(np.zeros((32, 32), bool), np.ones((32, 32))) == []
+        assert segments(np.zeros((32, 32), bool), np.ones((32, 32))) == []
 
     def test_single_ideal_ridge(self):
         w, h = 200, 150
         p0, p1 = (40.0, 100.0), (138.0, 41.0)
         mask = band_mask(w, h, p0, p1, 1.5)
-        segs = extract_segments(mask, np.ones((h, w)))
+        segs = segments(mask, np.ones((h, w)))
         assert len(segs) == 1
         s = segs[0]
         ends = np.array(s.endpoints)
@@ -130,30 +135,31 @@ class TestExtractSegments:
     def test_supporting_pixels_within_gating(self):
         w, h = 200, 150
         mask = band_mask(w, h, (30, 40), (170, 110), 1.5)
-        for s in extract_segments(mask, np.ones((h, w))):
-            n = np.array([math.cos(s.theta), math.sin(s.theta)])
-            d = np.abs(s.pixels @ n - s.rho)
+        for s in segments(mask, np.ones((h, w))):
+            rho, theta = segment_line(s)
+            n = np.array([math.cos(theta), math.sin(theta)])
+            d = np.abs(s.pixels @ n - rho)
             assert d.max() <= 2.0 + 1e-9
 
     def test_parallel_ridges_suppressed(self):
         w, h = 320, 240
         mask = (band_mask(w, h, (60, 100), (220, 100), 1.5)
                 | band_mask(w, h, (60, 103), (220, 103), 1.5))
-        assert len(extract_segments(mask, np.ones((h, w)))) == 1
+        assert len(segments(mask, np.ones((h, w)))) == 1
 
     def test_distinct_lines_respect_nms_radius(self):
         w, h = 320, 240
         mask = (band_mask(w, h, (40, 60), (280, 60), 1.5)
                 | band_mask(w, h, (40, 180), (280, 185), 1.5)
                 | band_mask(w, h, (160, 30), (165, 210), 1.5))
-        segs = extract_segments(mask, np.ones((h, w)))
-        lines = {(round(s.rho, 6), round(s.theta, 6)) for s in segs}
-        lines = sorted(lines)
+        lines = [segment_line(s) for s in segments(mask, np.ones((h, w)))]
         for i in range(len(lines)):
             for j in range(i + 1, len(lines)):
-                dth = abs(lines[i][1] - lines[j][1])
-                drho = (abs(lines[i][0] - lines[j][0]) if dth <= math.pi / 2
-                        else abs(lines[i][0] + lines[j][0]))
+                (rho_i, th_i), (rho_j, th_j) = lines[i], lines[j]
+                if th_i == th_j and abs(rho_i - rho_j) < 1e-6:
+                    continue            # two runs of one line
+                dth = abs(th_i - th_j)
+                drho = abs(rho_i - rho_j) if dth <= math.pi / 2 else abs(rho_i + rho_j)
                 dth = min(dth, math.pi - dth)
                 assert not (drho < 5.0 and math.degrees(dth) < 5.0)
 
@@ -161,15 +167,16 @@ class TestExtractSegments:
         w, h = 320, 240
         mask = (band_mask(w, h, (40, 120), (140, 120), 1.5)
                 | band_mask(w, h, (180, 120), (280, 120), 1.5))
-        segs = extract_segments(mask, np.ones((h, w)))
+        segs = segments(mask, np.ones((h, w)))
         assert len(segs) == 2
-        assert segs[0].theta == segs[1].theta
+        (rho0, th0), (rho1, th1) = map(segment_line, segs)
+        assert th0 == th1 and rho0 == pytest.approx(rho1, abs=1e-9)
 
     def test_world_transform_applied(self):
         w, h = 200, 150
         mask = band_mask(w, h, (40, 75), (160, 75), 1.5)
         t = WorldTransform(CELL, (0.5, 0.25))
-        segs = extract_segments(mask, np.ones((h, w)), transform=t)
+        segs = segments(mask, np.ones((h, w)), transform=t)
         assert len(segs) == 1
         (x0, y0), (x1, y1) = segs[0].endpoints
         assert min(x0, x1) == pytest.approx(0.5 + 40 * CELL, abs=2 * CELL)
@@ -178,10 +185,8 @@ class TestExtractSegments:
 
     def test_translation_equivariance(self):
         w, h = 260, 200
-        segs_a = extract_segments(band_mask(w, h, (40, 60), (180, 130), 1.5),
-                                  np.ones((h, w)))
-        segs_b = extract_segments(band_mask(w, h, (52, 81), (192, 151), 1.5),
-                                  np.ones((h, w)))
+        segs_a = segments(band_mask(w, h, (40, 60), (180, 130), 1.5), np.ones((h, w)))
+        segs_b = segments(band_mask(w, h, (52, 81), (192, 151), 1.5), np.ones((h, w)))
         assert len(segs_a) == len(segs_b) == 1
         for ea, eb in zip(segs_a[0].endpoints, segs_b[0].endpoints):
             assert eb[0] - ea[0] == pytest.approx(12.0, abs=0.75)
@@ -193,10 +198,10 @@ class TestExtractSegments:
         m1 = band_mask(w, h, (30, 100), (170, 100), 1.5)
         m2 = band_mask(w, h, (100, 30), (100, 170), 1.5)
         scores = np.where(m2, 0.9, 0.2)
-        segs = extract_segments(m1 | m2, scores)
+        segs = segments(m1 | m2, scores)
         assert len(segs) >= 2
-        first = segs[0]
-        assert abs(math.degrees(first.theta)) < 1e-6   # vertical band: theta 0
+        _, theta = segment_line(segs[0])
+        assert abs(math.degrees(theta)) < 1e-6   # vertical band: theta 0
 
 
 def add_at_votes(uu, vv, wts, thetas, diag, rho_res):
@@ -406,13 +411,13 @@ def reference_segments(mask, scores, params=None, transform=None):
     segs = []
     for rho0, theta0 in raster_nms(acc, thetas, diag, p):
         nrm = np.array([math.cos(theta0), math.sin(theta0)])
-        rho_f, theta_f = rho0, theta0
+        rho_f = rho0
         sel = (~consumed) & (np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px)
         # two refit passes tighten lines quantized by the accumulator
         for _ in range(2):
             if not sel.any():
                 break
-            rho_f, theta_f, nrm = _refit_line(uu, vv, wts, sel)
+            rho_f, nrm = _refit_line(uu, vv, wts, sel)
             sel = (~consumed) & (np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px)
         if not sel.any():
             continue
@@ -438,8 +443,7 @@ def reference_segments(mask, scores, params=None, transform=None):
                 pixels=pix[idx],
                 scores=wts[idx],
                 length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
-                direction=float(math.atan2(d[1], d[0]) % math.pi),
-                rho=rho_f, theta=theta_f))
+                direction=float(math.atan2(d[1], d[0]) % math.pi)))
         consumed |= np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px + CONSUME_PAD_PX
     return segs
 
@@ -481,7 +485,7 @@ def assert_same_segments(got, want):
         assert a.endpoints == b.endpoints
         assert a.pixels.dtype == b.pixels.dtype and np.array_equal(a.pixels, b.pixels)
         assert a.scores.dtype == b.scores.dtype and np.array_equal(a.scores, b.scores)
-        assert (a.length, a.direction, a.rho, a.theta) == (b.length, b.direction, b.rho, b.theta)
+        assert (a.length, a.direction) == (b.length, b.direction)
 
 
 class TestExtractSegmentsReference:
@@ -489,13 +493,13 @@ class TestExtractSegmentsReference:
     @given(band_scenes())
     def test_matches_reference_loop(self, case):
         mask, scores, p, transform = case
-        assert_same_segments(extract_segments(mask, scores, p, transform),
+        assert_same_segments(segments(mask, scores, p, transform),
                              reference_segments(mask, scores, p, transform))
 
     def test_cluttered_scene(self, trained_model):
         _, nimg, _ = scene_products(corpus_scene(3300))
         mask, scores = score_map(nimg, trained_model, threshold=0.5)
         t = WorldTransform(CELL)
-        segs = extract_segments(mask, scores, transform=t)
+        segs = extract_segments(mask, scores, HoughParams(), t)
         assert len(segs) >= 3
         assert_same_segments(segs, reference_segments(mask, scores, transform=t))

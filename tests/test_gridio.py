@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -10,17 +11,17 @@ from ironpath.gridio import FloatGrid, GridFormatError, LabelMask, WorldTransfor
 
 class TestFloatGrid:
     def test_roundtrip_bit_exact(self, tmp_path):
-        g = FloatGrid(3, 3, 0.002, data=np.zeros(9))
+        g = FloatGrid(np.zeros((3, 3)), 0.002)
         p = tmp_path / "z.fgrid"
         gridio.write_grid(g, p)
         g2 = gridio.read_grid(p)
-        assert (g2.width, g2.height, g2.cell_size) == (3, 3, 0.002)
+        assert (g2.data.shape, g2.cell_size) == ((3, 3), 0.002)
         assert np.array_equal(g.data, g2.data)
 
     def test_roundtrip_random_payload(self, tmp_path):
         rng = np.random.default_rng(3)
-        g = FloatGrid(17, 9, 0.0016, origin=(0.5, -0.25),
-                      data=rng.normal(size=17 * 9).astype(np.float32))
+        g = FloatGrid(rng.normal(size=(9, 17)).astype(np.float32), 0.0016,
+                      origin=(0.5, -0.25))
         p = tmp_path / "r.fgrid"
         gridio.write_grid(g, p)
         assert np.array_equal(gridio.read_grid(p).data, g.data)
@@ -30,7 +31,7 @@ class TestFloatGrid:
         payload = np.zeros(640 * 480, dtype="<f4").tobytes()
         p.write_bytes(b"FGRID 640 480 0.0016\n" + payload)
         g = gridio.read_grid(p)
-        assert (g.width, g.height) == (640, 480)
+        assert g.data.shape == (480, 640)
         assert g.cell_size == 0.0016
 
     def test_length_mismatch(self, tmp_path):
@@ -54,17 +55,26 @@ class TestFloatGrid:
             gridio.read_grid(p)
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            FloatGrid(2, 3, 0.002, data=np.zeros(6))
-        with pytest.raises(ValueError):
-            FloatGrid(3, 3, 0.0, data=np.zeros(9))
-        with pytest.raises(ValueError):
-            FloatGrid(3, 3, 0.002, data=np.zeros(8))
-        with pytest.raises(ValueError):
-            FloatGrid(3, 3, 0.002, data=np.full(9, np.inf))
+        # 2-D data only, of at least 3 rows and 3 columns
+        for shape in [(9,), (3, 3, 1), (2, 3), (3, 2)]:
+            with pytest.raises(ValueError, match="2-D array of at least 3x3"):
+                FloatGrid(np.zeros(shape), 0.002)
+        for cell in [0.0, math.nan, math.inf]:
+            with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
+                FloatGrid(np.zeros((3, 3)), cell)
+        with pytest.raises(ValueError, match="non-finite"):
+            FloatGrid(np.full((3, 3), np.inf), 0.002)
+
+    @pytest.mark.parametrize("header", [b"FGRID -3 -3 0.002\n", b"FGRID 3 -3 0.002\n"],
+                             ids=["both", "height"])
+    def test_negative_size_is_header_error(self, tmp_path, header):
+        p = tmp_path / "neg.fgrid"
+        p.write_bytes(header + np.zeros(9, dtype="<f4").tobytes())
+        with pytest.raises(GridFormatError, match="bad FGRID header"):
+            gridio.read_grid(p)
 
     def test_data_is_readonly(self):
-        g = FloatGrid(3, 3, 1.0, data=np.zeros(9))
+        g = FloatGrid(np.zeros((3, 3)), 1.0)
         with pytest.raises(ValueError):
             g.data[0, 0] = 1.0
 
@@ -119,22 +129,34 @@ class TestGrayImage:
 class TestLabelMask:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
-        mask = LabelMask(9, 7, data=rng.integers(0, 3, 63))
+        mask = LabelMask(rng.integers(0, 3, (7, 9)))
         p = tmp_path / "l.pgm"
         gridio.write_labels(mask, p)
         assert np.array_equal(gridio.read_labels(p).data, mask.data)
 
     def test_bad_label_value(self):
         with pytest.raises(ValueError):
-            LabelMask(3, 3, data=[3] + [0] * 8)
+            LabelMask(np.array([[3, 0, 0], [0, 0, 0], [0, 0, 0]]))
+
+    def test_data_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            LabelMask(np.zeros(9, np.uint8))
+
+    @pytest.mark.parametrize("header", [b"P5\n-3 -3\n2\n", b"P5\n3 -3\n2\n"],
+                             ids=["both", "height"])
+    def test_negative_size_is_header_error(self, tmp_path, header):
+        p = tmp_path / "neg.pgm"
+        p.write_bytes(header + b"\x00" * 9)
+        with pytest.raises(GridFormatError, match="bad PGM header token b'-3'"):
+            gridio.read_labels(p)
 
     def test_uint8_data_is_a_readonly_view(self):
-        a = np.array([0, 1, 2] * 3, np.uint8)
-        mask = LabelMask(3, 3, data=a)
+        a = np.array([[0, 1, 2]] * 3, np.uint8)
+        mask = LabelMask(a)
         assert np.shares_memory(mask.data, a)
         with pytest.raises(ValueError):
             mask.data[0, 0] = 1
-        converted = LabelMask(3, 3, data=a.astype(np.int64)).data
+        converted = LabelMask(a.astype(np.int64)).data
         assert converted.dtype == np.uint8 and np.array_equal(converted, mask.data)
 
 
@@ -177,8 +199,16 @@ class TestWorldTransform:
             assert abs(u2 - u) < 1e-9 and abs(v2 - v) < 1e-9
 
     def test_bad_cell(self):
-        with pytest.raises(ValueError):
-            WorldTransform(0.0)
+        for cell in [0.0, -1.0, math.nan, math.inf]:
+            with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
+                WorldTransform(cell)
+
+    def test_arrays_map_elementwise(self):
+        t = WorldTransform(0.0016, (1.25, -0.75))
+        u, v = np.arange(5), np.arange(4)
+        x, y = t.pixel_to_world(u, v)
+        assert [t.pixel_to_world(a, 0)[0] for a in u] == x.tolist()
+        assert [t.pixel_to_world(0, b)[1] for b in v] == y.tolist()
 
 
 def _token():

@@ -187,7 +187,7 @@ class TestOrderActions:
 
 class TestWaypoints:
     def flat_surface(self, z=0.0):
-        return FloatGrid(64, 48, 0.02, data=np.full(64 * 48, z))
+        return FloatGrid(np.full((48, 64), z), 0.02)
 
     def test_static_z_sequence(self):
         w = wrinkle((0.3, 0.4), (0.35, 0.4))     # static: 0.05 < 0.14
@@ -199,8 +199,7 @@ class TestWaypoints:
         assert (wps[0].x, wps[0].y) == pytest.approx(mid, abs=1e-12)
 
     def test_sliding_follows_surface(self):
-        surf = FloatGrid(64, 48, 0.02, data=np.tile(
-            np.linspace(0.0, 0.005, 64), 48))
+        surf = FloatGrid(np.tile(np.linspace(0.0, 0.005, 64), (48, 1)), 0.02)
         w = wrinkle((0.2, 0.4), (0.6, 0.4))
         plan = order_actions([w], IRON, home=(0, 0))
         wps = emit_waypoints(plan, IRON, surf)[0]
@@ -223,7 +222,7 @@ class TestWaypoints:
               for i in range(5)]
         home = (0.1, 0.1)
         plan = order_actions(ws, IRON, home=home)
-        surf = FloatGrid(80, 80, 0.02, data=np.zeros(6400))
+        surf = FloatGrid(np.zeros((80, 80)), 0.02)
         flat = [p for wps in emit_waypoints(plan, IRON, surf) for p in wps]
         path = [home] + [(p.x, p.y) for p in flat]
         total = sum(math.hypot(b[0] - a[0], b[1] - a[1])

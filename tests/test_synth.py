@@ -80,7 +80,7 @@ class TestRenderIllumination:
         u = np.arange(w) * CELL
         z = np.tile(-u, (h, 1))
         from ironpath.gridio import FloatGrid
-        grid = FloatGrid(w, h, CELL, data=z)
+        grid = FloatGrid(z, CELL)
         d = np.array([-math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)])
         n = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
         assert n @ d <= 0    # oracle: the lit side faces away
