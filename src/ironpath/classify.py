@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -295,7 +295,7 @@ def build_training_set(scenes: list[tuple[Callable[[], np.ndarray], LabelMask, i
 
 @dataclass
 class TrainHyper:
-    reg_lambda: float = 1e-4
+    reg_lambda: float = field(default=1e-4, metadata={"key": "svm_lambda"})
 
     def __post_init__(self):
         if not (math.isfinite(self.reg_lambda) and self.reg_lambda > 0):

@@ -52,8 +52,9 @@ class StageError(RuntimeError):
 class PipelineConfig:
     """The pipeline's own values and one parameter object per stage.
 
-    CONFIG_KEYS names every value as a config-file key; each value's type,
-    default and range come from the class that holds it."""
+    Each value's field declares its config-file key: the field's name, or
+    its `key` metadata.  CONFIG_KEYS is derived from these fields; each
+    value's type, default and range come from the class that holds it."""
 
     seed: int = 0
     score_threshold: float = 0.5
@@ -77,48 +78,21 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-# stage section of PipelineConfig -> its parameter class
+# stage section of PipelineConfig -> its parameter class, each field a config key
 SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)
             if f.default_factory is not MISSING}
 
-# config-file key -> (section, field); section None is PipelineConfig itself
-CONFIG_KEYS = {
-    "seed": (None, "seed"),
-    "smooth_sigma_px": ("bump", "smooth_sigma_px"),
-    "polarity": ("bump", "polarity"),
-    "min_volume_m3": ("bump", "min_volume_m3"),
-    "min_pixels": ("bump", "min_pixels"),
-    "close_iterations": ("bump", "close_iterations"),
-    "min_minor_axis_m": ("bump", "min_minor_axis_m"),
-    "score_threshold": (None, "score_threshold"),
-    "negatives_per_positive": (None, "negatives_per_positive"),
-    "svm_lambda": ("train", "reg_lambda"),
-    "hough_rho_px": ("hough", "rho_res_px"),
-    "hough_theta_deg": ("hough", "theta_res_deg"),
-    "hough_min_votes": ("hough", "min_votes"),
-    "gating_px": ("hough", "gating_px"),
-    "gap_px": ("hough", "gap_px"),
-    "min_len_px": ("hough", "min_len_px"),
-    "nms_rho_px": ("hough", "nms_rho_px"),
-    "nms_theta_deg": ("hough", "nms_theta_deg"),
-    "p_min": (None, "p_min"),
-    "iron_long_axis_m": ("iron", "long_axis"),
-    "iron_short_axis_m": ("iron", "short_axis"),
-    "press_depth_m": ("iron", "press_depth"),
-    "foam_stiffness_n_per_m": ("iron", "foam_stiffness"),
-    "foam_thickness_m": ("iron", "foam_thickness"),
-    "lift_height_m": ("iron", "lift_height"),
-    "travel_speed_m_per_s": ("iron", "travel_speed"),
-    "slide_speed_m_per_s": ("iron", "slide_speed"),
-    "home_x_m": (None, "home_x_m"),
-    "home_y_m": (None, "home_y_m"),
-}
+# config-file key -> (section, Field); section None is PipelineConfig itself.  A
+# key is its field's name, or the field's `key` metadata where the two differ.
+CONFIG_KEYS = {f.metadata.get("key", f.name): (section, f)
+               for section, cls in ((None, PipelineConfig), *SECTIONS.items())
+               for f in fields(cls) if f.name not in SECTIONS}
 
 
 def config_values(cfg: PipelineConfig) -> dict:
     """Every config key with its value in `cfg`: the report's `config` block."""
-    return {key: getattr(cfg if section is None else getattr(cfg, section), name)
-            for key, (section, name) in CONFIG_KEYS.items()}
+    return {key: getattr(cfg if section is None else getattr(cfg, section), f.name)
+            for key, (section, f) in CONFIG_KEYS.items()}
 
 
 def parse_config(path) -> PipelineConfig:
@@ -140,13 +114,11 @@ def parse_config(path) -> PipelineConfig:
         key, sval = parts
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        section, name = CONFIG_KEYS[key]
-        ftype = next(f.type for f in fields(SECTIONS.get(section, PipelineConfig))
-                     if f.name == name)
+        section, f = CONFIG_KEYS[key]
         try:
-            if ftype == "int":
+            if f.type == "int":
                 value = int(sval)
-            elif ftype == "float":
+            elif f.type == "float":
                 value = float(sval)
                 if math.isnan(value):      # inf stays: ranges with no upper bound take it
                     raise ValueError("not a number")
@@ -154,14 +126,14 @@ def parse_config(path) -> PipelineConfig:
                 value = sval
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from e
-        given[section][name] = value
+        given[section][f.name] = value
 
     def build(section, cls, **stages):
         try:
             return cls(**given[section], **stages)
         except ValueError as e:     # name the keys that set the failing object
-            keys = ", ".join(k for k, (s, n) in CONFIG_KEYS.items()
-                             if s == section and n in given[section])
+            keys = ", ".join(k for k, (s, f) in CONFIG_KEYS.items()
+                             if s == section and f.name in given[section])
             raise ConfigError(f"{path}: {keys}: {e}") from e
     return build(None, PipelineConfig,
                  **{section: build(section, cls) for section, cls in SECTIONS.items()})
@@ -524,6 +496,12 @@ def _finite(x) -> float:
     return float(x)
 
 
+def _pair(x, item=_finite) -> tuple:
+    """A JSON pair as two values checked by `item` (item=_pair: two pairs)."""
+    a, b = x
+    return item(a), item(b)
+
+
 def _read_report(path) -> dict:
     """A detection report; ValueError when it is not a JSON object or holds a
     bare NaN or Infinity (a detect report writes infinities as strings)."""
@@ -540,12 +518,11 @@ def cmd_plan(args) -> None:
         report = _read_report(args.report)
         fused = []
         for wk in report.get("wrinkles", []):
-            (x0, y0), (x1, y1) = wk["endpoints_m"]
+            endpoints = _pair(wk["endpoints_m"], _pair)
             if isinstance(wk["id"], bool) or not isinstance(wk["id"], int):
                 raise ValueError(f"wrinkle id {wk['id']!r} is not an integer")
             d = discont.Discontinuity(
-                id=wk["id"],
-                endpoints=((_finite(x0), _finite(y0)), (_finite(x1), _finite(y1))),
+                id=wk["id"], endpoints=endpoints,
                 pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
                 length=_finite(wk["length_m"]), direction=_finite(wk["direction_rad"]))
             fused.append(fusion.fuse_one(d, _finite(wk["q"]), _finite(wk["r"]), cfg.p_min))
@@ -560,10 +537,31 @@ def cmd_plan(args) -> None:
     _emit(dump_report(report), args.out)
 
 
+def _overlay_fields(report: dict) -> dict:
+    """The fields of a report that overlay draws, checked as strictly as plan
+    reads numbers (_finite): `accepted` must be a bool and an action's kind
+    static or sliding."""
+    def wrinkle(wk):
+        if not isinstance(wk["accepted"], bool):
+            raise ValueError(f"wrinkle accepted {wk['accepted']!r} is not a bool")
+        return {"endpoints_m": _pair(wk["endpoints_m"], _pair), "p": _finite(wk["p"]),
+                "accepted": wk["accepted"]}
+
+    def action(a):
+        if a["kind"] not in (planner.STATIC, planner.SLIDING):
+            raise ValueError(f"action kind {a['kind']!r} is not static or sliding")
+        return {"kind": a["kind"], "start_m": _pair(a["start_m"]), "end_m": _pair(a["end_m"])}
+
+    return {"mixture": [{"mean_m": _pair(c["mean_m"]), "cov_m2": _pair(c["cov_m2"], _pair)}
+                        for c in report.get("mixture", [])],
+            "wrinkles": [wrinkle(wk) for wk in report.get("wrinkles", [])],
+            "plan": {"actions": [action(a) for a in report.get("plan", {}).get("actions", [])]}}
+
+
 def cmd_overlay(args) -> None:
     height = _read_input(gridio.read_grid, args.height)
     with _stage("inputs", args.report):
-        svg = overlay.render_overlay(_read_report(args.report), height)
+        svg = overlay.render_overlay(_overlay_fields(_read_report(args.report)), height)
     _emit(svg, args.out)
     print(f"wrote {args.out}")
 

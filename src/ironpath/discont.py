@@ -23,7 +23,7 @@ loop ends when no pixel is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import logging
 import math
@@ -83,9 +83,9 @@ class Discontinuity:
 
 @dataclass
 class HoughParams:
-    rho_res_px: float = 1.0
-    theta_res_deg: float = 1.0
-    min_votes: float = 10.0
+    rho_res_px: float = field(default=1.0, metadata={"key": "hough_rho_px"})
+    theta_res_deg: float = field(default=1.0, metadata={"key": "hough_theta_deg"})
+    min_votes: float = field(default=10.0, metadata={"key": "hough_min_votes"})
     gating_px: float = 2.0
     gap_px: float = 5.0
     min_len_px: float = 15.0

@@ -49,7 +49,7 @@ def _p_color(p: float) -> str:
 
 
 def render_overlay(report: dict, height: FloatGrid) -> str:
-    """Build the SVG document text for a detection report."""
+    """Build the SVG document text for a report's checked mixture, wrinkles and actions."""
     h, w = height.data.shape
     cell = height.cell_size
     px = height.transform.world_to_pixel
@@ -63,7 +63,7 @@ def render_overlay(report: dict, height: FloatGrid) -> str:
         f'<image x="0" y="0" width="{w}" height="{h}" '
         f'href="data:image/png;base64,{png}"/>',
     ]
-    for comp in report.get("mixture", []):
+    for comp in report["mixture"]:
         mx, my = px(*comp["mean_m"])
         cov = np.asarray(comp["cov_m2"])
         ev, evec = np.linalg.eigh(cov)
@@ -76,7 +76,7 @@ def render_overlay(report: dict, height: FloatGrid) -> str:
                 f'fill="none" stroke="#00c8ff" stroke-opacity="{op}" '
                 f'stroke-width="1.2" '
                 f'transform="translate({mx:.2f} {my:.2f}) rotate({ang:.2f})"/>')
-    for wk in report.get("wrinkles", []):
+    for wk in report["wrinkles"]:
         (x0, y0), (x1, y1) = wk["endpoints_m"]
         u0, v0 = px(x0, y0)
         u1, v1 = px(x1, y1)
@@ -84,8 +84,7 @@ def render_overlay(report: dict, height: FloatGrid) -> str:
         parts.append(
             f'<line x1="{u0:.2f}" y1="{v0:.2f}" x2="{u1:.2f}" y2="{v1:.2f}" '
             f'stroke="{_p_color(wk["p"])}" stroke-width="2"{dash}/>')
-    actions = report.get("plan", {}).get("actions", [])
-    for i, a in enumerate(actions):
+    for i, a in enumerate(report["plan"]["actions"]):
         u0, v0 = px(*a["start_m"])
         u1, v1 = px(*a["end_m"])
         if a["kind"] == "static":

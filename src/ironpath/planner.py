@@ -10,7 +10,7 @@ foam underlay (force = stiffness * depth in the spring model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -24,14 +24,15 @@ SLIDING = "sliding"
 
 @dataclass
 class IronSpec:
-    long_axis: float = 0.20          # meters, V-head axis
-    short_axis: float = 0.10
-    press_depth: float = 0.01        # meters below the cloth surface
-    foam_stiffness: float = 1200.0   # N/m, reporting only
-    foam_thickness: float = 0.06
-    lift_height: float = 0.05
-    travel_speed: float = 0.20       # m/s
-    slide_speed: float = 0.10
+    long_axis: float = field(default=0.20, metadata={"key": "iron_long_axis_m"})  # V-head axis
+    short_axis: float = field(default=0.10, metadata={"key": "iron_short_axis_m"})
+    press_depth: float = field(default=0.01, metadata={"key": "press_depth_m"})  # below the cloth
+    # reporting only
+    foam_stiffness: float = field(default=1200.0, metadata={"key": "foam_stiffness_n_per_m"})
+    foam_thickness: float = field(default=0.06, metadata={"key": "foam_thickness_m"})
+    lift_height: float = field(default=0.05, metadata={"key": "lift_height_m"})
+    travel_speed: float = field(default=0.20, metadata={"key": "travel_speed_m_per_s"})
+    slide_speed: float = field(default=0.10, metadata={"key": "slide_speed_m_per_s"})
 
     def __post_init__(self):
         for f in fields(self):

@@ -613,6 +613,13 @@ class TestModelFile:
         with pytest.raises(GridFormatError, match="64 weights, expected 128"):
             load_model(p)
 
+    @pytest.mark.parametrize("n_bytes", [128 * 8, 129 * 8 + 1], ids=["short", "long"])
+    def test_payload_of_wrong_length_rejected(self, tmp_path, n_bytes):
+        p = tmp_path / "len.svmw"
+        p.write_bytes(b"SVMW 128 0.0001\n" + b"\x00" * n_bytes)
+        with pytest.raises(GridFormatError, match=f"payload {n_bytes} bytes, expected 1032"):
+            load_model(p)
+
     @pytest.mark.parametrize("index", [0, 127, 128])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected(self, tmp_path, index, value):

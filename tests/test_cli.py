@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import CELL, TRAIN_SEEDS, corpus_scene
 import ironpath
 from ironpath import classify, curvature, discont, gridio, mixture, synth
-from ironpath.cli import (CONFIG_KEYS, ConfigError, PipelineConfig, build_corpus_training_set,
-                          build_parser, dump_report, main, parse_config, run_detection)
+from ironpath.cli import (CONFIG_KEYS, SECTIONS, ConfigError, PipelineConfig,
+                          build_corpus_training_set, build_parser, dump_report, main,
+                          parse_config, run_detection)
 
 SCENE_TEXT = """\
 # small test scene
@@ -136,6 +138,24 @@ class TestConfig:
         p.write_text("hough_rho_px 0\n")
         with pytest.raises(ConfigError, match="hough_rho_px: rho_res_px must be"):
             parse_config(p)
+
+    @pytest.mark.parametrize("line", ["p_min", "p_min 0.4 0.5"])
+    def test_line_of_other_than_two_tokens_rejected(self, tmp_path, line):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"# two lines\n{line}\n")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(p))}:2: expected 'key value'"):
+            parse_config(p)
+
+    def test_every_field_has_exactly_one_key(self):
+        # a field declares its key by its name or its `key` metadata; two
+        # fields that declared one key would leave one of them with none
+        declared = [(section, f.name)
+                    for section, cls in ((None, PipelineConfig), *SECTIONS.items())
+                    for f in dataclasses.fields(cls) if f.name not in SECTIONS]
+        keyed = [(section, f.name) for section, f in CONFIG_KEYS.values()]
+        assert Counter(keyed) == Counter(declared) and len(declared) == 29
+        for key, (_, f) in CONFIG_KEYS.items():
+            assert key == f.metadata.get("key", f.name)
 
 
 # integers, floats, words the parser knows and any other text without spaces
@@ -321,6 +341,20 @@ class TestErrorContract:
         assert main(["plan", str(rpt), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"stage inputs failed: {rpt}: non-finite number ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["overlay", "plan"])
+    def test_report_not_an_object_exit_1(self, tmp_path, capsys, command):
+        rpt = tmp_path / "r.json"
+        rpt.write_text("[1, 2]\n")
+        height = tmp_path / "h.fgrid"
+        gridio.write_grid(gridio.FloatGrid(np.zeros((48, 64)), CELL), height)
+        out = tmp_path / "o.out"
+        argv = ([command, str(rpt), str(height), str(out)] if command == "overlay"
+                else [command, str(rpt), "--out", str(out)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"stage inputs failed: {rpt}: not a JSON object\n"
         assert not out.exists()
 
     def test_overlay_bare_nan_exit_1(self, tmp_path, capsys):
@@ -921,6 +955,7 @@ MIXTURE = {"mean_m": [0.03, 0.02], "cov_m2": [[1e-4, 0.0], [0.0, 4e-5]]}
 WRINKLE = {"id": 0, "endpoints_m": [[0.01, 0.01], [0.05, 0.02]], "length_m": 0.041,
            "direction_rad": 0.24, "support": 30, "q": 0.9, "r": 0.8, "p": 0.72,
            "accepted": True}
+ACTION = {"kind": "sliding", "wrinkle_id": 0, "start_m": [0.01, 0.01], "end_m": [0.05, 0.02]}
 
 
 def malformed_reports(tmp_path):
@@ -1000,6 +1035,51 @@ class TestOverlayCommand:
         assert tags.count("ellipse") == 2 * len(report["mixture"])
         assert set(tags) <= self.SVG_ELEMENTS
         assert root.get("version") == "1.1"
+
+    def test_static_action_drawn_as_circle(self, tmp_path):
+        g = gridio.FloatGrid(np.zeros((48, 64)), CELL)
+        gridio.write_grid(g, tmp_path / "h.fgrid")
+        rpt = tmp_path / "r.json"
+        action = {**ACTION, "kind": "static", "end_m": ACTION["start_m"]}
+        rpt.write_text(dump_report({"mixture": [], "wrinkles": [],
+                                    "plan": {"actions": [action]}}))
+        out = tmp_path / "o.svg"
+        assert main(["overlay", str(rpt), str(tmp_path / "h.fgrid"), str(out)]) == 0
+        root = ET.parse(out).getroot()
+        circles = [e for e in root.iter() if self._strip(e.tag) == "circle"]
+        u, v = g.transform.world_to_pixel(*action["start_m"])
+        assert [(c.get("cx"), c.get("cy")) for c in circles] == [(f"{u:.2f}", f"{v:.2f}")]
+        assert "line" not in [self._strip(e.tag) for e in root.iter()]
+
+    @pytest.mark.parametrize("section, field, value, why", [
+        ("mixture", "mean_m", [True, 0.02], "not a finite number: True"),
+        ("mixture", "mean_m", [0.03], "not enough values to unpack"),
+        ("mixture", "cov_m2", [[1e-4, False], [0.0, 4e-5]], "not a finite number: False"),
+        ("mixture", "cov_m2", [[1e-4, 0.0]], "not enough values to unpack"),
+        ("wrinkles", "endpoints_m", [[0.01, True], [0.05, 0.02]], "not a finite number: True"),
+        ("wrinkles", "p", True, "not a finite number: True"),
+        ("wrinkles", "p", "0.7", "not a finite number: '0.7'"),
+        ("wrinkles", "accepted", "no", "wrinkle accepted 'no' is not a bool"),
+        ("wrinkles", "accepted", 1, "wrinkle accepted 1 is not a bool"),
+        ("actions", "kind", "hover", "action kind 'hover' is not static or sliding"),
+        ("actions", "start_m", [False, 0.02], "not a finite number: False"),
+        ("actions", "end_m", [0.03, "0.02"], "not a finite number: '0.02'")],
+        ids=["mean-bool", "mean-short", "cov-bool", "cov-1x2", "endpoint-bool", "p-bool",
+             "p-string", "accepted-string", "accepted-int", "kind-hover", "start-bool",
+             "end-string"])
+    def test_malformed_field_exit_1(self, tmp_path, capsys, section, field, value, why):
+        # each field overlay draws is read as strictly as plan reads numbers
+        entries = {"mixture": MIXTURE, "wrinkles": WRINKLE, "actions": ACTION}
+        entries[section] = {**entries[section], field: value}
+        rpt = tmp_path / "r.json"
+        rpt.write_text(dump_report({"mixture": [entries["mixture"]],
+                                    "wrinkles": [entries["wrinkles"]],
+                                    "plan": {"actions": [entries["actions"]]}}))
+        gridio.write_grid(gridio.FloatGrid(np.zeros((48, 64)), CELL), tmp_path / "h.fgrid")
+        out = tmp_path / "o.svg"
+        assert main(["overlay", str(rpt), str(tmp_path / "h.fgrid"), str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: {why}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["truncated", "partial"])
     def test_malformed_report_exit_1(self, tmp_path, capsys, kind):

@@ -119,6 +119,12 @@ class TestGrayImage:
         with pytest.raises(GridFormatError):
             gridio.read_gray(p)
 
+    def test_header_comments_skipped(self, tmp_path):
+        p = tmp_path / "c.pgm"
+        p.write_bytes(b"P5\n# written by a scanner\n2 1 # width, height\n65535\n"
+                      b"\xff\xff\x00\x00")
+        assert np.array_equal(gridio.read_gray(p), [[1.0, 0.0]])
+
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "m.pgm"
         p.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
@@ -148,6 +154,13 @@ class TestLabelMask:
         p = tmp_path / "neg.pgm"
         p.write_bytes(header + b"\x00" * 9)
         with pytest.raises(GridFormatError, match="bad PGM header token b'-3'"):
+            gridio.read_labels(p)
+
+    @pytest.mark.parametrize("n_bytes", [8, 10], ids=["short", "long"])
+    def test_payload_of_wrong_length(self, tmp_path, n_bytes):
+        p = tmp_path / "l.pgm"
+        p.write_bytes(b"P5\n3 3\n2\n" + b"\x00" * n_bytes)
+        with pytest.raises(GridFormatError, match=f"payload {n_bytes} bytes, expected 9"):
             gridio.read_labels(p)
 
     def test_uint8_data_is_a_readonly_view(self):
