@@ -2,30 +2,33 @@
 
 The descriptor is a fixed-scale, fixed-orientation variant of the classic
 128-dimensional gradient histogram: a 16x16 patch split into 4x4 spatial
-cells with 8 orientation bins each, Gaussian-weighted gradient magnitudes,
-L2-normalized, clamped at 0.2 and renormalized.  Gradient magnitude is split
-linearly between the two nearest orientation bins.
+cells with 8 orientation bins each, L2-normalized, clamped at 0.2 and
+renormalized.  Gradient magnitude is split linearly between the two nearest
+orientation bins.
 
-Descriptors are computed densely, as a separable linear filter (the dense-SIFT
-construction): each raw bin is a Gaussian-weighted box sum over one of 8
-soft-binned orientation planes, taken as a horizontal pass and a vertical
-pass.  The planes are padded by half a patch, and each padded row depends on
-at most three image rows, so any band of rows can be built on its own.  The
-image is split into bands of _BAND_ROWS rows; each band builds the planes of
-its rows and the PATCH-1 halo rows below them and takes the horizontal pass
-over them (_band_columns).  When pixels are sampled (descriptors_at), only
-the bands that hold requested pixels are built, and the vertical pass runs at
-those pixels.  When every pixel is scored (dense_scores), each band is one
-task, and the vertical pass, normalization, SVM dot product and sigmoid run
-on tiles of _TILE_ROWS x _TILE_COLS pixels whose descriptors (1 MiB) fit in
-cache.  No task holds more than one band's planes.  Both paths run the same
-arithmetic per pixel, and the band and tile grid does not depend on how the
-tasks are run, so neither do the scores.  A training set is built one scene
-per task, each writing its descriptors_at rows straight into the one
-training matrix, so neither does the matrix.  The module starts no threads:
-dense_scores and build_training_set run their tasks through the map function
-that the caller passes, the builtin map by default or the map of an executor
-that the caller owns.
+Descriptors are computed densely with flat windows (VLFeat's dense SIFT,
+Vedaldi & Fulkerson 2010): a cell's raw bin is the equal-weight sum of its
+CELL_W x CELL_W pixels on one of 8 soft-binned orientation planes, times the
+cell's Gaussian weight (_CELL_WEIGHT).  So a 4-column box and then a 4-row
+box per plane serve all 16 cells, and the 128 raw bins at a pixel are 16
+shifted reads of the 8 box planes.  The planes are padded by half a patch,
+and each padded row depends on at most three image rows, so any band of rows
+can be built on its own.  The image is split into bands of _BAND_ROWS rows;
+each band builds the planes of its rows and the PATCH-1 halo rows below them
+and takes the horizontal boxes over them (_band_columns).  When pixels are
+sampled (descriptors_at), only the bands that hold requested pixels are
+built; each takes the vertical boxes over the whole band and reads them at
+the requested pixels.  When every pixel is scored (dense_scores), each band
+is one task, and the vertical boxes, the cell weights, normalization, SVM
+dot product and sigmoid run on tiles of _TILE_ROWS x _TILE_COLS pixels whose
+descriptors (1 MiB) fit in cache.  No task holds more than one band's
+planes.  Both paths run the same arithmetic per pixel, and the band and tile
+grid does not depend on how the tasks are run, so neither do the scores.  A
+training set is built one scene per task, each writing its descriptors_at
+rows straight into the one training matrix, so neither does the matrix.  The
+module starts no threads: dense_scores and build_training_set run their
+tasks through the map function that the caller passes, the builtin map by
+default or the map of an executor that the caller owns.
 
 The engine, from the planes to the normalized descriptor, runs in single
 precision (_DTYPE, as in VLFeat's dense SIFT): the gradients and bin weights
@@ -50,7 +53,7 @@ the model file holds lambda, the weights and the bias.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +72,7 @@ MIN_PATCH_NORM = 0.01
 
 _DTYPE = np.float32                # the descriptor engine's precision
 _BAND_ROWS = 64                    # rows per band: one task of dense_scores
-_TILE_ROWS = 32                    # a tile of dense_scores' vertical pass onward,
+_TILE_ROWS = 32                    # a tile of dense_scores' vertical boxes onward,
 _TILE_COLS = 64                    # sized so its descriptors (1 MiB) stay in cache
 _CHUNK_PX = 4096                   # pixels per chunk of descriptors_at (bounds memory)
 _GRAM_ROWS = 1024                  # band rows per gathered chunk of a Newton system
@@ -80,10 +83,15 @@ _MAX_NEWTON_STEPS = 3000           # a guard: nearly separable sets of ~128-300 
 _MAX_HALVINGS = 60                 # line search: halvings before the step is given up
 
 # patch offsets -8..7 from the center pixel along each axis, and the 1-D
-# Gaussian g(d) = exp(-d^2 / (2 * 8^2)) rounded to the engine's precision;
-# the patch weight is g(du) * g(dv)
+# Gaussian g(d) = exp(-d^2 / (2 * 8^2)) rounded to the engine's precision
 _OFFS = np.arange(-PATCH // 2, PATCH // 2)
 _GAUSS_W = np.exp(-_OFFS**2 / (2.0 * (PATCH / 2.0) ** 2)).astype(_DTYPE)
+# cell (cy, cx)'s weight: the mean of g over the cell row's CELL_W offsets
+# times its mean over the cell column's, rounded once to the engine's precision
+_CELL_G = _GAUSS_W.reshape(NCELLS, CELL_W).mean(axis=1, dtype=np.float64)
+_CELL_WEIGHT = np.outer(_CELL_G, _CELL_G).astype(_DTYPE)
+# a cell's first row (column) offset within the padded patch window
+_CELL_OFFS = CELL_W * np.arange(NCELLS)
 
 
 def _pad_index(n: int) -> np.ndarray:
@@ -127,38 +135,31 @@ def _orientation_planes(a: np.ndarray, p0: int, p1: int) -> np.ndarray:
     return planes
 
 
-def _cell_sums(taps: Iterator[np.ndarray]) -> np.ndarray:
-    """Per cell, the g-weighted sum of its CELL_W taps: (NCELLS, *tap shape).
+def _box(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of CELL_W consecutive entries of x along `axis`, which comes out
+    CELL_W-1 shorter, added as a tree of pairs: for CELL_W = 4, entry i is
+    (x[i] + x[i+1]) + (x[i+2] + x[i+3]).
 
-    The j-th tap is the source shifted to patch offset j - PATCH/2 along one
-    axis; cell c sums offsets j = c*CELL_W .. c*CELL_W+CELL_W-1 in that
-    order.  Taps are consumed one at a time, so a gathered tap is freed
-    before the next one is taken.
-    """
-    for j, tap in enumerate(taps):
-        if j == 0:
-            out = np.empty((NCELLS,) + tap.shape, tap.dtype)
-            scratch = np.empty(tap.shape, tap.dtype)
-        if j % CELL_W == 0:
-            np.multiply(tap, _GAUSS_W[j], out=out[j // CELL_W])
-        else:
-            out[j // CELL_W] += np.multiply(tap, _GAUSS_W[j], out=scratch)
-    return out
+    CELL_W is a power of two.  Each sum is elementwise, so a window gives the
+    same value whichever slice of x it is taken from."""
+    y = np.moveaxis(x, axis, 0)
+    step = 1
+    while step < CELL_W:
+        y = y[:-step] + y[step:]
+        step *= 2
+    return np.moveaxis(y, 0, axis)
 
 
 def _band_columns(a: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Horizontal pass over the orientation planes of image rows r0..r1-1
-    and their PATCH-1 halo rows: (NCELLS*NBINS, r1-r0+PATCH-1, w), plane
-    index cx*NBINS+o.
+    """Horizontal boxes over the orientation planes of image rows r0..r1-1
+    and their PATCH-1 halo rows: (NBINS, r1-r0+PATCH-1, w+PATCH-CELL_W).
 
-    Each cell column cx sums its CELL_W column offsets du weighted by g(du).
-    The pass is row-local, so any band gives the same values on its rows.
+    Entry (o, r, c) is the equal-weight sum of padded columns c..c+CELL_W-1
+    of plane o, so cell column cx of the patch at pixel u is column
+    u+cx*CELL_W.  The boxes are row-local, so any band gives the same values
+    on its rows.
     """
-    planes = _orientation_planes(a, r0, r1 + PATCH - 1)
-    _, n, wp = planes.shape
-    w = wp - (PATCH - 1)
-    cols = _cell_sums(planes[:, :, j:j + w] for j in range(PATCH))
-    return cols.reshape(NCELLS * NBINS, n, w)
+    return _box(_orientation_planes(a, r0, r1 + PATCH - 1), axis=2)
 
 
 def _sum_squares(d: np.ndarray) -> np.ndarray:
@@ -192,10 +193,11 @@ def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
 
     Only the bands of _BAND_ROWS rows that hold requested pixels are built
     (_band_columns), one at a time, so memory follows one band and the
-    pixels, not the image.  The vertical pass runs at the requested pixels
-    only, with the same arithmetic as a tile of dense_scores, so each
-    descriptor is the one the dense engine computes for its pixel, whichever
-    pixels are requested.
+    pixels, not the image.  Each band takes its vertical boxes whole and
+    reads the 16 cells of each requested pixel from them, then scales them
+    by the cell weights: the same float32 operations as a tile of
+    dense_scores, so each descriptor is the one the dense engine computes for
+    its pixel, whichever pixels are requested.
     """
     a = np.asarray(img, np.float64)
     uu = np.asarray(uu, np.int64)
@@ -206,17 +208,21 @@ def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
     band = vv // _BAND_ROWS
     order = np.argsort(band, kind="stable")
     bands, starts = np.unique(band[order], return_index=True)
+    bins = np.arange(NBINS)[:, None]
     for b, lo, hi in zip(bands.tolist(), starts, [*starts[1:], len(order)]):
         r0 = b * _BAND_ROWS
-        cols = _band_columns(a, r0, min(r0 + _BAND_ROWS, a.shape[0]))
-        for c0 in range(lo, hi, _CHUNK_PX):      # bounds each gathered tap
+        # vertical boxes: cell (cy, cx) of pixel (v, u) is box (v+cy*CELL_W,
+        # u+cx*CELL_W), v counted from the band's first row
+        boxes = _box(_band_columns(a, r0, min(r0 + _BAND_ROWS, a.shape[0])), axis=1)
+        for c0 in range(lo, hi, _CHUNK_PX):      # bounds each gathered chunk
             at = order[c0:min(c0 + _CHUNK_PX, hi)]
             cu, cv = uu[at], vv[at] - r0
-            # vertical pass: cell row cy sums its row offsets dv weighted by
-            # g(dv), giving raw bin (cy*NCELLS+cx)*NBINS+o
-            d = _cell_sums(cols[:, cv + j, cu] for j in range(PATCH))
+            # raw bin (cy*NCELLS+cx)*NBINS+o: (NCELLS, NCELLS, NBINS, pixels)
+            d = boxes[bins, cv + _CELL_OFFS[:, None, None, None],
+                      cu + _CELL_OFFS[:, None, None]]
+            d *= _CELL_WEIGHT[:, :, None, None]
             out[rows[at]] = _normalize(d.reshape(DESCRIPTOR_SIZE, len(at))).T
-        del cols                # freed before the next band's columns are built
+        del boxes               # freed before the next band's boxes are built
     return out
 
 
@@ -450,10 +456,10 @@ def score_margins(model: SvmModel, X: np.ndarray) -> np.ndarray:
 def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
                 r0: int, r1: int) -> None:
     """Scores of rows r0..r1-1 of image a into out[r0:r1]: the orientation
-    planes and the horizontal pass over the band and its PATCH-1 halo rows,
-    then the vertical pass, normalization, SVM dot product and sigmoid tile
-    by tile.  Each tile's descriptors are cast to float64 for the dot
-    product."""
+    planes and the horizontal boxes over the band and its PATCH-1 halo rows,
+    then the vertical boxes, cell weights, normalization, SVM dot product and
+    sigmoid tile by tile.  Each tile's descriptors are cast to float64 for
+    the dot product."""
     cols = _band_columns(a, r0, r1)
     w = out.shape[1]
     # the last column tile takes a lone last column: a 1x1 tile would send
@@ -462,8 +468,13 @@ def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
     for t0 in range(0, r1 - r0, _TILE_ROWS):
         t1 = min(t0 + _TILE_ROWS, r1 - r0)
         for c0, c1 in zip(col_edges, col_edges[1:]):
-            # the vertical pass of descriptors_at, over one tile
-            d = _cell_sums(cols[:, t0 + j:t1 + j, c0:c1] for j in range(PATCH))
+            # the vertical boxes and cell weights of descriptors_at, over one tile
+            boxes = _box(cols[:, t0:t1 + PATCH - 1, c0:c1 + PATCH - CELL_W], axis=1)
+            d = np.empty((NCELLS, NCELLS, NBINS, t1 - t0, c1 - c0), _DTYPE)
+            for cy, cx in np.ndindex(NCELLS, NCELLS):
+                y, x = _CELL_OFFS[cy], _CELL_OFFS[cx]
+                np.multiply(boxes[:, y:y + t1 - t0, x:x + c1 - c0], _CELL_WEIGHT[cy, cx],
+                            out=d[cy, cx])
             d = _normalize(d.reshape(DESCRIPTOR_SIZE, t1 - t0, c1 - c0))
             out[r0 + t0:r0 + t1, c0:c1] = _sigmoid(
                 np.tensordot(model.weights, d.astype(np.float64), axes=1) + model.bias)

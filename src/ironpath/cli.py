@@ -512,13 +512,22 @@ def _read_report(path) -> dict:
     return report
 
 
+def _mixture_fields(report: dict) -> list:
+    """The report's mixture components as overlay draws them: a pair of
+    finite numbers (_finite) as the mean and a 2x2 of them as the covariance."""
+    return [{"mean_m": _pair(c["mean_m"]), "cov_m2": _pair(c["cov_m2"], _pair)}
+            for c in report.get("mixture", [])]
+
+
 def cmd_plan(args) -> None:
     cfg = parse_config(args.config) if args.config else PipelineConfig()
     with _stage("inputs", args.report):
         report = _read_report(args.report)
+        _mixture_fields(report)           # written back, so checked as overlay reads it
         fused = []
         for wk in report.get("wrinkles", []):
             endpoints = _pair(wk["endpoints_m"], _pair)
+            _finite(wk["p"])
             if isinstance(wk["id"], bool) or not isinstance(wk["id"], int):
                 raise ValueError(f"wrinkle id {wk['id']!r} is not an integer")
             d = discont.Discontinuity(
@@ -552,8 +561,7 @@ def _overlay_fields(report: dict) -> dict:
             raise ValueError(f"action kind {a['kind']!r} is not static or sliding")
         return {"kind": a["kind"], "start_m": _pair(a["start_m"]), "end_m": _pair(a["end_m"])}
 
-    return {"mixture": [{"mean_m": _pair(c["mean_m"]), "cov_m2": _pair(c["cov_m2"], _pair)}
-                        for c in report.get("mixture", [])],
+    return {"mixture": _mixture_fields(report),
             "wrinkles": [wrinkle(wk) for wk in report.get("wrinkles", [])],
             "plan": {"actions": [action(a) for a in report.get("plan", {}).get("actions", [])]}}
 

@@ -321,7 +321,8 @@ class TestErrorContract:
                                               ("id", "first"), ("endpoints_m", [[0, 0]]),
                                               ("id", 1.5), ("id", True), ("id", "1"),
                                               ("q", True), ("r", "0.5"), ("direction_rad", False),
-                                              ("endpoints_m", [[0.01, "0.01"], [0.05, 0.02]])])
+                                              ("endpoints_m", [[0.01, "0.01"], [0.05, 0.02]]),
+                                              ("p", True)])
     def test_plan_report_field_of_wrong_type_exit_1(self, tmp_path, capsys, field, value):
         rpt = tmp_path / "r.json"
         rpt.write_text(dump_report({"wrinkles": [WRINKLE, {**WRINKLE, "id": 1, field: value}]}))
@@ -995,6 +996,20 @@ class TestPlanCommand:
         err = capsys.readouterr().err
         assert err.startswith("stage inputs failed: ") and why in err
         assert "Traceback" not in err and not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("field, value, why", [
+        ("mean_m", [True, 0.02], "not a finite number: True"),
+        ("cov_m2", [[1e-4, 0.0], [None, 4e-5]], "not a finite number: None")],
+        ids=["mean-bool", "cov-null"])
+    def test_mixture_field_of_wrong_type_exit_1(self, tmp_path, capsys, field, value, why):
+        # plan writes the mixture back, so it checks it as overlay reads it
+        rpt = tmp_path / "r.json"
+        rpt.write_text(dump_report({"mixture": [{**MIXTURE, field: value}],
+                                    "wrinkles": [WRINKLE]}))
+        out = tmp_path / "o.json"
+        assert main(["plan", str(rpt), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: {why}")
+        assert not out.exists()
 
 
 class TestOverlayCommand:
