@@ -15,12 +15,12 @@ shifted reads of the 8 box planes.  The planes are padded by half a patch,
 and each padded row depends on at most three image rows, so any band of rows
 can be built on its own.  The image is split into bands of _BAND_ROWS rows;
 each band builds the planes of its rows and the PATCH-1 halo rows below them
-and takes the horizontal boxes over them (_band_columns).  When pixels are
-sampled (descriptors_at), only the bands that hold requested pixels are
-built; each takes the vertical boxes over the whole band and reads them at
-the requested pixels.  When every pixel is scored (dense_scores), each band
-is one task, and the vertical boxes, the cell weights, normalization, SVM
-dot product and sigmoid run on tiles of _TILE_ROWS x _TILE_COLS pixels whose
+and takes the horizontal and then the vertical boxes over them
+(_band_boxes).  When pixels are sampled (descriptors_at), only the bands that
+hold requested pixels are built, and each reads its boxes at the requested
+pixels.  When every pixel is scored (dense_scores), each band is one task,
+and the cell weights, normalization, SVM dot product and sigmoid run on
+tiles of _TILE_ROWS x _TILE_COLS pixels, sliced from the band's boxes, whose
 descriptors (1 MiB) fit in cache.  No task holds more than one band's
 planes.  Both paths run the same arithmetic per pixel, and the band and tile
 grid does not depend on how the tasks are run, so neither do the scores.  A
@@ -47,7 +47,8 @@ factor 1e12: about a dozen steps on scan corpora, a few hundred on small
 nearly separable sets.  The solver draws nothing at random, and none of its
 sums depends on the BLAS thread count, so the model depends on the training
 matrix alone (see train_arrays).  A pixel's score is sigmoid(w.x + b), and
-the model file holds lambda, the weights and the bias.
+the model file (SVMW) holds lambda, the weights and the bias: this module
+knows what its header means, and gridio frames, reads and writes it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridio import GridFormatError, LabelMask, LABEL_WRINKLE
+from . import gridio
 
 PATCH = 16
 CELL_W = 4
@@ -150,16 +151,13 @@ def _box(x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(y, 0, axis)
 
 
-def _band_columns(a: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Horizontal boxes over the orientation planes of image rows r0..r1-1
-    and their PATCH-1 halo rows: (NBINS, r1-r0+PATCH-1, w+PATCH-CELL_W).
-
-    Entry (o, r, c) is the equal-weight sum of padded columns c..c+CELL_W-1
-    of plane o, so cell column cx of the patch at pixel u is column
-    u+cx*CELL_W.  The boxes are row-local, so any band gives the same values
-    on its rows.
-    """
-    return _box(_orientation_planes(a, r0, r1 + PATCH - 1), axis=2)
+def _band_boxes(a: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """CELL_W x CELL_W box sums (the 4-column boxes, then the 4-row boxes) over
+    the orientation planes of image rows r0..r1-1 and their PATCH-1 halo rows:
+    (NBINS, r1-r0+PATCH-CELL_W, w+PATCH-CELL_W).  Cell (cy, cx) of the patch
+    at pixel (v, u) is entry (v-r0+cy*CELL_W, u+cx*CELL_W); each sum is
+    elementwise, so any band gives the same values on its rows."""
+    return _box(_box(_orientation_planes(a, r0, r1 + PATCH - 1), axis=2), axis=1)
 
 
 def _sum_squares(d: np.ndarray) -> np.ndarray:
@@ -192,12 +190,12 @@ def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
     into row rows[i] of it (rows defaults to 0..N-1), and out is returned.
 
     Only the bands of _BAND_ROWS rows that hold requested pixels are built
-    (_band_columns), one at a time, so memory follows one band and the
-    pixels, not the image.  Each band takes its vertical boxes whole and
-    reads the 16 cells of each requested pixel from them, then scales them
-    by the cell weights: the same float32 operations as a tile of
-    dense_scores, so each descriptor is the one the dense engine computes for
-    its pixel, whichever pixels are requested.
+    (_band_boxes), one at a time, so memory follows one band and the
+    pixels, not the image.  Each band reads the 16 cells of each requested
+    pixel from its boxes, then scales them by the cell weights: the same
+    float32 operations as a tile of dense_scores, so each descriptor is the
+    one the dense engine computes for its pixel, whichever pixels are
+    requested.
     """
     a = np.asarray(img, np.float64)
     uu = np.asarray(uu, np.int64)
@@ -211,9 +209,7 @@ def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
     bins = np.arange(NBINS)[:, None]
     for b, lo, hi in zip(bands.tolist(), starts, [*starts[1:], len(order)]):
         r0 = b * _BAND_ROWS
-        # vertical boxes: cell (cy, cx) of pixel (v, u) is box (v+cy*CELL_W,
-        # u+cx*CELL_W), v counted from the band's first row
-        boxes = _box(_band_columns(a, r0, min(r0 + _BAND_ROWS, a.shape[0])), axis=1)
+        boxes = _band_boxes(a, r0, min(r0 + _BAND_ROWS, a.shape[0]))
         for c0 in range(lo, hi, _CHUNK_PX):      # bounds each gathered chunk
             at = order[c0:min(c0 + _CHUNK_PX, hi)]
             cu, cv = uu[at], vv[at] - r0
@@ -242,7 +238,7 @@ class TrainingSet:
         return self.X[self.n_pos:]
 
 
-def sample_pixels(mask: LabelMask, negatives_per_positive: int, seed: int,
+def sample_pixels(mask: gridio.LabelMask, negatives_per_positive: int, seed: int,
                   valid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """The pixels one scene gives a training or held-out set: (uu, vv, P).
 
@@ -251,7 +247,7 @@ def sample_pixels(mask: LabelMask, negatives_per_positive: int, seed: int,
     generator keyed by `seed`; each group in raster order.  With `valid`,
     pixels where it is false are left out of both groups.
     """
-    wrinkle = np.asarray(mask.data) == LABEL_WRINKLE
+    wrinkle = np.asarray(mask.data) == gridio.LABEL_WRINKLE
     other = ~wrinkle
     if valid is not None:
         wrinkle &= valid
@@ -265,7 +261,7 @@ def sample_pixels(mask: LabelMask, negatives_per_positive: int, seed: int,
     return np.concatenate([pu, cu[pick]]), np.concatenate([pv, cv[pick]]), len(pu)
 
 
-def build_training_set(scenes: list[tuple[Callable[[], np.ndarray], LabelMask, int]],
+def build_training_set(scenes: list[tuple[Callable[[], np.ndarray], gridio.LabelMask, int]],
                        negatives_per_positive: int, map_fn=map) -> TrainingSet:
     """The training set of a corpus of (img, mask, seed) scenes, where img is
     a function of no arguments that returns the scene's image.
@@ -455,12 +451,11 @@ def score_margins(model: SvmModel, X: np.ndarray) -> np.ndarray:
 
 def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
                 r0: int, r1: int) -> None:
-    """Scores of rows r0..r1-1 of image a into out[r0:r1]: the orientation
-    planes and the horizontal boxes over the band and its PATCH-1 halo rows,
-    then the vertical boxes, cell weights, normalization, SVM dot product and
-    sigmoid tile by tile.  Each tile's descriptors are cast to float64 for
-    the dot product."""
-    cols = _band_columns(a, r0, r1)
+    """Scores of rows r0..r1-1 of image a into out[r0:r1]: the band's boxes
+    (_band_boxes), then the cell weights, normalization, SVM dot product and
+    sigmoid tile by tile, each tile's 16 cells sliced from the boxes.  Each
+    tile's descriptors are cast to float64 for the dot product."""
+    boxes = _band_boxes(a, r0, r1)
     w = out.shape[1]
     # the last column tile takes a lone last column: a 1x1 tile would send
     # the dot product to a kernel that rounds differently from the others
@@ -468,11 +463,9 @@ def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
     for t0 in range(0, r1 - r0, _TILE_ROWS):
         t1 = min(t0 + _TILE_ROWS, r1 - r0)
         for c0, c1 in zip(col_edges, col_edges[1:]):
-            # the vertical boxes and cell weights of descriptors_at, over one tile
-            boxes = _box(cols[:, t0:t1 + PATCH - 1, c0:c1 + PATCH - CELL_W], axis=1)
             d = np.empty((NCELLS, NCELLS, NBINS, t1 - t0, c1 - c0), _DTYPE)
             for cy, cx in np.ndindex(NCELLS, NCELLS):
-                y, x = _CELL_OFFS[cy], _CELL_OFFS[cx]
+                y, x = t0 + _CELL_OFFS[cy], c0 + _CELL_OFFS[cx]
                 np.multiply(boxes[:, y:y + t1 - t0, x:x + c1 - c0], _CELL_WEIGHT[cy, cx],
                             out=d[cy, cx])
             d = _normalize(d.reshape(DESCRIPTOR_SIZE, t1 - t0, c1 - c0))
@@ -496,35 +489,19 @@ def dense_scores(img, model: SvmModel, map_fn=map) -> np.ndarray:
     return out
 
 
-# --- model file: "SVMW <n> <lambda>" header, then (n + 1) little-endian
-# float64: weights, bias. ---
+# --- model file: an "SVMW <n> <lambda>" header line, read as FGRID's, then
+# (n + 1) little-endian float64: weights, bias.  gridio frames it. ---
 
 def save_model(model: SvmModel, path) -> None:
     header = f"SVMW {len(model.weights)} {model.hyper.reg_lambda!r}\n"
-    payload = np.append(model.weights, model.bias)
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        f.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+    gridio.write_atomic(path, header.encode("ascii")
+                        + np.append(model.weights, model.bias).astype("<f8").tobytes())
 
 
 def load_model(path) -> SvmModel:
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii", errors="replace")
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "SVMW":
-            raise GridFormatError(f"{path}: bad SVMW header {header!r}")
-        try:
-            n = int(parts[1])
-            hyper = TrainHyper(float(parts[2]))
-        except ValueError as e:
-            raise GridFormatError(f"{path}: bad SVMW header {header!r}") from e
+        n, hyper = gridio.read_header(f, path, "SVMW", int, lambda s: TrainHyper(float(s)))
         if n != DESCRIPTOR_SIZE:
-            raise GridFormatError(f"{path}: {n} weights, expected {DESCRIPTOR_SIZE}")
-        payload = f.read()
-    if len(payload) != (n + 1) * 8:
-        raise GridFormatError(f"{path}: payload {len(payload)} bytes, "
-                              f"expected {(n + 1) * 8}")
-    vals = np.frombuffer(payload, dtype="<f8")
-    if not np.all(np.isfinite(vals)):
-        raise GridFormatError(f"{path}: non-finite value in payload")
+            raise gridio.GridFormatError(f"{path}: {n} weights, expected {DESCRIPTOR_SIZE}")
+        vals = gridio.read_payload(f, path, "<f8", (n + 1,))
     return SvmModel(vals[:n].copy(), float(vals[n]), hyper)

@@ -21,7 +21,6 @@ import json
 import logging
 import math
 import os
-import pathlib
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -191,7 +190,7 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
         return
     with _stage("outputs", out):
-        gridio.write_atomic(out, lambda p: pathlib.Path(p).write_text(text, encoding="utf-8"))
+        gridio.write_atomic(out, text.encode("utf-8"))
 
 
 def _sha256(path) -> str:
@@ -394,19 +393,20 @@ def cmd_synth(args) -> None:
         spec = synth.load_scene(args.scene)
     except (OSError, ValueError) as e:
         raise ConfigError(f"bad scene file: {e}") from e
-    height = synth.generate_height(spec)
-    outputs = {
-        "height.fgrid": lambda p: gridio.write_grid(height, p),
-        "light1.pgm": lambda p: gridio.write_gray(synth.render_illumination(height, spec, 1), p),
-        "light2.pgm": lambda p: gridio.write_gray(synth.render_illumination(height, spec, 2), p),
-        "ref1.pgm": lambda p: gridio.write_gray(synth.render_reference(spec, 1), p),
-        "ref2.pgm": lambda p: gridio.write_gray(synth.render_reference(spec, 2), p),
-        "labels.pgm": lambda p: gridio.write_labels(synth.ground_truth(spec), p),
-    }
+    with _stage("synth"):           # every raster before the first file is written
+        height = synth.generate_height(spec)
+        outputs = {
+            "height.fgrid": (gridio.write_grid, height),
+            "light1.pgm": (gridio.write_gray, synth.render_illumination(height, spec, 1)),
+            "light2.pgm": (gridio.write_gray, synth.render_illumination(height, spec, 2)),
+            "ref1.pgm": (gridio.write_gray, synth.render_reference(spec, 1)),
+            "ref2.pgm": (gridio.write_gray, synth.render_reference(spec, 2)),
+            "labels.pgm": (gridio.write_labels, synth.ground_truth(spec)),
+        }
     with _stage("outputs", args.outdir):
         os.makedirs(args.outdir, exist_ok=True)
-        for name, writer in outputs.items():
-            gridio.write_atomic(os.path.join(args.outdir, name), writer)
+        for name, (write, raster) in outputs.items():
+            write(raster, os.path.join(args.outdir, name))
     print(f"wrote {len(outputs)} files to {args.outdir}")
 
 
@@ -438,7 +438,7 @@ def cmd_train(args) -> None:
             with _stage("evaluate", timings=timings):
                 acc, rec = evaluate_scenes(held_out, model, cfg, pool.map)
     with _stage("outputs", args.model_out):
-        gridio.write_atomic(args.model_out, lambda p: classify.save_model(model, p))
+        classify.save_model(model, args.model_out)
     print(trained)
     if held_out:
         print(f"held-out accuracy {acc:.4f} recall {rec:.4f}")
@@ -542,7 +542,7 @@ def cmd_plan(args) -> None:
     report["plan"] = _plan_dict(plan, waypoints)
     report["config"] = config_values(cfg)
     for wk, f in zip(report.get("wrinkles", []), fused):
-        wk["accepted"] = f.accepted
+        wk["p"], wk["accepted"] = f.p, f.accepted
     _emit(dump_report(report), args.out)
 
 

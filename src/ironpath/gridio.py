@@ -1,6 +1,6 @@
-"""Raster data model and file I/O shared by every pipeline stage.
+"""Raster data model and file framing shared by every pipeline stage.
 
-Two on-disk formats:
+Two raster formats:
 
 FGRID   ASCII header line ``FGRID <width> <height> <cell_size_m>\\n`` followed
         by width*height little-endian float32 values, row-major, top row
@@ -9,6 +9,10 @@ PGM     Binary P5.  Grayscale images use maxval 65535 (two bytes per sample,
         big-endian); label masks use maxval 2 (one byte per sample).
         Grayscale intensity = sample / 65535; in memory an image is a plain
         (height, width) float64 array of intensities in [0, 1].
+
+Every binary file is framed here, classify's model file (SVMW) too: one
+header-line reader, one payload reader with the exact-length and non-finite
+checks, and write_atomic, through which every writer writes its bytes.
 
 In memory a raster is its array, and its size is the array's shape: a
 height grid (FloatGrid) is a float64 array plus the WorldTransform frame of
@@ -107,69 +111,108 @@ class LabelMask:
         object.__setattr__(self, "data", _readonly(d.astype(np.uint8, copy=False)))
 
 
+# --- file framing: one header-line reader, one payload reader, one writer ---
+
+def _count(s) -> int:
+    """A header's size or maxval field: an int of at least 0."""
+    if (n := int(s)) < 0:
+        raise ValueError(f"negative count {n}")
+    return n
+
+
+def read_header(f, path, magic: str, *types) -> list:
+    """The fields of the header line `<magic> <field>...` that starts the
+    binary file f, field i converted by types[i]; GridFormatError on another
+    magic or field count, or when a conversion raises ValueError."""
+    header = f.readline().decode("ascii", errors="replace")
+    parts = header.split()
+    bad = f"{path}: bad {magic} header {header!r}"
+    if len(parts) != len(types) + 1 or parts[0] != magic:
+        raise GridFormatError(bad)
+    try:
+        return [t(s) for t, s in zip(types, parts[1:])]
+    except ValueError as e:
+        raise GridFormatError(bad) from e
+
+
+def read_payload(f, path, dtype, shape: tuple) -> np.ndarray:
+    """The rest of the binary file f, in one read, as a read-only `dtype` array
+    of `shape`; GridFormatError unless its length is exact and it is finite."""
+    payload = f.read()
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(payload) != expected:
+        raise GridFormatError(f"{path}: payload {len(payload)} bytes, expected {expected}")
+    data = np.frombuffer(payload, dtype).reshape(shape)
+    if not np.all(np.isfinite(data)):
+        raise GridFormatError(f"{path}: non-finite value in payload")
+    return data
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to path via a uniquely named temporary file in the same
+    directory, then rename, so partial files never appear; if anything
+    fails, the temporary file is removed and path is left as it was."""
+    # a fresh random name, not mkstemp, so the file gets the usual permissions
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 # --- FGRID ---
 
 def write_grid(grid: FloatGrid, path) -> None:
     h, w = grid.data.shape
-    header = f"FGRID {w} {h} {grid.cell_size!r}\n"
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        f.write(np.ascontiguousarray(grid.data, dtype="<f4").tobytes())
+    write_atomic(path, f"FGRID {w} {h} {grid.cell_size!r}\n".encode("ascii")
+                 + grid.data.astype("<f4").tobytes())
 
 
 def read_grid(path) -> FloatGrid:
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii", errors="replace")
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != "FGRID":
-            raise GridFormatError(f"{path}: bad FGRID header {header!r}")
-        try:
-            w, h = int(parts[1]), int(parts[2])
-            cell = float(parts[3])
-        except ValueError as e:
-            raise GridFormatError(f"{path}: bad FGRID header {header!r}") from e
-        if w < 0 or h < 0:
-            raise GridFormatError(f"{path}: bad FGRID header {header!r}")
-        payload = f.read()
-    expected = w * h * 4
-    if len(payload) != expected:
-        raise GridFormatError(f"{path}: payload {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f4")
-    if not np.all(np.isfinite(data)):
-        raise GridFormatError(f"{path}: non-finite value in payload")
-    return FloatGrid(data.reshape(h, w), cell)
+        w, h, cell = read_header(f, path, "FGRID", _count, _count, float)
+        data = read_payload(f, path, "<f4", (h, w))
+    return FloatGrid(data, cell)
 
 
 # --- PGM ---
 
-def _read_pgm_header(f, path):
-    """Parse 'P5 <w> <h> <maxval>' allowing whitespace and # comments."""
-    magic = f.read(2)
-    if magic != b"P5":
-        raise GridFormatError(f"{path}: not a binary PGM (magic {magic!r})")
-    vals = []
-    while len(vals) < 3:
-        c = f.read(1)
-        if not c:
-            raise GridFormatError(f"{path}: truncated PGM header")
-        if c.isspace():
-            continue
-        if c == b"#":
-            while c not in (b"\n", b""):
-                c = f.read(1)
-            continue
-        tok = c
-        c = f.read(1)
-        while c and not c.isspace():
-            tok += c
+def _read_pgm(path, maxval: int, dtype, kind: str = "") -> np.ndarray:
+    """The (h, w) samples of the binary PGM at path, of maxval `maxval`: `P5`,
+    then width, height and maxval between whitespace and `#` comments (a `#`
+    starts one only before a token), and one whitespace byte ends the header."""
+    with open(path, "rb") as f:
+        magic = f.read(2)
+        if magic != b"P5":
+            raise GridFormatError(f"{path}: not a binary PGM (magic {magic!r})")
+        vals, tok = [], b""
+        while len(vals) < 3:
             c = f.read(1)
-        try:
-            vals.append(int(tok))
-        except ValueError as e:
-            raise GridFormatError(f"{path}: bad PGM header token {tok!r}") from e
-        if vals[-1] < 0:
-            raise GridFormatError(f"{path}: bad PGM header token {tok!r}")
-    return vals
+            if c and not c.isspace() and (tok or c != b"#"):
+                tok += c
+            elif tok:                   # whitespace or the end of the file ends a token
+                try:
+                    vals.append(_count(tok))
+                except ValueError as e:
+                    raise GridFormatError(f"{path}: bad PGM header token {tok!r}") from e
+                tok = b""
+            elif c == b"#":
+                f.readline()
+            elif not c:
+                raise GridFormatError(f"{path}: truncated PGM header")
+        w, h, got = vals
+        if got != maxval:
+            raise GridFormatError(f"{path}: expected maxval {maxval}{kind}, got {got}")
+        return read_payload(f, path, dtype, (h, w))
+
+
+def _pgm(samples: np.ndarray, maxval: int) -> bytes:
+    h, w = samples.shape
+    return f"P5\n{w} {h}\n{maxval}\n".encode("ascii") + samples.tobytes()
 
 
 def write_gray(img: np.ndarray, path) -> None:
@@ -177,54 +220,17 @@ def write_gray(img: np.ndarray, path) -> None:
     img = np.asarray(img, np.float64)
     if not np.all(np.isfinite(img)):
         raise ValueError("image contains non-finite values")
-    samples = np.rint(np.clip(img, 0.0, 1.0) * 65535.0).astype(">u2")
-    h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        f.write(samples.tobytes())
+    write_atomic(path, _pgm(np.rint(np.clip(img, 0.0, 1.0) * 65535.0).astype(">u2"), 65535))
 
 
 def read_gray(path) -> np.ndarray:
     """A read-only (h, w) float64 intensity array in [0, 1]."""
-    with open(path, "rb") as f:
-        w, h, maxval = _read_pgm_header(f, path)
-        if maxval != 65535:
-            raise GridFormatError(f"{path}: expected maxval 65535, got {maxval}")
-        payload = f.read()
-    if len(payload) != w * h * 2:
-        raise GridFormatError(f"{path}: payload {len(payload)} bytes, expected {w * h * 2}")
-    samples = np.frombuffer(payload, dtype=">u2").astype(np.float64)
-    return _readonly((samples / 65535.0).reshape(h, w))
+    return _readonly(_read_pgm(path, 65535, ">u2") / 65535.0)
 
 
 def write_labels(mask: LabelMask, path) -> None:
-    h, w = mask.data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n2\n".encode("ascii"))
-        f.write(mask.data.tobytes())
+    write_atomic(path, _pgm(mask.data, 2))
 
 
 def read_labels(path) -> LabelMask:
-    with open(path, "rb") as f:
-        w, h, maxval = _read_pgm_header(f, path)
-        if maxval != 2:
-            raise GridFormatError(f"{path}: expected maxval 2 label mask, got {maxval}")
-        payload = f.read()
-    if len(payload) != w * h:
-        raise GridFormatError(f"{path}: payload {len(payload)} bytes, expected {w * h}")
-    return LabelMask(np.frombuffer(payload, dtype=np.uint8).reshape(h, w))
-
-
-def write_atomic(path, writer) -> None:
-    """Write via a uniquely named temporary file in the same directory, then
-    rename, so partial files never appear; if the writer raises, the
-    temporary file is removed and path is left as it was."""
-    # a fresh random name, not mkstemp, so the file gets the usual permissions
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    return LabelMask(_read_pgm(path, 2, np.uint8, " label mask"))

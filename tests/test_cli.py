@@ -453,6 +453,22 @@ class TestSynthCommand:
         assert err.startswith("config error: bad scene file") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["generate_height", "render_illumination",
+                                      "render_reference", "ground_truth"])
+    def test_failed_scene_step_exit_1_and_writes_nothing(self, tmp_path, capsys,
+                                                         monkeypatch, step):
+        # as a scene of width and height 1000000 fails, without the 7 TiB request
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        monkeypatch.setattr(synth, step, no_memory)
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE_TEXT)
+        out = tmp_path / "o"
+        assert main(["synth", str(scene), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage synth failed: Unable to allocate") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_train_and_retrain_identical(self, tmp_path):
@@ -1010,6 +1026,15 @@ class TestPlanCommand:
         assert main(["plan", str(rpt), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: {why}")
         assert not out.exists()
+
+    def test_p_written_back_with_accepted(self, tmp_path):
+        rpt = tmp_path / "r.json"
+        rpt.write_text(dump_report({"mixture": [], "wrinkles": [
+            {**WRINKLE, "q": 0.1, "r": 0.1, "p": 0.9}]}))
+        out = tmp_path / "o.json"
+        assert main(["plan", str(rpt), "--out", str(out)]) == 0
+        wk, = json.loads(out.read_text())["wrinkles"]
+        assert (wk["p"], wk["accepted"]) == (0.1 * 0.1, False)
 
 
 class TestOverlayCommand:

@@ -1,5 +1,7 @@
 import math
 import os
+import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -174,17 +176,18 @@ class TestLabelMask:
 
 
 class TestWriteAtomic:
-    def test_failed_writer_leaves_nothing_behind(self, tmp_path):
+    def test_failed_writer_leaves_nothing_behind(self, tmp_path, monkeypatch):
         target = tmp_path / "out.bin"
         target.write_bytes(b"old")
+        written = []
 
-        def writer(p):
-            with open(p, "wb") as f:
-                f.write(b"partial")
-            raise RuntimeError("disk full")
-
-        with pytest.raises(RuntimeError, match="disk full"):
-            gridio.write_atomic(target, writer)
+        def fail(src, dst):
+            written.append(pathlib.Path(src).read_bytes())
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            gridio.write_atomic(target, b"new")
+        assert written == [b"new"]          # it failed after the temporary file was written
         assert target.read_bytes() == b"old"
         assert sorted(os.listdir(tmp_path)) == ["out.bin"]
 
@@ -192,10 +195,75 @@ class TestWriteAtomic:
         target = tmp_path / "out.bin"
         other = tmp_path / "out.bin.tmp"
         other.write_bytes(b"someone else's")
-        gridio.write_atomic(target, lambda p: open(p, "wb").close())
+        gridio.write_atomic(target, b"")
         assert target.read_bytes() == b""
         assert other.read_bytes() == b"someone else's"
         assert sorted(os.listdir(tmp_path)) == ["out.bin", "out.bin.tmp"]
+
+
+class TestExactBytes:
+    """Each writer's file, byte for byte, from a hand-built header and
+    payload; each reader gives the raster back."""
+
+    def test_grid(self, tmp_path):
+        p = tmp_path / "g.fgrid"
+        gridio.write_grid(FloatGrid(np.arange(12.0).reshape(3, 4) / 4, 0.002, (1.0, 2.0)), p)
+        assert p.read_bytes() == (b"FGRID 4 3 0.002\n"
+                                  + struct.pack("<12f", *[i / 4 for i in range(12)]))
+        back = gridio.read_grid(p)
+        assert back.cell_size == 0.002
+        assert np.array_equal(back.data, np.arange(12.0).reshape(3, 4) / 4)
+
+    def test_gray(self, tmp_path):
+        p = tmp_path / "g.pgm"
+        gridio.write_gray(np.array([[0.0, 1.0, 0.5], [2.0, -1.0, 1 / 65535]]), p)
+        samples = [0, 65535, 32768, 65535, 0, 1]
+        assert p.read_bytes() == b"P5\n3 2\n65535\n" + struct.pack(">6H", *samples)
+        assert np.array_equal(gridio.read_gray(p), np.reshape(samples, (2, 3)) / 65535)
+
+    def test_labels(self, tmp_path):
+        p = tmp_path / "l.pgm"
+        gridio.write_labels(LabelMask(np.array([[0, 1], [2, 0], [1, 2]])), p)
+        assert p.read_bytes() == b"P5\n2 3\n2\n\x00\x01\x02\x00\x01\x02"
+        assert np.array_equal(gridio.read_labels(p).data, [[0, 1], [2, 0], [1, 2]])
+
+    def test_model(self, tmp_path):
+        p = tmp_path / "m.svmw"
+        weights = np.arange(128) / 8 - 3
+        classify.save_model(classify.SvmModel(weights, -1.5, classify.TrainHyper(3e-4)), p)
+        assert p.read_bytes() == (b"SVMW 128 0.0003\n"
+                                  + struct.pack("<129d", *weights.tolist(), -1.5))
+        back = classify.load_model(p)
+        assert np.array_equal(back.weights, weights)
+        assert (back.bias, back.hyper.reg_lambda) == (-1.5, 3e-4)
+
+
+class TestPgmHeader:
+    @pytest.mark.parametrize("header", [
+        b"P5\t2\t1\t65535\t", b"P5\r2\r1\r65535\r", b"P5\x0b2\x0b1\x0b65535\x0b",
+        b"P5\x0c2 1\r\n65535\n", b"P5# a comment right after the magic\n2 1 65535\n",
+        b"P52 1 65535 ", b"P5 2 # w\n 1 #h\n#\n65535\n"],
+        ids=["tab", "cr", "vt", "ff-crlf", "comment-after-magic", "no-space-after-magic",
+             "comments"])
+    def test_separators_and_comments(self, tmp_path, header):
+        p = tmp_path / "s.pgm"
+        p.write_bytes(header + b"\xff\xff\x00\x00")
+        assert np.array_equal(gridio.read_gray(p), [[1.0, 0.0]])
+
+    @pytest.mark.parametrize("data, why", [
+        (b"P5\n3# c\n3\n2\n", "bad PGM header token b'3#'"),
+        (b"P5\n2 1\n# no end of line", "truncated PGM header"),
+        (b"P5\n2 1", "truncated PGM header"),
+        (b"P6\n2 1\n2\n\x00\x00", "not a binary PGM (magic b'P6')"),
+        (b"P5\n2 1\n3\n\x00\x00", "expected maxval 2 label mask, got 3"),
+        (b"P5\n2 1 2\n\x00", "payload 1 bytes, expected 2")],
+        ids=["hash-in-token", "comment-to-eof", "eof", "magic", "maxval", "payload"])
+    def test_malformed_label_header(self, tmp_path, data, why):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(data)
+        with pytest.raises(GridFormatError) as e:
+            gridio.read_labels(p)
+        assert str(e.value) == f"{p}: {why}"
 
 
 class TestWorldTransform:
@@ -231,6 +299,24 @@ def _token():
 
 
 @st.composite
+def pgm_header(draw):
+    """`P5` (mostly), then up to four tokens, each followed by whitespace
+    (mostly) or by a run of whitespace and comments that may be empty."""
+    space = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n"])
+    comment = st.builds(lambda text, end: b"#" + text + end,
+                        st.binary(max_size=6).filter(lambda b: b"\n" not in b),
+                        st.sampled_from([b"\n", b"\n", b"\n", b""]))
+    gap = st.one_of(space, space, space,
+                    st.lists(st.one_of(space, comment), max_size=3).map(b"".join))
+    small = st.sampled_from([b"0", b"1", b"2", b"3"])
+    token = st.one_of(small, small, small, _token().map(str.encode),
+                      st.sampled_from([b"3#", b"+2", b"1_0", b"x", b"\xd9\xa3", b"#"]))
+    magic = draw(st.sampled_from([b"P5"] * 8 + [b"P6", b"P"]))
+    return magic + draw(gap) + b"".join(draw(token) + draw(gap) for _ in
+                                        range(draw(st.sampled_from([3, 3, 3, 0, 1, 2, 4]))))
+
+
+@st.composite
 def file_bytes(draw):
     """Random bytes, or a header of one of the formats with random fields,
     then a payload of random length."""
@@ -238,7 +324,8 @@ def file_bytes(draw):
         st.binary(max_size=40),
         st.builds(lambda magic, fields: magic + " ".join(fields).encode() + b"\n",
                   st.sampled_from([b"FGRID ", b"P5\n", b"P5 ", b"SVMW "]),
-                  st.lists(_token(), max_size=6))))
+                  st.lists(_token(), max_size=6)),
+        pgm_header()))
     size = draw(st.one_of(st.integers(0, 64), st.sampled_from([9 * 2, 9 * 4, 131 * 8])))
     return header + draw(st.binary(min_size=size, max_size=size))
 
@@ -254,3 +341,58 @@ def test_readers_raise_only_value_error(tmp_path_factory, data):
             reader(path)
         except ValueError:          # GridFormatError included
             pass
+
+
+def reference_read_labels(path) -> np.ndarray:
+    """A label mask's samples, its header read one byte at a time: the
+    reference grammar of the PGM header and its error messages."""
+    with open(path, "rb") as f:
+        magic = f.read(2)
+        if magic != b"P5":
+            raise GridFormatError(f"{path}: not a binary PGM (magic {magic!r})")
+        vals = []
+        while len(vals) < 3:
+            c = f.read(1)
+            if not c:
+                raise GridFormatError(f"{path}: truncated PGM header")
+            if c.isspace():
+                continue
+            if c == b"#":
+                while c not in (b"\n", b""):
+                    c = f.read(1)
+                continue
+            tok = c
+            c = f.read(1)
+            while c and not c.isspace():
+                tok += c
+                c = f.read(1)
+            try:
+                vals.append(int(tok))
+            except ValueError as e:
+                raise GridFormatError(f"{path}: bad PGM header token {tok!r}") from e
+            if vals[-1] < 0:
+                raise GridFormatError(f"{path}: bad PGM header token {tok!r}")
+        w, h, maxval = vals
+        if maxval != 2:
+            raise GridFormatError(f"{path}: expected maxval 2 label mask, got {maxval}")
+        payload = f.read()
+    if len(payload) != w * h:
+        raise GridFormatError(f"{path}: payload {len(payload)} bytes, expected {w * h}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
+
+
+def _outcome(read, path):
+    try:
+        return read(path).tolist()
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(header=pgm_header(), payload=st.lists(st.sampled_from(b"\x00\x01\x02\x03"),
+                                              max_size=12).map(bytes))
+def test_pgm_header_grammar_matches_reference(tmp_path_factory, header, payload):
+    path = tmp_path_factory.getbasetemp() / "grammar.pgm"
+    path.write_bytes(header + payload)
+    assert (_outcome(lambda p: gridio.read_labels(p).data, path)
+            == _outcome(lambda p: LabelMask(reference_read_labels(p)).data, path))
