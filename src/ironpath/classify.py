@@ -500,7 +500,8 @@ def save_model(model: SvmModel, path) -> None:
 
 def load_model(path) -> SvmModel:
     with open(path, "rb") as f:
-        n, hyper = gridio.read_header(f, path, "SVMW", int, lambda s: TrainHyper(float(s)))
+        n, hyper = gridio.read_header(f, path, "SVMW", gridio.header_count,
+                                     lambda s: TrainHyper(gridio.header_float(s)))
         if n != DESCRIPTOR_SIZE:
             raise gridio.GridFormatError(f"{path}: {n} weights, expected {DESCRIPTOR_SIZE}")
         vals = gridio.read_payload(f, path, "<f8", (n + 1,))

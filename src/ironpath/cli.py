@@ -1,7 +1,8 @@
 """Command-line pipeline: synth, train, detect, plan, overlay.
 
 The JSON report (UTF-8, sorted keys) is the single machine interface; the
-SVG overlay is derived from it.  For fixed inputs, config and seed the report
+SVG overlay is derived from it, and `plan` and `overlay` read it through
+one checked reader.  For fixed inputs, config and seed the report
 is byte-identical across reruns: every stage is deterministic, the height
 scan and the score stage's bands share one pool of IRONPATH_THREADS threads
 and give the same bits on any number of them, and timing diagnostics go to
@@ -31,6 +32,8 @@ import numpy as np
 from . import classify, curvature, discont, fusion, gridio, mixture, overlay, planner, synth
 
 SCHEMA_VERSION = 1
+# the files of a scene directory, which synth writes and train reads
+HEIGHT_FILE, LABELS_FILE = "height.fgrid", "labels.pgm"
 CAPTURE_FILES = ("light1.pgm", "light2.pgm", "ref1.pgm", "ref2.pgm")
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
@@ -298,7 +301,7 @@ def _plan_dict(plan: planner.IroningPlan, waypoints) -> dict:
 # --- scene corpus helpers ---
 
 def _scene_labels(scene_dir: str) -> gridio.LabelMask:
-    return _read_input(gridio.read_labels, os.path.join(scene_dir, "labels.pgm"))
+    return _read_input(gridio.read_labels, os.path.join(scene_dir, LABELS_FILE))
 
 
 def _scene_image(scene_dir: str, labels: gridio.LabelMask) -> discont.NormalizedImage:
@@ -309,7 +312,7 @@ def _scene_image(scene_dir: str, labels: gridio.LabelMask) -> discont.Normalized
                                    for name in CAPTURE_FILES])
     if labels.data.shape != nimg.combined.shape:
         raise StageError("inputs", ValueError(
-            f"{os.path.join(scene_dir, 'labels.pgm')}: labels {labels.data.shape} "
+            f"{os.path.join(scene_dir, LABELS_FILE)}: labels {labels.data.shape} "
             f"do not match images {nimg.combined.shape}"))
     return nimg
 
@@ -325,7 +328,7 @@ def _scene_dirs(corpus_dir: str) -> list[str]:
     out = []
     for name in sorted(os.listdir(corpus_dir)):
         d = os.path.join(corpus_dir, name)
-        if os.path.isdir(d) and os.path.exists(os.path.join(d, "height.fgrid")):
+        if os.path.isdir(d) and os.path.exists(os.path.join(d, HEIGHT_FILE)):
             out.append(d)
     if not out:
         raise ValueError(f"no scene directories under {corpus_dir}")
@@ -395,14 +398,11 @@ def cmd_synth(args) -> None:
         raise ConfigError(f"bad scene file: {e}") from e
     with _stage("synth"):           # every raster before the first file is written
         height = synth.generate_height(spec)
-        outputs = {
-            "height.fgrid": (gridio.write_grid, height),
-            "light1.pgm": (gridio.write_gray, synth.render_illumination(height, spec, 1)),
-            "light2.pgm": (gridio.write_gray, synth.render_illumination(height, spec, 2)),
-            "ref1.pgm": (gridio.write_gray, synth.render_reference(spec, 1)),
-            "ref2.pgm": (gridio.write_gray, synth.render_reference(spec, 2)),
-            "labels.pgm": (gridio.write_labels, synth.ground_truth(spec)),
-        }
+        images = (*(synth.render_illumination(height, spec, k) for k in (1, 2)),
+                  *(synth.render_reference(spec, k) for k in (1, 2)))
+        outputs = {HEIGHT_FILE: (gridio.write_grid, height),
+                   **{name: (gridio.write_gray, im) for name, im in zip(CAPTURE_FILES, images)},
+                   LABELS_FILE: (gridio.write_labels, synth.ground_truth(spec))}
     with _stage("outputs", args.outdir):
         os.makedirs(args.outdir, exist_ok=True)
         for name, (write, raster) in outputs.items():
@@ -502,39 +502,47 @@ def _pair(x, item=_finite) -> tuple:
     return item(a), item(b)
 
 
-def _read_report(path) -> dict:
-    """A detection report; ValueError when it is not a JSON object or holds a
-    bare NaN or Infinity (a detect report writes infinities as strings)."""
+def _read_report(path) -> tuple[dict, list, list, list]:
+    """A detection report, and its mixture as (mean, cov) pairs, its wrinkles
+    as fusion.FusedWrinkle as the report states them and its plan's actions
+    as (kind, start, end); a missing section reads as empty.  ValueError when
+    it is not a JSON object, holds a bare NaN or Infinity (a detect report
+    writes infinities as strings) or a field of the wrong type: numbers are
+    _finite, a wrinkle's id an int and its `accepted` a bool, and an action's
+    kind static or sliding."""
     with open(path, "r", encoding="utf-8") as f:
         report = json.load(f, parse_constant=_reject_constant)
     if not isinstance(report, dict):
         raise ValueError("not a JSON object")
-    return report
 
+    def wrinkle(wk):
+        if isinstance(wk["id"], bool) or not isinstance(wk["id"], int):
+            raise ValueError(f"wrinkle id {wk['id']!r} is not an integer")
+        if not isinstance(wk["accepted"], bool):
+            raise ValueError(f"wrinkle accepted {wk['accepted']!r} is not a bool")
+        d = discont.Discontinuity(
+            id=wk["id"], endpoints=_pair(wk["endpoints_m"], _pair),
+            pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
+            length=_finite(wk["length_m"]), direction=_finite(wk["direction_rad"]))
+        return fusion.FusedWrinkle(d, _finite(wk["q"]), _finite(wk["r"]), _finite(wk["p"]),
+                                   wk["accepted"])
 
-def _mixture_fields(report: dict) -> list:
-    """The report's mixture components as overlay draws them: a pair of
-    finite numbers (_finite) as the mean and a 2x2 of them as the covariance."""
-    return [{"mean_m": _pair(c["mean_m"]), "cov_m2": _pair(c["cov_m2"], _pair)}
-            for c in report.get("mixture", [])]
+    def action(a):
+        if a["kind"] not in (planner.STATIC, planner.SLIDING):
+            raise ValueError(f"action kind {a['kind']!r} is not static or sliding")
+        return a["kind"], _pair(a["start_m"]), _pair(a["end_m"])
+
+    return (report,
+            [(_pair(c["mean_m"]), _pair(c["cov_m2"], _pair)) for c in report.get("mixture", [])],
+            [wrinkle(wk) for wk in report.get("wrinkles", [])],
+            [action(a) for a in report.get("plan", {}).get("actions", [])])
 
 
 def cmd_plan(args) -> None:
     cfg = parse_config(args.config) if args.config else PipelineConfig()
     with _stage("inputs", args.report):
-        report = _read_report(args.report)
-        _mixture_fields(report)           # written back, so checked as overlay reads it
-        fused = []
-        for wk in report.get("wrinkles", []):
-            endpoints = _pair(wk["endpoints_m"], _pair)
-            _finite(wk["p"])
-            if isinstance(wk["id"], bool) or not isinstance(wk["id"], int):
-                raise ValueError(f"wrinkle id {wk['id']!r} is not an integer")
-            d = discont.Discontinuity(
-                id=wk["id"], endpoints=endpoints,
-                pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
-                length=_finite(wk["length_m"]), direction=_finite(wk["direction_rad"]))
-            fused.append(fusion.fuse_one(d, _finite(wk["q"]), _finite(wk["r"]), cfg.p_min))
+        report, _, wrinkles, _ = _read_report(args.report)
+        fused = [fusion.fuse_one(w.discontinuity, w.q, w.r, cfg.p_min) for w in wrinkles]
     surface = _read_input(gridio.read_grid, args.height) if args.height else None
     with _stage("plan"):
         plan, waypoints = planner.plan_ironing(fused, cfg.iron, (cfg.home_x_m, cfg.home_y_m),
@@ -546,30 +554,11 @@ def cmd_plan(args) -> None:
     _emit(dump_report(report), args.out)
 
 
-def _overlay_fields(report: dict) -> dict:
-    """The fields of a report that overlay draws, checked as strictly as plan
-    reads numbers (_finite): `accepted` must be a bool and an action's kind
-    static or sliding."""
-    def wrinkle(wk):
-        if not isinstance(wk["accepted"], bool):
-            raise ValueError(f"wrinkle accepted {wk['accepted']!r} is not a bool")
-        return {"endpoints_m": _pair(wk["endpoints_m"], _pair), "p": _finite(wk["p"]),
-                "accepted": wk["accepted"]}
-
-    def action(a):
-        if a["kind"] not in (planner.STATIC, planner.SLIDING):
-            raise ValueError(f"action kind {a['kind']!r} is not static or sliding")
-        return {"kind": a["kind"], "start_m": _pair(a["start_m"]), "end_m": _pair(a["end_m"])}
-
-    return {"mixture": _mixture_fields(report),
-            "wrinkles": [wrinkle(wk) for wk in report.get("wrinkles", [])],
-            "plan": {"actions": [action(a) for a in report.get("plan", {}).get("actions", [])]}}
-
-
 def cmd_overlay(args) -> None:
     height = _read_input(gridio.read_grid, args.height)
     with _stage("inputs", args.report):
-        svg = overlay.render_overlay(_overlay_fields(_read_report(args.report)), height)
+        _, mix, wrinkles, actions = _read_report(args.report)
+        svg = overlay.render_overlay(mix, wrinkles, actions, height)
     _emit(svg, args.out)
     print(f"wrote {args.out}")
 

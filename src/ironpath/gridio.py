@@ -113,11 +113,19 @@ class LabelMask:
 
 # --- file framing: one header-line reader, one payload reader, one writer ---
 
-def _count(s) -> int:
-    """A header's size or maxval field: an int of at least 0."""
-    if (n := int(s)) < 0:
-        raise ValueError(f"negative count {n}")
-    return n
+def header_count(s) -> int:
+    """A header's size, maxval or count field (str or bytes): a non-empty
+    run of ASCII decimal digits, so no sign, `_` or other numerals."""
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"not a run of decimal digits: {s!r}")
+    return int(s)
+
+
+def header_float(s: str) -> float:
+    """A header's real-number field: as float() reads it, but without `_`."""
+    if "_" in s:
+        raise ValueError(f"digit separator in {s!r}")
+    return float(s)
 
 
 def read_header(f, path, magic: str, *types) -> list:
@@ -174,7 +182,8 @@ def write_grid(grid: FloatGrid, path) -> None:
 
 def read_grid(path) -> FloatGrid:
     with open(path, "rb") as f:
-        w, h, cell = read_header(f, path, "FGRID", _count, _count, float)
+        w, h, cell = read_header(f, path, "FGRID", header_count, header_count,
+                                  header_float)
         data = read_payload(f, path, "<f4", (h, w))
     return FloatGrid(data, cell)
 
@@ -196,7 +205,7 @@ def _read_pgm(path, maxval: int, dtype, kind: str = "") -> np.ndarray:
                 tok += c
             elif tok:                   # whitespace or the end of the file ends a token
                 try:
-                    vals.append(_count(tok))
+                    vals.append(header_count(tok))
                 except ValueError as e:
                     raise GridFormatError(f"{path}: bad PGM header token {tok!r}") from e
                 tok = b""

@@ -1,9 +1,9 @@
-"""Static SVG overlay rendered from a detection report.
+"""Static SVG overlay of a detection's mixture, fused wrinkles and plan.
 
 Layers: height-map heat image (embedded PNG), bump ellipses at 1 and 2 sigma,
 wrinkle segments colored by fused probability, and plan arrows with order
-labels.  The SVG is derived from the report alone so visualization can never
-influence detection results.
+labels.  The SVG is drawn from these pipeline objects alone (cli reads them
+from a report), so visualization can never influence detection results.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import zlib
 
 import numpy as np
 
+from .fusion import FusedWrinkle
 from .gridio import FloatGrid
+from .planner import STATIC
 
 
 def _png_rgb(rgb: np.ndarray) -> bytes:
@@ -48,8 +50,10 @@ def _p_color(p: float) -> str:
     return f"#{int(255 * (1 - p)):02x}{int(255 * p):02x}30"
 
 
-def render_overlay(report: dict, height: FloatGrid) -> str:
-    """Build the SVG document text for a report's checked mixture, wrinkles and actions."""
+def render_overlay(mixture: list, wrinkles: list[FusedWrinkle], actions: list,
+                   height: FloatGrid) -> str:
+    """Build the SVG document text for the mixture's (mean, cov) components,
+    the fused wrinkles and the plan's (kind, start, end) actions."""
     h, w = height.data.shape
     cell = height.cell_size
     px = height.transform.world_to_pixel
@@ -63,10 +67,9 @@ def render_overlay(report: dict, height: FloatGrid) -> str:
         f'<image x="0" y="0" width="{w}" height="{h}" '
         f'href="data:image/png;base64,{png}"/>',
     ]
-    for comp in report["mixture"]:
-        mx, my = px(*comp["mean_m"])
-        cov = np.asarray(comp["cov_m2"])
-        ev, evec = np.linalg.eigh(cov)
+    for mean, cov in mixture:
+        mx, my = px(*mean)
+        ev, evec = np.linalg.eigh(np.asarray(cov))
         a = math.sqrt(max(ev[1], 0.0)) / cell
         b = math.sqrt(max(ev[0], 0.0)) / cell
         ang = math.degrees(math.atan2(evec[1, 1], evec[0, 1]))
@@ -76,18 +79,18 @@ def render_overlay(report: dict, height: FloatGrid) -> str:
                 f'fill="none" stroke="#00c8ff" stroke-opacity="{op}" '
                 f'stroke-width="1.2" '
                 f'transform="translate({mx:.2f} {my:.2f}) rotate({ang:.2f})"/>')
-    for wk in report["wrinkles"]:
-        (x0, y0), (x1, y1) = wk["endpoints_m"]
+    for wk in wrinkles:
+        (x0, y0), (x1, y1) = wk.discontinuity.endpoints
         u0, v0 = px(x0, y0)
         u1, v1 = px(x1, y1)
-        dash = '' if wk["accepted"] else ' stroke-dasharray="4 3"'
+        dash = '' if wk.accepted else ' stroke-dasharray="4 3"'
         parts.append(
             f'<line x1="{u0:.2f}" y1="{v0:.2f}" x2="{u1:.2f}" y2="{v1:.2f}" '
-            f'stroke="{_p_color(wk["p"])}" stroke-width="2"{dash}/>')
-    for i, a in enumerate(report["plan"]["actions"]):
-        u0, v0 = px(*a["start_m"])
-        u1, v1 = px(*a["end_m"])
-        if a["kind"] == "static":
+            f'stroke="{_p_color(wk.p)}" stroke-width="2"{dash}/>')
+    for i, (kind, start, end) in enumerate(actions):
+        u0, v0 = px(*start)
+        u1, v1 = px(*end)
+        if kind == STATIC:
             parts.append(f'<circle cx="{u0:.2f}" cy="{v0:.2f}" r="3" '
                          f'fill="none" stroke="white" stroke-width="1.5"/>')
         else:

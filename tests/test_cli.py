@@ -70,6 +70,23 @@ def count_solves(monkeypatch) -> list:
     return solves
 
 
+def on_both_commands(own: str, cases: dict) -> list:
+    """The cases (id -> args) as pytest params (command, *args) on plan and
+    on overlay; on the command other than `own` the id ends in its name."""
+    return [pytest.param(command, *args, id=case_id if command == own else f"{case_id}-{command}")
+            for command in ("plan", "overlay") for case_id, args in cases.items()]
+
+
+def report_argv(command: str, rpt, tmp_path, out) -> list:
+    """argv of plan or overlay reading the report rpt and writing out; overlay
+    draws on a flat 64x48 height grid written to tmp_path."""
+    if command == "plan":
+        return ["plan", str(rpt), "--out", str(out)]
+    height = tmp_path / "h.fgrid"
+    gridio.write_grid(gridio.FloatGrid(np.zeros((48, 64)), CELL), height)
+    return ["overlay", str(rpt), str(height), str(out)]
+
+
 # IRONPATH_THREADS values that are a config error
 BAD_THREAD_COUNTS = ["abc", "0", "-1", "", "2.5"]
 
@@ -317,17 +334,24 @@ class TestErrorContract:
         assert err.startswith(f"stage inputs failed: {height}: cell_size must be finite")
         assert not recwarn.list and not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("field, value", [("length_m", "long"), ("q", [0.5]),
-                                              ("id", "first"), ("endpoints_m", [[0, 0]]),
-                                              ("id", 1.5), ("id", True), ("id", "1"),
-                                              ("q", True), ("r", "0.5"), ("direction_rad", False),
-                                              ("endpoints_m", [[0.01, "0.01"], [0.05, 0.02]]),
-                                              ("p", True)])
-    def test_plan_report_field_of_wrong_type_exit_1(self, tmp_path, capsys, field, value):
+    # ids as pytest generates them (a list value is named by its position), kept stable
+    @pytest.mark.parametrize("command, field, value", on_both_commands("plan", {
+        "length_m-long": ("length_m", "long"), "q-value1": ("q", [0.5]),
+        "id-first": ("id", "first"), "endpoints_m-value3": ("endpoints_m", [[0, 0]]),
+        "id-1.5": ("id", 1.5), "id-True": ("id", True), "id-1": ("id", "1"),
+        "q-True": ("q", True), "r-0.5": ("r", "0.5"),
+        "direction_rad-False": ("direction_rad", False),
+        "endpoints_m-value10": ("endpoints_m", [[0.01, "0.01"], [0.05, 0.02]]),
+        "p-True": ("p", True), "q-x": ("q", "x"), "r-None": ("r", None)}))
+    def test_plan_report_field_of_wrong_type_exit_1(self, tmp_path, capsys, command, field,
+                                                    value):
+        # plan and overlay read a report through one reader and refuse the same fields
         rpt = tmp_path / "r.json"
         rpt.write_text(dump_report({"wrinkles": [WRINKLE, {**WRINKLE, "id": 1, field: value}]}))
-        assert main(["plan", str(rpt)]) == 1
+        out = tmp_path / "o.out"
+        assert main(report_argv(command, rpt, tmp_path, out)) == 1
         assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("endpoints_m", [[0.1, "nan"], [0.3, 0.2]]), ("q", "inf"), ("r", "-inf"),
@@ -348,12 +372,8 @@ class TestErrorContract:
     def test_report_not_an_object_exit_1(self, tmp_path, capsys, command):
         rpt = tmp_path / "r.json"
         rpt.write_text("[1, 2]\n")
-        height = tmp_path / "h.fgrid"
-        gridio.write_grid(gridio.FloatGrid(np.zeros((48, 64)), CELL), height)
         out = tmp_path / "o.out"
-        argv = ([command, str(rpt), str(height), str(out)] if command == "overlay"
-                else [command, str(rpt), "--out", str(out)])
-        assert main(argv) == 1
+        assert main(report_argv(command, rpt, tmp_path, out)) == 1
         err = capsys.readouterr().err
         assert err == f"stage inputs failed: {rpt}: not a JSON object\n"
         assert not out.exists()
@@ -1091,33 +1111,33 @@ class TestOverlayCommand:
         assert [(c.get("cx"), c.get("cy")) for c in circles] == [(f"{u:.2f}", f"{v:.2f}")]
         assert "line" not in [self._strip(e.tag) for e in root.iter()]
 
-    @pytest.mark.parametrize("section, field, value, why", [
-        ("mixture", "mean_m", [True, 0.02], "not a finite number: True"),
-        ("mixture", "mean_m", [0.03], "not enough values to unpack"),
-        ("mixture", "cov_m2", [[1e-4, False], [0.0, 4e-5]], "not a finite number: False"),
-        ("mixture", "cov_m2", [[1e-4, 0.0]], "not enough values to unpack"),
-        ("wrinkles", "endpoints_m", [[0.01, True], [0.05, 0.02]], "not a finite number: True"),
-        ("wrinkles", "p", True, "not a finite number: True"),
-        ("wrinkles", "p", "0.7", "not a finite number: '0.7'"),
-        ("wrinkles", "accepted", "no", "wrinkle accepted 'no' is not a bool"),
-        ("wrinkles", "accepted", 1, "wrinkle accepted 1 is not a bool"),
-        ("actions", "kind", "hover", "action kind 'hover' is not static or sliding"),
-        ("actions", "start_m", [False, 0.02], "not a finite number: False"),
-        ("actions", "end_m", [0.03, "0.02"], "not a finite number: '0.02'")],
-        ids=["mean-bool", "mean-short", "cov-bool", "cov-1x2", "endpoint-bool", "p-bool",
-             "p-string", "accepted-string", "accepted-int", "kind-hover", "start-bool",
-             "end-string"])
-    def test_malformed_field_exit_1(self, tmp_path, capsys, section, field, value, why):
-        # each field overlay draws is read as strictly as plan reads numbers
+    @pytest.mark.parametrize("command, section, field, value, why", on_both_commands("overlay", {
+        "mean-bool": ("mixture", "mean_m", [True, 0.02], "not a finite number: True"),
+        "mean-short": ("mixture", "mean_m", [0.03], "not enough values to unpack"),
+        "cov-bool": ("mixture", "cov_m2", [[1e-4, False], [0.0, 4e-5]],
+                     "not a finite number: False"),
+        "cov-1x2": ("mixture", "cov_m2", [[1e-4, 0.0]], "not enough values to unpack"),
+        "endpoint-bool": ("wrinkles", "endpoints_m", [[0.01, True], [0.05, 0.02]],
+                          "not a finite number: True"),
+        "p-bool": ("wrinkles", "p", True, "not a finite number: True"),
+        "p-string": ("wrinkles", "p", "0.7", "not a finite number: '0.7'"),
+        "accepted-string": ("wrinkles", "accepted", "no", "wrinkle accepted 'no' is not a bool"),
+        "accepted-int": ("wrinkles", "accepted", 1, "wrinkle accepted 1 is not a bool"),
+        "kind-hover": ("actions", "kind", "hover", "action kind 'hover' is not static or sliding"),
+        "start-bool": ("actions", "start_m", [False, 0.02], "not a finite number: False"),
+        "end-string": ("actions", "end_m", [0.03, "0.02"], "not a finite number: '0.02'")}))
+    def test_malformed_field_exit_1(self, tmp_path, capsys, command, section, field, value,
+                                    why):
+        # every field overlay draws is checked as strictly as plan reads numbers,
+        # and plan, which writes the report back, refuses the same fields
         entries = {"mixture": MIXTURE, "wrinkles": WRINKLE, "actions": ACTION}
         entries[section] = {**entries[section], field: value}
         rpt = tmp_path / "r.json"
         rpt.write_text(dump_report({"mixture": [entries["mixture"]],
                                     "wrinkles": [entries["wrinkles"]],
                                     "plan": {"actions": [entries["actions"]]}}))
-        gridio.write_grid(gridio.FloatGrid(np.zeros((48, 64)), CELL), tmp_path / "h.fgrid")
-        out = tmp_path / "o.svg"
-        assert main(["overlay", str(rpt), str(tmp_path / "h.fgrid"), str(out)]) == 1
+        out = tmp_path / "o.out"
+        assert main(report_argv(command, rpt, tmp_path, out)) == 1
         assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: {why}")
         assert not out.exists()
 

@@ -266,6 +266,31 @@ class TestPgmHeader:
         assert str(e.value) == f"{p}: {why}"
 
 
+class TestHeaderNumbers:
+    """A size, a maxval or the SVMW weight count is a run of ASCII digits, and
+    a real-number field takes no `_`; int() and float() read every one of
+    these headers."""
+
+    @pytest.mark.parametrize("data, read, why", [
+        (b"P5 +2 1_0 2\n" + bytes(2 * 10), gridio.read_labels, "bad PGM header token b'+2'"),
+        (b"FGRID +3 1_0 0.002\n" + bytes(4 * 3 * 10), gridio.read_grid,
+         "bad FGRID header 'FGRID +3 1_0 0.002\\n'"),
+        (b"SVMW 12_8 1e-4\n" + bytes(8 * 129), classify.load_model,
+         "bad SVMW header 'SVMW 12_8 1e-4\\n'"),
+        (b"FGRID 3 3 2_0e-3\n" + bytes(4 * 9), gridio.read_grid,
+         "bad FGRID header 'FGRID 3 3 2_0e-3\\n'"),
+        (b"SVMW 128 1_0e-4\n" + bytes(8 * 129), classify.load_model,
+         "bad SVMW header 'SVMW 128 1_0e-4\\n'")],
+        ids=["pgm-sign-and-separator", "fgrid-sign-and-separator", "svmw-count-separator",
+             "fgrid-cell-separator", "svmw-lambda-separator"])
+    def test_more_than_digits_refused(self, tmp_path, data, read, why):
+        p = tmp_path / "f.bin"
+        p.write_bytes(data)
+        with pytest.raises(GridFormatError) as e:
+            read(p)
+        assert str(e.value) == f"{p}: {why}"
+
+
 class TestWorldTransform:
     def test_linear_map(self):
         t = WorldTransform(0.002, (0.0, 0.0))
@@ -366,12 +391,9 @@ def reference_read_labels(path) -> np.ndarray:
             while c and not c.isspace():
                 tok += c
                 c = f.read(1)
-            try:
-                vals.append(int(tok))
-            except ValueError as e:
-                raise GridFormatError(f"{path}: bad PGM header token {tok!r}") from e
-            if vals[-1] < 0:
+            if not (tok.isascii() and tok.isdigit()):     # netpbm: decimal digits only
                 raise GridFormatError(f"{path}: bad PGM header token {tok!r}")
+            vals.append(int(tok))
         w, h, maxval = vals
         if maxval != 2:
             raise GridFormatError(f"{path}: expected maxval 2 label mask, got {maxval}")
