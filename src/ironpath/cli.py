@@ -164,6 +164,10 @@ _STAGE_ERRORS = (OSError, ValueError, ArithmeticError, KeyError, TypeError, Inde
                  AttributeError, RecursionError, MemoryError)
 
 
+def _message(e: Exception) -> str:
+    return f"missing key {e}" if isinstance(e, KeyError) else str(e)
+
+
 @contextlib.contextmanager
 def _stage(name: str, path=None, timings: dict | None = None):
     """Errors of the block fail as stage `name`.  With `path`, the file the
@@ -173,7 +177,7 @@ def _stage(name: str, path=None, timings: dict | None = None):
     try:
         yield
     except _STAGE_ERRORS as e:
-        what = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        what = _message(e)
         if path is not None:
             what = f"{path}: {what.removeprefix(f'{path}: ')}"
         raise StageError(name, ValueError(what)) from e
@@ -502,6 +506,53 @@ def _pair(x, item=_finite) -> tuple:
     return item(a), item(b)
 
 
+def _wrinkle_id(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"wrinkle id {x!r} is not an integer")
+    return x
+
+
+def _wrinkle_accepted(x) -> bool:
+    if not isinstance(x, bool):
+        raise ValueError(f"wrinkle accepted {x!r} is not a bool")
+    return x
+
+
+def _action_kind(x) -> str:
+    if x not in (planner.STATIC, planner.SLIDING):
+        raise ValueError(f"action kind {x!r} is not static or sliding")
+    return x
+
+
+def _pairs(x) -> tuple:
+    return _pair(x, _pair)
+
+
+# the check of each report field that _read_report reads, per section, in
+# the order the checks run
+_MIXTURE_FIELDS = {"mean_m": _pair, "cov_m2": _pairs}
+_WRINKLE_FIELDS = {"id": _wrinkle_id, "accepted": _wrinkle_accepted, "endpoints_m": _pairs,
+                   "length_m": _finite, "direction_rad": _finite, "q": _finite, "r": _finite,
+                   "p": _finite}
+_ACTION_FIELDS = {"kind": _action_kind, "start_m": _pair, "end_m": _pair}
+
+
+def _checked(section, where: str, checks: dict) -> list[tuple]:
+    """Each entry of a report section as the tuple of its fields, each read
+    by its check in the order of `checks`; an error starts with the field's
+    path, such as `wrinkles[2].q: `."""
+    out = []
+    for i, entry in enumerate(section):
+        row = []
+        for key, check in checks.items():
+            try:
+                row.append(check(entry[key]))
+            except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+                raise ValueError(f"{where}[{i}].{key}: {_message(e)}") from e
+        out.append(tuple(row))
+    return out
+
+
 def _read_report(path) -> tuple[dict, list, list, list]:
     """A detection report, and its mixture as (mean, cov) pairs, its wrinkles
     as fusion.FusedWrinkle as the report states them and its plan's actions
@@ -514,28 +565,14 @@ def _read_report(path) -> tuple[dict, list, list, list]:
         report = json.load(f, parse_constant=_reject_constant)
     if not isinstance(report, dict):
         raise ValueError("not a JSON object")
-
-    def wrinkle(wk):
-        if isinstance(wk["id"], bool) or not isinstance(wk["id"], int):
-            raise ValueError(f"wrinkle id {wk['id']!r} is not an integer")
-        if not isinstance(wk["accepted"], bool):
-            raise ValueError(f"wrinkle accepted {wk['accepted']!r} is not a bool")
-        d = discont.Discontinuity(
-            id=wk["id"], endpoints=_pair(wk["endpoints_m"], _pair),
-            pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
-            length=_finite(wk["length_m"]), direction=_finite(wk["direction_rad"]))
-        return fusion.FusedWrinkle(d, _finite(wk["q"]), _finite(wk["r"]), _finite(wk["p"]),
-                                   wk["accepted"])
-
-    def action(a):
-        if a["kind"] not in (planner.STATIC, planner.SLIDING):
-            raise ValueError(f"action kind {a['kind']!r} is not static or sliding")
-        return a["kind"], _pair(a["start_m"]), _pair(a["end_m"])
-
-    return (report,
-            [(_pair(c["mean_m"]), _pair(c["cov_m2"], _pair)) for c in report.get("mixture", [])],
-            [wrinkle(wk) for wk in report.get("wrinkles", [])],
-            [action(a) for a in report.get("plan", {}).get("actions", [])])
+    mixture = _checked(report.get("mixture", []), "mixture", _MIXTURE_FIELDS)
+    wrinkles = [fusion.FusedWrinkle(discont.Discontinuity(
+        id=id_, endpoints=ends, pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
+        length=length, direction=direction), q, r, p, accepted)
+        for id_, accepted, ends, length, direction, q, r, p
+        in _checked(report.get("wrinkles", []), "wrinkles", _WRINKLE_FIELDS)]
+    actions = _checked(report.get("plan", {}).get("actions", []), "plan.actions", _ACTION_FIELDS)
+    return report, mixture, wrinkles, actions
 
 
 def cmd_plan(args) -> None:

@@ -137,21 +137,13 @@ def smooth(z: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def _dilate(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
-    """Binary dilation by the 3x3 square; pixels outside the image are 0."""
+def _morph(mask: np.ndarray, op, iterations: int = 1) -> np.ndarray:
+    """`iterations` passes of the 3x3 square under the ufunc `op`: np.logical_or
+    dilates, np.logical_and erodes; pixels outside the image are 0."""
     for _ in range(iterations):
         p = np.pad(mask, 1)
-        rows = p[:, :-2] | p[:, 1:-1] | p[:, 2:]
-        mask = rows[:-2] | rows[1:-1] | rows[2:]
-    return mask
-
-
-def _erode(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
-    """Binary erosion by the 3x3 square; pixels outside the image are 0."""
-    for _ in range(iterations):
-        p = np.pad(mask, 1)
-        rows = p[:, :-2] & p[:, 1:-1] & p[:, 2:]
-        mask = rows[:-2] & rows[1:-1] & rows[2:]
+        rows = op(op(p[:, :-2], p[:, 1:-1]), p[:, 2:])
+        mask = op(op(rows[:-2], rows[1:-1]), rows[2:])
     return mask
 
 
@@ -295,18 +287,24 @@ def shape_index(l1: float, l2: float) -> float:
 
 
 def _fit_gaussian(x, y, w):
-    """Weighted LSQ fit of log(w) to a 2D quadratic; returns (center, cov)."""
+    """Weighted LSQ fit of log(w) to a 2D quadratic: (center, d1, d2, orientation),
+    or None for fewer than 6 points, a singular system or a non-concave fit."""
+    if len(w) < 6:
+        return None
     lw = np.log(w)
     x0, y0 = x.mean(), y.mean()
     xs, ys = x - x0, y - y0
     A = np.stack([np.ones_like(xs), xs, ys, xs * xs, xs * ys, ys * ys], axis=1)
     Aw = A * w[:, None]
-    c = np.linalg.solve(A.T @ Aw, Aw.T @ lw)
-    prec = -np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])   # Sigma^-1
-    ev, evec = np.linalg.eigh(prec)
-    if ev[0] <= 0:
+    try:
+        c = np.linalg.solve(A.T @ Aw, Aw.T @ lw)
+        prec = -np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])   # Sigma^-1
+        ev, evec = np.linalg.eigh(prec)
+        if ev[0] <= 0:
+            return None
+        center = np.array([x0, y0]) + np.linalg.solve(prec, c[1:3])
+    except np.linalg.LinAlgError:
         return None
-    center = np.array([x0, y0]) + np.linalg.solve(prec, c[1:3])
     d1, d2 = 1.0 / math.sqrt(ev[0]), 1.0 / math.sqrt(ev[1])      # d1 >= d2
     orientation = math.atan2(evec[1, 0], evec[0, 0]) % math.pi   # major axis
     return center, d1, d2, orientation
@@ -330,8 +328,10 @@ def _pca_moments(x, y, w):
 def detect_bumps(grid: FloatGrid, params: BumpParams) -> list[HeightBump]:
     """Detect smooth height bumps, sorted by volume descending.
 
-    The shape-index rule is evaluated on the negated (polarity "up") smoothed
-    height so that dome-like bumps fall on the ridge side of the index range.
+    "down" bump points have a smoothed-height shape index s in [BUMP_INDEX_LO,
+    BUMP_INDEX_HI).  "up" ones have s in the mirrored (-BUMP_INDEX_HI,
+    -BUMP_INDEX_LO], as the index of the negated height is -s (`hessian` is
+    odd in z), so dome-like bumps fall on the ridge side of the index range.
     Components are closed and hole-filled before labeling; per-component
     heights are measured against the boundary minimum of the smoothed field.
     Axis lengths come from a Gaussian fit to the relative heights, which is
@@ -339,14 +339,16 @@ def detect_bumps(grid: FloatGrid, params: BumpParams) -> list[HeightBump]:
     """
     cell = grid.cell_size
     hs = smooth(grid.data, params.smooth_sigma_px)
-    if params.polarity == "down":
+    s = hessian(hs, cell).shape_index
+    if params.polarity == "up":
+        mask = (s > -BUMP_INDEX_HI) & (s <= -BUMP_INDEX_LO)
+    else:
+        mask = (s >= BUMP_INDEX_LO) & (s < BUMP_INDEX_HI)
         hs = -hs
-    s = hessian(-hs, cell).shape_index
-    mask = (s >= BUMP_INDEX_LO) & (s < BUMP_INDEX_HI)
-    if params.close_iterations > 0:
-        mask = _erode(_dilate(mask, params.close_iterations), params.close_iterations)
+    n = params.close_iterations
+    mask = _morph(_morph(mask, np.logical_or, n), np.logical_and, n)
     labels, _, boxes = _label(_fill_holes(mask))
-    n_degenerate = 0
+    dropped = dict.fromkeys(("min_pixels", "volume", "flat", "fit", "thin"), 0)
     bumps = []
     to_world = grid.transform.pixel_to_world
     for k, (r0, r1, c0, c1) in enumerate(boxes, 1):
@@ -354,14 +356,15 @@ def detect_bumps(grid: FloatGrid, params: BumpParams) -> list[HeightBump]:
         comp = labels[r0:r1, c0:c1] == k
         npx = int(comp.sum())
         if npx < params.min_pixels:
-            n_degenerate += 1
+            dropped["min_pixels"] += 1
             continue
-        boundary = comp & ~_erode(comp)
+        boundary = comp & ~_morph(comp, np.logical_and)
         hbox = hs[r0:r1, c0:c1]
         base = hbox[boundary].min()
         rel = hbox[comp] - base
         volume = float(rel.sum() * cell * cell)
         if volume < params.min_volume_m3:
+            dropped["volume"] += 1
             continue
         vv, uu = np.nonzero(comp)
         vv += r0
@@ -369,34 +372,27 @@ def detect_bumps(grid: FloatGrid, params: BumpParams) -> list[HeightBump]:
         w = np.maximum(rel, 0.0)
         peak = w.max()
         if peak <= 0:
-            n_degenerate += 1
+            dropped["flat"] += 1
             continue
         sel = w >= FIT_FLOOR * peak
         x, y = to_world(uu[sel], vv[sel])
-        fit = None
-        if sel.sum() >= 6:
-            try:
-                fit = _fit_gaussian(x, y, w[sel])
-            except np.linalg.LinAlgError:
-                fit = None
+        fit = _fit_gaussian(x, y, w[sel]) or _pca_moments(x, y, w[sel])
         if fit is None:
-            fit = _pca_moments(x, y, w[sel])
-        if fit is None:
-            n_degenerate += 1
+            dropped["fit"] += 1
             continue
         center, d1, d2, orientation = fit
         if d2 < params.min_minor_axis_m:
             # a sharp ridge leaves a long sliver of in-range pixels; a real
             # bump cannot be thinner than the smoothing scale
-            n_degenerate += 1
+            dropped["thin"] += 1
             continue
         bumps.append(HeightBump(
             id=-1, pixels=np.column_stack([uu, vv]),
             center=(float(center[0]), float(center[1])),
             volume=volume, d1=float(d1), d2=float(d2),
             orientation=float(orientation)))
-    if n_degenerate:
-        log.debug("discarded %d degenerate bump component(s)", n_degenerate)
+    log.debug("%d bump components, %d kept; dropped %d min_pixels, %d volume, %d flat, "
+              "%d fit, %d thin", len(boxes), len(bumps), *dropped.values())
     bumps.sort(key=lambda b: -b.volume)
     for i, b in enumerate(bumps):
         b.id = i

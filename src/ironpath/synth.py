@@ -244,8 +244,10 @@ _SCALARS = {
 
 def load_scene(path) -> SceneSpec:
     """Parse the plain-text scene file (see README for the format)."""
-    vals = {"origin_x": 0.0, "origin_y": 0.0, "seed": 0, "albedo": 0.8,
-            "height_noise": 0.0, "image_noise": 0.0}
+    # the defaults of the SceneSpec and NoiseSpec fields the scalars set
+    vals = {"origin_x": SceneSpec.origin[0], "origin_y": SceneSpec.origin[1],
+            "seed": SceneSpec.seed, "albedo": SceneSpec.albedo,
+            "height_noise": NoiseSpec.height_sigma, "image_noise": NoiseSpec.image_sigma}
     bumps: list[BumpSpec] = []
     wrinkles: list[WrinkleSpec] = []
     lights: list[LightSpec] = []

@@ -353,19 +353,21 @@ class TestErrorContract:
         assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value", [
-        ("endpoints_m", [[0.1, "nan"], [0.3, 0.2]]), ("q", "inf"), ("r", "-inf"),
-        ("length_m", math.nan), ("direction_rad", math.inf), ("q", -math.inf)],
+    @pytest.mark.parametrize("field, value, where", [
+        ("endpoints_m", [[0.1, "nan"], [0.3, 0.2]], "wrinkles[0].endpoints_m: "),
+        ("q", "inf", "wrinkles[0].q: "), ("r", "-inf", "wrinkles[0].r: "),
+        ("length_m", math.nan, ""), ("direction_rad", math.inf, ""), ("q", -math.inf, "")],
         ids=["string-nan", "string-inf", "string-minus-inf", "bare-nan", "bare-infinity",
              "bare-minus-infinity"])
-    def test_plan_non_finite_number_exit_1(self, tmp_path, capsys, field, value):
-        # json.dumps writes a float NaN or infinity as a bare NaN or Infinity
+    def test_plan_non_finite_number_exit_1(self, tmp_path, capsys, field, value, where):
+        # json.dumps writes a float NaN or infinity as a bare NaN or Infinity,
+        # which the JSON parser refuses before any field is read
         rpt = tmp_path / "r.json"
         rpt.write_text(json.dumps({"wrinkles": [{**WRINKLE, field: value}]}))
         out = tmp_path / "o.json"
         assert main(["plan", str(rpt), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"stage inputs failed: {rpt}: non-finite number ")
+        assert err.startswith(f"stage inputs failed: {rpt}: {where}non-finite number ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["overlay", "plan"])
@@ -961,8 +963,11 @@ class TestLogLevel:
         assert main(detect_args(d, model_file, ["--out", str(logged),
                                                 "--log-level", "debug"])) == 0
         err = capsys.readouterr().err
-        # the ridge leaves thin components that the curvature scan drops
-        assert "DEBUG ironpath.curvature: discarded 2 degenerate" in err
+        # one line of component counters: the ridge leaves small and
+        # low-volume components that the curvature scan drops
+        assert re.findall(r"^DEBUG ironpath\.curvature: .*$", err, re.M) == [
+            "DEBUG ironpath.curvature: 6 bump components, 1 kept; dropped 2 min_pixels, "
+            "3 volume, 0 flat, 0 fit, 0 thin"]
         assert logged.read_bytes() == plain.read_bytes()
         # one line of segment counters, whose last matches the report
         counts = re.findall(r"^DEBUG ironpath\.discont: (\d+) cells at or above min_votes, "
@@ -1044,7 +1049,8 @@ class TestPlanCommand:
                                     "wrinkles": [WRINKLE]}))
         out = tmp_path / "o.json"
         assert main(["plan", str(rpt), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: {why}")
+        assert capsys.readouterr().err.startswith(
+            f"stage inputs failed: {rpt}: mixture[0].{field}: {why}")
         assert not out.exists()
 
     def test_p_written_back_with_accepted(self, tmp_path):
@@ -1138,7 +1144,39 @@ class TestOverlayCommand:
                                     "plan": {"actions": [entries["actions"]]}}))
         out = tmp_path / "o.out"
         assert main(report_argv(command, rpt, tmp_path, out)) == 1
-        assert capsys.readouterr().err.startswith(f"stage inputs failed: {rpt}: {why}")
+        where = {"mixture": "mixture[0]", "wrinkles": "wrinkles[0]",
+                 "actions": "plan.actions[0]"}[section]
+        assert capsys.readouterr().err.startswith(
+            f"stage inputs failed: {rpt}: {where}.{field}: {why}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, index, key, value, why", on_both_commands(
+            "overlay", {
+                "q-string": ("wrinkles", 2, "q", "x", "could not convert string to float: 'x'"),
+                "length-missing": ("wrinkles", 1, "length_m", None, "missing key 'length_m'"),
+                "cov-1x2": ("mixture", 1, "cov_m2", [[1e-4, 0.0]],
+                            "not enough values to unpack (expected 2, got 1)"),
+                "start-short": ("plan.actions", 1, "start_m", [0.01],
+                                "not enough values to unpack (expected 2, got 1)")}))
+    def test_error_names_the_field(self, tmp_path, capsys, command, section, index, key,
+                                   value, why):
+        # the path names the section, the entry and the field; value None
+        # deletes the field
+        report = {"mixture": [{**MIXTURE}, {**MIXTURE}],
+                  "wrinkles": [{**WRINKLE, "id": i} for i in range(3)],
+                  "plan": {"actions": [{**ACTION}, {**ACTION}]}}
+        entry = {"mixture": report["mixture"], "wrinkles": report["wrinkles"],
+                 "plan.actions": report["plan"]["actions"]}[section][index]
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        rpt = tmp_path / "r.json"
+        rpt.write_text(dump_report(report))
+        out = tmp_path / "o.out"
+        assert main(report_argv(command, rpt, tmp_path, out)) == 1
+        assert capsys.readouterr().err == (
+            f"stage inputs failed: {rpt}: {section}[{index}].{key}: {why}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["truncated", "partial"])

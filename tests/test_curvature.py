@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -229,6 +230,23 @@ class TestDetectBumps:
         g = synth.generate_height(spec)
         assert detect_bumps(g, BumpParams(min_volume_m3=1.0)) == []
 
+    @pytest.mark.parametrize("spec, params, counts", [
+        # the smaller bump's volume (3.0e-5 m^3) is under the bound, the larger's
+        # (6.7e-5 m^3) is not
+        (synth.SceneSpec(320, 240, CELL, bumps=[
+            synth.BumpSpec((0.20, 0.24), 0.040, 0.020, 0.3, 0.020),
+            synth.BumpSpec((0.45, 0.24), 0.030, 0.018, 1.2, 0.015)]),
+         BumpParams(min_volume_m3=5e-5), "2 bump components, 1 kept; dropped 0 min_pixels, "
+                                         "1 volume, 0 flat, 0 fit, 0 thin"),
+        (synth.SceneSpec(320, 240, CELL, wrinkles=[
+            synth.WrinkleSpec([(0.14, 0.08), (0.40, 0.14)], 0.003, 0.0025)]),
+         BumpParams(), "65 bump components, 0 kept; dropped 64 min_pixels, 0 volume, "
+                       "0 flat, 0 fit, 1 thin")], ids=["low-volume", "ridge"])
+    def test_drops_counted_by_reason(self, caplog, spec, params, counts):
+        with caplog.at_level(logging.DEBUG, logger="ironpath.curvature"):
+            detect_bumps(synth.generate_height(spec), params)
+        assert [r.getMessage() for r in caplog.records] == [counts]
+
     def test_polarity_flag(self):
         spec = synth.SceneSpec(200, 160, CELL, bumps=[
             synth.BumpSpec((0.2, 0.16), 0.035, 0.018, 0.8, 0.018)])
@@ -312,14 +330,7 @@ def scipy_reference_bumps(ndimage, grid, p):
         sel = w >= curvature.FIT_FLOOR * w.max()
         x = grid.origin[0] + uu[sel] * cell
         y = grid.origin[1] + vv[sel] * cell
-        fit = None
-        if sel.sum() >= 6:
-            try:
-                fit = curvature._fit_gaussian(x, y, w[sel])
-            except np.linalg.LinAlgError:
-                fit = None
-        if fit is None:
-            fit = curvature._pca_moments(x, y, w[sel])
+        fit = curvature._fit_gaussian(x, y, w[sel]) or curvature._pca_moments(x, y, w[sel])
         if fit is None or fit[2] < p.min_minor_axis_m:
             continue
         out.append((np.column_stack([uu, vv]), volume, fit))
@@ -366,7 +377,8 @@ class TestScipyEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(masks(), st.integers(1, 3))
     def test_closing(self, ndimage, m, iterations):
-        ours = curvature._erode(curvature._dilate(m, iterations), iterations)
+        ours = curvature._morph(curvature._morph(m, np.logical_or, iterations),
+                                np.logical_and, iterations)
         ref = ndimage.binary_closing(m, structure=S8, iterations=iterations, border_value=0)
         assert np.array_equal(ours, ref)
         assert ndimage.label(ours, structure=S8)[1] == ndimage.label(ref, structure=S8)[1]
@@ -374,7 +386,7 @@ class TestScipyEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(masks())
     def test_erosion(self, ndimage, m):
-        ours = curvature._erode(m)
+        ours = curvature._morph(m, np.logical_and)
         ref = ndimage.binary_erosion(m, structure=S8, border_value=0)
         assert np.array_equal(ours, ref)
         assert ndimage.label(ours, structure=S8)[1] == ndimage.label(ref, structure=S8)[1]
@@ -386,13 +398,18 @@ class TestScipyEquivalence:
         ref = ndimage.gaussian_filter(z, sigma, mode="reflect", truncate=3.0)
         assert np.array_equal(smooth(z, sigma), ref)
 
-    @pytest.mark.parametrize("close_iterations", [0, 2])
-    def test_detect_bumps_many_components(self, ndimage, close_iterations):
-        g = many_bump_grid()
-        p = BumpParams(min_pixels=1, min_volume_m3=0.0, close_iterations=close_iterations)
+    @pytest.mark.parametrize("close_iterations, polarity", [
+        pytest.param(n, polarity, id=f"{n}" if polarity == "up" else f"{n}-{polarity}")
+        for polarity in ("up", "down") for n in (0, 2)])
+    def test_detect_bumps_many_components(self, ndimage, close_iterations, polarity):
+        up = many_bump_grid()
+        # a "down" scan of the negated heights finds the bumps an "up" one does
+        g = up if polarity == "up" else FloatGrid(-up.data, CELL)
+        p = BumpParams(min_pixels=1, min_volume_m3=0.0, close_iterations=close_iterations,
+                       polarity=polarity)
         if close_iterations == 0:
             # the scene exercises what the bounding-box loop must get right
-            s = hessian(-smooth(g.data, p.smooth_sigma_px), CELL).shape_index
+            s = hessian(-smooth(up.data, p.smooth_sigma_px), CELL).shape_index
             labels, n, boxes = curvature._label(curvature._fill_holes(
                 (s >= curvature.BUMP_INDEX_LO) & (s < curvature.BUMP_INDEX_HI)))
             assert n >= 50

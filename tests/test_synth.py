@@ -182,6 +182,11 @@ class TestSceneFile:
         assert spec.lights[1].intensity == 0.9
         assert spec.wrinkles[0].polyline == [(0.01, 0.02), (0.10, 0.06)]
 
+    def test_left_out_keys_take_the_spec_defaults(self, tmp_path):
+        p = tmp_path / "scene.txt"
+        p.write_text("width 64\nheight 48\ncell_size 0.002\n")
+        assert load_scene(p) == SceneSpec(64, 48, 0.002)
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("width 64\nheight 48\ncell_size 0.002\nwibble 3\n")
