@@ -537,12 +537,27 @@ _WRINKLE_FIELDS = {"id": _wrinkle_id, "accepted": _wrinkle_accepted, "endpoints_
 _ACTION_FIELDS = {"kind": _action_kind, "start_m": _pair, "end_m": _pair}
 
 
-def _checked(section, where: str, checks: dict) -> list[tuple]:
-    """Each entry of a report section as the tuple of its fields, each read
-    by its check in the order of `checks`; an error starts with the field's
-    path, such as `wrinkles[2].q: `."""
+# what each type json.load gives is called in an error
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", bool: "a bool", type(None): "null"}
+
+
+def _section(obj: dict, where: str, kind: type):
+    """The report section at the path `where`, whose last key is obj's: an
+    empty `kind` (list or dict) when it is missing; ValueError naming `where`
+    when it is not a `kind`."""
+    value = obj.get(where.rpartition(".")[2], kind())
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: expected {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _checked(obj: dict, where: str, checks: dict) -> list[tuple]:
+    """Each entry of the list section `where` of obj as the tuple of its
+    fields, each read by its check in the order of `checks`; an error starts
+    with the field's path, such as `wrinkles[2].q: `."""
     out = []
-    for i, entry in enumerate(section):
+    for i, entry in enumerate(_section(obj, where, list)):
         row = []
         for key, check in checks.items():
             try:
@@ -558,20 +573,21 @@ def _read_report(path) -> tuple[dict, list, list, list]:
     as fusion.FusedWrinkle as the report states them and its plan's actions
     as (kind, start, end); a missing section reads as empty.  ValueError when
     it is not a JSON object, holds a bare NaN or Infinity (a detect report
-    writes infinities as strings) or a field of the wrong type: numbers are
-    _finite, a wrinkle's id an int and its `accepted` a bool, and an action's
-    kind static or sliding."""
+    writes infinities as strings), a section of the wrong type (`mixture`,
+    `wrinkles` and `plan.actions` are lists, `plan` an object) or a field of
+    the wrong type: numbers are _finite, a wrinkle's id an int and its
+    `accepted` a bool, and an action's kind static or sliding."""
     with open(path, "r", encoding="utf-8") as f:
         report = json.load(f, parse_constant=_reject_constant)
     if not isinstance(report, dict):
         raise ValueError("not a JSON object")
-    mixture = _checked(report.get("mixture", []), "mixture", _MIXTURE_FIELDS)
+    mixture = _checked(report, "mixture", _MIXTURE_FIELDS)
     wrinkles = [fusion.FusedWrinkle(discont.Discontinuity(
         id=id_, endpoints=ends, pixels=np.zeros((0, 2), np.int64), scores=np.zeros(0),
         length=length, direction=direction), q, r, p, accepted)
         for id_, accepted, ends, length, direction, q, r, p
-        in _checked(report.get("wrinkles", []), "wrinkles", _WRINKLE_FIELDS)]
-    actions = _checked(report.get("plan", {}).get("actions", []), "plan.actions", _ACTION_FIELDS)
+        in _checked(report, "wrinkles", _WRINKLE_FIELDS)]
+    actions = _checked(_section(report, "plan", dict), "plan.actions", _ACTION_FIELDS)
     return report, mixture, wrinkles, actions
 
 

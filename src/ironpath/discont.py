@@ -3,10 +3,12 @@
 The two illumination captures are divided by flat-cloth reference images and
 combined by root-sum-square.  Classifier scores over the combined image give
 a wrinkle mask; line segments are extracted with a score-weighted Hough
-transform, greedy non-maximum suppression in (rho, theta), a total-least-
-squares line refit, and projection of supporting pixels into gap-split runs,
-one segment per run clipped to the image.  Runs are not split by length
-here: the planner splits long wrinkles at twice the iron's length.
+transform, greedy non-maximum suppression in (rho, theta), two closed-form
+total-least-squares line refits, and projection of supporting pixels into
+gap-split runs, one segment per run clipped to the image.  A line is (rho,
+theta) throughout, with unit normal (cos theta, sin theta).  Runs are not
+split by length here: the planner splits long wrinkles at twice the iron's
+length.
 
 Segment extraction runs on the calling thread, and per candidate and per
 line it is bound by numpy call overhead, so both loops are built to make few
@@ -250,37 +252,17 @@ def _greedy_nms(acc: np.ndarray, thetas: np.ndarray, diag: int, p: HoughParams):
 
 
 def _refit_line(uu, vv, wts, sel):
-    """Weighted total-least-squares line through the selected pixels: (rho,
-    n), the unit normal n with theta = atan2(n[1], n[0]) in [0, pi) and
-    rho = mean . n."""
+    """Weighted total-least-squares line through the selected pixels, (rho,
+    theta): theta in [0, pi) is the minor axis of their weighted covariance
+    C, theta = atan2(-2 C_uv, C_vv - C_uu) / 2 mod pi, and rho is their
+    weighted mean . (cos theta, sin theta)."""
     su, sv, sw = uu[sel], vv[sel], wts[sel]
     wsum = sw.sum()
-    mu = np.array([(sw * su).sum(), (sw * sv).sum()]) / wsum
-    duu, dvv = su - mu[0], sv - mu[1]
-    cov = np.array([[(sw * duu * duu).sum(), (sw * duu * dvv).sum()],
-                    [(sw * duu * dvv).sum(), (sw * dvv * dvv).sum()]]) / wsum
-    _, evec = np.linalg.eigh(cov)
-    direction = evec[:, 1]
-    nrm = np.array([-direction[1], direction[0]])
-    if nrm[1] < 0 or (nrm[1] == 0 and nrm[0] < 0):
-        nrm = -nrm
-    return float(mu @ nrm), nrm
-
-
-def _refit_gated(uu, vv, wts, sel, gating: float):
-    """Two weighted total-least-squares refits, the first to the pixels
-    `sel`, the next to the pixels within `gating` of the first line; two
-    passes tighten lines quantized by the accumulator.
-
-    Returns (rho, nrm, sel, dist) of the last line, with `dist` every
-    pixel's distance to it; None when a pass selects no pixel."""
-    for _ in range(2):
-        rho, nrm = _refit_line(uu, vv, wts, sel)
-        dist = np.abs(uu * nrm[0] + vv * nrm[1] - rho)
-        sel = dist <= gating
-        if not sel.any():
-            return None
-    return rho, nrm, sel, dist
+    mu_u, mu_v = (sw * su).sum() / wsum, (sw * sv).sum() / wsum
+    du, dv = su - mu_u, sv - mu_v
+    c_uu, c_uv, c_vv = (sw * du * du).sum(), (sw * du * dv).sum(), (sw * dv * dv).sum()
+    theta = 0.5 * math.atan2(-2.0 * c_uv, c_vv - c_uu) % math.pi
+    return float(mu_u * math.cos(theta) + mu_v * math.sin(theta)), theta
 
 
 def _split_runs(ts: np.ndarray, gap: float):
@@ -334,40 +316,44 @@ def extract_segments(mask: LabelMask, scores: np.ndarray, params: HoughParams,
     free, fu, fv, fw = np.arange(len(uu)), uu, vv, wts
     segs: list[Discontinuity] = []
     refit = 0
-    for rho0, theta0 in lines:
+    for rho, theta in lines:
         if len(free) == 0:
             break
-        sel = np.abs(fu * math.cos(theta0) + fv * math.sin(theta0) - rho0) <= params.gating_px
+        # gate the free pixels by the Hough line, then by each of two refits
+        # to the pixels the line before gated: the refits tighten lines
+        # quantized by the accumulator
+        for fit in range(3):
+            if fit:
+                rho, theta = _refit_line(fu, fv, fw, sel)
+            dist = np.abs(fu * math.cos(theta) + fv * math.sin(theta) - rho)
+            sel = dist <= params.gating_px
+            if not sel.any():
+                break
+        refit += fit > 0            # the Hough line's band held a free pixel
         if not sel.any():
             continue
-        refit += 1
-        fit = _refit_gated(fu, fv, fw, sel, params.gating_px)
-        if fit is None:
-            continue
-        rho_f, nrm, sel, dist = fit
+        nrm = np.array([math.cos(theta), math.sin(theta)])
         d = np.array([-nrm[1], nrm[0]])
         proj = fu[sel] * d[0] + fv[sel] * d[1]
         order = np.argsort(proj, kind="stable")
         ts_ = proj[order]
         sel_idx = free[np.nonzero(sel)[0][order]]
         for lo, hi in zip(*_split_runs(ts_, params.gap_px)):
-            span = _clip_span(rho_f, nrm, d, ts_[lo], ts_[hi], w, h)
+            span = _clip_span(rho, nrm, d, ts_[lo], ts_[hi], w, h)
             if span is None:
                 continue
             a, b = span
             if b - a < params.min_len_px:
                 continue
             idx = sel_idx[(ts_ >= a) & (ts_ <= b)]      # the run's pixels inside the image
-            px0 = np.clip(rho_f * nrm + a * d, 0.0, [w - 1.0, h - 1.0])
-            px1 = np.clip(rho_f * nrm + b * d, 0.0, [w - 1.0, h - 1.0])
-            p0 = transform.pixel_to_world(px0[0], px0[1])
-            p1 = transform.pixel_to_world(px1[0], px1[1])
+            ends = np.clip(rho * nrm + np.outer(span, d), 0.0, [w - 1.0, h - 1.0])
+            p0, p1 = (transform.pixel_to_world(*px) for px in ends)
             segs.append(Discontinuity(
                 id=len(segs), endpoints=(p0, p1),
                 pixels=pix[idx],
                 scores=wts[idx],
                 length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
-                direction=float(math.atan2(d[1], d[0]) % math.pi)))
+                direction=(theta + math.pi / 2) % math.pi))
         left = dist > params.gating_px + CONSUME_PAD_PX
         free, fu, fv, fw = free[left], fu[left], fv[left], fw[left]
     log.debug("%d cells at or above min_votes, %d lines kept, %d refit, %d segments",

@@ -2,9 +2,11 @@
 
 Two raster formats:
 
-FGRID   ASCII header line ``FGRID <width> <height> <cell_size_m>\\n`` followed
-        by width*height little-endian float32 values, row-major, top row
-        first.  Lossless for float32 payloads.
+FGRID   ASCII header line ``FGRID <width> <height> <cell_size_m>\\n``, or
+        ``FGRID <width> <height> <cell_size_m> <origin_x> <origin_y>\\n`` for
+        a grid whose origin is not (0, 0), followed by width*height
+        little-endian float32 values, row-major, top row first.  Lossless
+        for float32 payloads.
 PGM     Binary P5.  Grayscale images use maxval 65535 (two bytes per sample,
         big-endian); label masks use maxval 2 (one byte per sample).
         Grayscale intensity = sample / 65535; in memory an image is a plain
@@ -49,7 +51,8 @@ class WorldTransform:
     """Pixel-center to world-plane mapping: world = origin + (u, v) * cell_size.
 
     The one place pixel and world coordinates are converted, for scalars and
-    arrays alike, and the one check of a cell size."""
+    arrays alike, and the one check of a frame: a finite cell size above 0
+    and a finite origin."""
 
     cell_size: float
     origin: tuple[float, float] = (0.0, 0.0)
@@ -57,6 +60,8 @@ class WorldTransform:
     def __post_init__(self):
         if not 0.0 < self.cell_size < math.inf:
             raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
+        if not all(math.isfinite(c) for c in self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     def pixel_to_world(self, u, v):
         return (self.origin[0] + u * self.cell_size,
@@ -86,7 +91,7 @@ class FloatGrid:
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 2 or min(d.shape) < 3:
             raise ValueError(f"grid must be a 2-D array of at least 3x3, got shape {d.shape}")
-        WorldTransform(self.cell_size, self.origin)      # the cell-size check
+        WorldTransform(self.cell_size, self.origin)      # the frame check
         if not np.all(np.isfinite(d)):
             raise ValueError("grid contains non-finite values")
         object.__setattr__(self, "data", _readonly(d))
@@ -128,17 +133,19 @@ def header_float(s: str) -> float:
     return float(s)
 
 
-def read_header(f, path, magic: str, *types) -> list:
+def read_header(f, path, magic: str, *types, optional=()) -> list:
     """The fields of the header line `<magic> <field>...` that starts the
-    binary file f, field i converted by types[i]; GridFormatError on another
-    magic or field count, or when a conversion raises ValueError."""
+    binary file f, field i converted by types[i], then the trailing fields
+    `optional` (types too), which are all present or all absent;
+    GridFormatError on another magic or field count, or when a conversion
+    raises ValueError."""
     header = f.readline().decode("ascii", errors="replace")
     parts = header.split()
     bad = f"{path}: bad {magic} header {header!r}"
-    if len(parts) != len(types) + 1 or parts[0] != magic:
+    if len(parts) - 1 not in (len(types), len(types) + len(optional)) or parts[0] != magic:
         raise GridFormatError(bad)
     try:
-        return [t(s) for t, s in zip(types, parts[1:])]
+        return [t(s) for t, s in zip(types + optional, parts[1:])]
     except ValueError as e:
         raise GridFormatError(bad) from e
 
@@ -175,17 +182,19 @@ def write_atomic(path, data: bytes) -> None:
 # --- FGRID ---
 
 def write_grid(grid: FloatGrid, path) -> None:
+    """The header names the origin only when it is not (0, 0)."""
     h, w = grid.data.shape
-    write_atomic(path, f"FGRID {w} {h} {grid.cell_size!r}\n".encode("ascii")
-                 + grid.data.astype("<f4").tobytes())
+    frame = [grid.cell_size, *grid.origin] if any(grid.origin) else [grid.cell_size]
+    header = " ".join(["FGRID", str(w), str(h), *(repr(float(x)) for x in frame)])
+    write_atomic(path, f"{header}\n".encode("ascii") + grid.data.astype("<f4").tobytes())
 
 
 def read_grid(path) -> FloatGrid:
     with open(path, "rb") as f:
-        w, h, cell = read_header(f, path, "FGRID", header_count, header_count,
-                                  header_float)
+        w, h, cell, *origin = read_header(f, path, "FGRID", header_count, header_count,
+                                          header_float, optional=(header_float, header_float))
         data = read_payload(f, path, "<f4", (h, w))
-    return FloatGrid(data, cell)
+    return FloatGrid(data, cell, tuple(origin) or (0.0, 0.0))
 
 
 # --- PGM ---

@@ -71,8 +71,7 @@ class SceneSpec:
     def validate(self) -> None:
         if self.width < 3 or self.height < 3:
             raise ValueError("scene must be at least 3x3 pixels")
-        WorldTransform(self.cell_size, self.origin)     # the cell-size check
-        _check_finite("origin", *self.origin)
+        WorldTransform(self.cell_size, self.origin)     # the frame check
         if isinstance(self.albedo, np.ndarray) and self.albedo.shape != (self.height, self.width):
             raise ValueError(f"per-pixel albedo must be (height, width), "
                              f"got {self.albedo.shape}")

@@ -267,9 +267,13 @@ class TestErrorContract:
             argv = ["plan", str(rpt), "--height", str(height), "--out", str(tmp_path / "o.json")]
         code = main(argv)
         err = capsys.readouterr().err
-        assert code in (0, 1) and "Traceback" not in err
-        if code == 1:
-            assert err.startswith(f"stage inputs failed: {rpt}: ")
+        assert "Traceback" not in err
+        # an empty section of the right type reads as no entries; any other
+        # value is refused, naming the section
+        if isinstance(value, dict if field == "plan" else list):
+            assert code == 0
+        else:
+            assert code == 1 and err.startswith(f"stage inputs failed: {rpt}: {field}: expected ")
 
     def test_config_not_utf8_exit_2(self, tmp_path, capsys, flat_dir, model_file):
         cfg = tmp_path / "latin1.cfg"
@@ -765,6 +769,20 @@ class TestDetectCommand:
         assert len(accepted) == 1
         assert len(report["plan"]["actions"]) == 1
         assert report["inputs"]["height"]["sha256"]
+
+    def test_scene_origin_reaches_the_report(self, tmp_path, model_file):
+        # the origin of the scene file frames the height grid synth writes,
+        # so detect reports the bump where the scene planted it
+        scene = tmp_path / "scene.txt"
+        scene.write_text("width 320\nheight 240\ncell_size 0.002\norigin_x 0.5\n"
+                         "origin_y 0.25\nbump 0.82 0.49 0.04 0.02 0.5 0.02\n")
+        d, out = tmp_path / "scene", tmp_path / "r.json"
+        assert main(["synth", str(scene), str(d)]) == 0
+        assert main(detect_args(d, model_file, ["--out", str(out)])) == 0
+        report = json.loads(out.read_text())
+        assert report["grid"]["origin_m"] == [0.5, 0.25]
+        [bump] = report["bumps"]
+        assert math.dist(bump["center_m"], (0.82, 0.49)) <= 0.002
 
     def test_timing_flag_adds_stage_timings(self, tmp_path, model_file, capsys):
         spec = synth.SceneSpec(96, 72, CELL)

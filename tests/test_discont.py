@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CELL, corpus_scene, scene_products, segment_line
 from ironpath import discont
@@ -417,7 +417,8 @@ def reference_segments(mask, scores, params=None, transform=None):
         for _ in range(2):
             if not sel.any():
                 break
-            rho_f, nrm = _refit_line(uu, vv, wts, sel)
+            rho_f, theta = _refit_line(uu, vv, wts, sel)
+            nrm = np.array([math.cos(theta), math.sin(theta)])
             sel = (~consumed) & (np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px)
         if not sel.any():
             continue
@@ -443,7 +444,7 @@ def reference_segments(mask, scores, params=None, transform=None):
                 pixels=pix[idx],
                 scores=wts[idx],
                 length=float(math.hypot(p1[0] - p0[0], p1[1] - p0[1])),
-                direction=float(math.atan2(d[1], d[0]) % math.pi)))
+                direction=(theta + math.pi / 2) % math.pi))
         consumed |= np.abs(uu * nrm[0] + vv * nrm[1] - rho_f) <= p.gating_px + CONSUME_PAD_PX
     return segs
 
@@ -503,3 +504,57 @@ class TestExtractSegmentsReference:
         segs = extract_segments(mask, scores, HoughParams(), t)
         assert len(segs) >= 3
         assert_same_segments(segs, reference_segments(mask, scores, transform=t))
+
+
+@st.composite
+def weighted_clouds(draw):
+    """Pixel clouds stretched along a random axis, positive weights, and a
+    selection of at least three of the pixels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 80))
+    axis = draw(st.floats(0.0, math.pi))
+    major = draw(st.floats(2.0, 400.0))
+    minor = major * draw(st.floats(0.0, 0.3))
+    t, s = rng.normal(size=(2, n)) * [[major], [minor]]
+    centre = rng.uniform(0.0, 1000.0, 2)
+    uu = centre[0] + t * math.cos(axis) - s * math.sin(axis)
+    vv = centre[1] + t * math.sin(axis) + s * math.cos(axis)
+    wts = rng.uniform(0.05, 3.0, n)
+    sel = rng.random(n) < 0.8
+    sel[rng.choice(n, 3, replace=False)] = True
+    return uu, vv, wts, sel
+
+
+class TestRefitLine:
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_clouds())
+    def test_minor_axis_of_weighted_covariance(self, cloud):
+        uu, vv, wts, sel = cloud
+        pts, w = np.column_stack([uu, vv])[sel], wts[sel]
+        mean = np.average(pts, axis=0, weights=w)
+        evals, evec = np.linalg.eigh(np.cov(pts.T, aweights=w, bias=True))
+        # a clear eigenvalue gap, so that the minor axis is well defined
+        assume(evals[1] - evals[0] >= 0.5 * evals[1] > 0)
+        rho, theta = _refit_line(uu, vv, wts, sel)
+        assert 0.0 <= theta < math.pi
+        dth = (theta - math.atan2(evec[1, 0], evec[0, 0])) % math.pi
+        assert min(dth, math.pi - dth) <= 1e-9
+        nrm = np.array([math.cos(theta), math.sin(theta)])
+        assert abs(rho - mean @ nrm) <= 1e-9 * (1.0 + np.abs(mean).sum())
+
+    @pytest.mark.parametrize("uu, vv, line", [
+        ([5.0], [7.0], (5.0, 0.0)),                           # one pixel
+        ([0.0, 1.0, 2.0, 3.0], [7.0] * 4, (7.0, math.pi / 2)),   # a horizontal run
+        ([3.0] * 4, [0.0, 1.0, 2.0, 3.0], (3.0, 0.0))],       # a vertical run
+        ids=["one-pixel", "horizontal", "vertical"])
+    def test_degenerate_clouds(self, uu, vv, line):
+        uu, vv = np.array(uu), np.array(vv)
+        assert _refit_line(uu, vv, np.ones(len(uu)), np.ones(len(uu), bool)) == line
+
+    def test_zero_weight_is_a_nan_line_that_gates_no_pixel(self):
+        uu, vv = np.array([3.0, 4.0, 9.0]), np.array([1.0, 2.0, 2.0])
+        with np.errstate(invalid="ignore"):
+            rho, theta = _refit_line(uu, vv, np.zeros(3), np.ones(3, bool))
+        assert math.isnan(rho) and math.isnan(theta)
+        # not even an infinite gating distance takes a pixel
+        assert not np.any(np.abs(uu * math.cos(theta) + vv * math.sin(theta) - rho) <= math.inf)

@@ -16,8 +16,10 @@ class TestFloatGrid:
         g = FloatGrid(np.zeros((3, 3)), 0.002)
         p = tmp_path / "z.fgrid"
         gridio.write_grid(g, p)
+        # a grid whose origin is (0, 0) is written without the origin fields
+        assert p.read_bytes().startswith(b"FGRID 3 3 0.002\n")
         g2 = gridio.read_grid(p)
-        assert (g2.data.shape, g2.cell_size) == ((3, 3), 0.002)
+        assert (g2.data.shape, g2.cell_size, g2.origin) == ((3, 3), 0.002, (0.0, 0.0))
         assert np.array_equal(g.data, g2.data)
 
     def test_roundtrip_random_payload(self, tmp_path):
@@ -26,7 +28,21 @@ class TestFloatGrid:
                       origin=(0.5, -0.25))
         p = tmp_path / "r.fgrid"
         gridio.write_grid(g, p)
-        assert np.array_equal(gridio.read_grid(p).data, g.data)
+        back = gridio.read_grid(p)
+        assert np.array_equal(back.data, g.data)
+        assert back.transform == g.transform == WorldTransform(0.0016, (0.5, -0.25))
+
+    @pytest.mark.parametrize("header, why", [
+        (b"FGRID 3 3 0.002 inf 0\n", "origin must be finite"),
+        (b"FGRID 3 3 0.002 0 nan\n", "origin must be finite"),
+        (b"FGRID 3 3 0.002 0.5\n", "bad FGRID header"),
+        (b"FGRID 3 3 0.002 0.5 0.25 1\n", "bad FGRID header")],
+        ids=["inf", "nan", "one-coordinate", "three-coordinates"])
+    def test_bad_origin_refused(self, tmp_path, header, why):
+        p = tmp_path / "o.fgrid"
+        p.write_bytes(header + np.zeros(9, dtype="<f4").tobytes())
+        with pytest.raises(ValueError, match=why):
+            gridio.read_grid(p)
 
     def test_depth_stream_resolution_header(self, tmp_path):
         p = tmp_path / "depth.fgrid"
@@ -208,10 +224,10 @@ class TestExactBytes:
     def test_grid(self, tmp_path):
         p = tmp_path / "g.fgrid"
         gridio.write_grid(FloatGrid(np.arange(12.0).reshape(3, 4) / 4, 0.002, (1.0, 2.0)), p)
-        assert p.read_bytes() == (b"FGRID 4 3 0.002\n"
+        assert p.read_bytes() == (b"FGRID 4 3 0.002 1.0 2.0\n"
                                   + struct.pack("<12f", *[i / 4 for i in range(12)]))
         back = gridio.read_grid(p)
-        assert back.cell_size == 0.002
+        assert (back.cell_size, back.origin) == (0.002, (1.0, 2.0))
         assert np.array_equal(back.data, np.arange(12.0).reshape(3, 4) / 4)
 
     def test_gray(self, tmp_path):
