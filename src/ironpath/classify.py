@@ -3,8 +3,8 @@
 The descriptor is a fixed-scale, fixed-orientation variant of the classic
 128-dimensional gradient histogram: a 16x16 patch split into 4x4 spatial
 cells with 8 orientation bins each, L2-normalized, clamped at 0.2 and
-renormalized.  Gradient magnitude is split linearly between the two nearest
-orientation bins.
+renormalized, all as one ratio per bin (_normalize).  Gradient magnitude is
+split linearly between the two nearest orientation bins.
 
 Descriptors are computed densely with flat windows (VLFeat's dense SIFT,
 Vedaldi & Fulkerson 2010): a cell's raw bin is the equal-weight sum of its
@@ -34,8 +34,8 @@ The engine, from the planes to the normalized descriptor, runs in single
 precision (_DTYPE, as in VLFeat's dense SIFT): the gradients and bin weights
 are taken in float64 and rounded once as they are written into the planes.
 The SVM dot product, the sigmoid and the training matrix stay in float64:
-each tile's descriptors are cast up before the dot product, and descriptors_at
-returns float64 rows whose values are exact float32 numbers.
+the dot product is an einsum that sums each float32 tile in float64, and
+descriptors_at returns float64 rows whose values are exact float32 numbers.
 
 Training minimizes the primal linear-SVM objective
 lambda/2 |w|^2 + mean l(y (w.x + b)) with the Huber-smoothed hinge l
@@ -54,7 +54,6 @@ knows what its header means, and gridio frames, reads and writes it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +122,7 @@ def _orientation_planes(a: np.ndarray, p0: int, p1: int) -> np.ndarray:
     cols = _pad_index(w)
     gx = (a[rows, np.minimum(cols + 1, w - 1)] - a[rows, np.maximum(cols - 1, 0)]) * 0.5
     gy = (a[np.minimum(rows + 1, h - 1), cols] - a[np.maximum(rows - 1, 0), cols]) * 0.5
-    mag = np.hypot(gx, gy).ravel()
+    mag = np.sqrt(gx * gx + gy * gy).ravel()
     frac_bin = ((np.arctan2(gy, gx) + np.pi) / (2.0 * np.pi) * NBINS - 0.5).ravel()
     b0 = np.floor(frac_bin).astype(np.int64)
     frac = frac_bin - b0
@@ -163,23 +162,21 @@ def _band_boxes(a: np.ndarray, r0: int, r1: int) -> np.ndarray:
 def _sum_squares(d: np.ndarray) -> np.ndarray:
     """Per pixel, the sum over bins (axis 0) of d^2, in bin order.
 
-    Reducing along the outer axis adds whole bin planes in order; the bins
-    of a lone pixel are contiguous, and np.add.reduce would sum them
-    pairwise, so that case accumulates."""
-    sq = np.square(d)
-    if sq[0].size == 1:
-        return np.add.accumulate(sq, axis=0)[-1]
-    return np.add.reduce(sq, axis=0)
+    The einsum adds whole bin planes in order; the bins of a lone pixel are
+    contiguous, and a reduction would sum them pairwise, so that case
+    accumulates."""
+    if d[0].size == 1:
+        return np.add.accumulate(np.square(d), axis=0)[-1]
+    return np.einsum("k...,k...->...", d, d)
 
 
 def _normalize(d: np.ndarray) -> np.ndarray:
     """Contrast floor, L2 norm, clamp at 0.2 and renormalization of raw
-    descriptors d (bins on axis 0), in place."""
+    descriptors d (bins on axis 0), in place: bins are >= 0, so that is
+    c/|c| for c = min(d, 0.2 |d|), one division per bin."""
     norm = np.sqrt(_sum_squares(d))
-    nz = norm > MIN_PATCH_NORM
-    d /= np.where(nz, norm, np.inf)             # below the floor: the zero descriptor
-    np.minimum(d, 0.2, out=d)
-    d /= np.where(nz, np.sqrt(_sum_squares(d)), np.inf)
+    np.minimum(d, 0.2 * norm, out=d)
+    d /= np.where(norm > MIN_PATCH_NORM, np.sqrt(_sum_squares(d)), np.inf)  # else zero
     return d
 
 
@@ -261,10 +258,11 @@ def sample_pixels(mask: gridio.LabelMask, negatives_per_positive: int, seed: int
     return np.concatenate([pu, cu[pick]]), np.concatenate([pv, cv[pick]]), len(pu)
 
 
-def build_training_set(scenes: list[tuple[Callable[[], np.ndarray], gridio.LabelMask, int]],
-                       negatives_per_positive: int, map_fn=map) -> TrainingSet:
-    """The training set of a corpus of (img, mask, seed) scenes, where img is
-    a function of no arguments that returns the scene's image.
+def build_training_set(scenes: list[tuple], negatives_per_positive: int,
+                       map_fn=map) -> TrainingSet:
+    """The training set of a corpus of (img, mask, seed[, valid]) scenes: img
+    is a function of no arguments that returns the scene's image, and valid,
+    if given, where the scene's pixels may be drawn (sample_pixels).
 
     Every scene's pixels are drawn first (sample_pixels), so that the matrix
     is allocated once at its final size and a scene without wrinkle pixels
@@ -277,13 +275,14 @@ def build_training_set(scenes: list[tuple[Callable[[], np.ndarray], gridio.Label
     the error of the first failing scene in scene order is raised, as map
     and Executor.map both do.
     """
-    picks = [sample_pixels(mask, negatives_per_positive, seed) for _, mask, seed in scenes]
+    picks = [sample_pixels(mask, negatives_per_positive, seed, *valid)
+             for _, mask, seed, *valid in scenes]
     if any(n_pos == 0 for _, _, n_pos in picks):
         raise ValueError("mask contains no wrinkle pixels")
     n_pos = sum(k for _, _, k in picks)
     X = np.empty((sum(len(uu) for uu, _, _ in picks), DESCRIPTOR_SIZE))
     tasks, pos, neg = [], 0, n_pos
-    for (img, _, _), (uu, vv, k) in zip(scenes, picks):
+    for (img, *_), (uu, vv, k) in zip(scenes, picks):
         n_neg = len(uu) - k
         tasks.append((img, uu, vv, np.r_[pos:pos + k, neg:neg + n_neg]))
         pos, neg = pos + k, neg + n_neg
@@ -453,8 +452,8 @@ def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
                 r0: int, r1: int) -> None:
     """Scores of rows r0..r1-1 of image a into out[r0:r1]: the band's boxes
     (_band_boxes), then the cell weights, normalization, SVM dot product and
-    sigmoid tile by tile, each tile's 16 cells sliced from the boxes.  Each
-    tile's descriptors are cast to float64 for the dot product."""
+    sigmoid tile by tile, each tile's 16 cells sliced from the boxes; the
+    dot product sums each float32 tile in float64, without a float64 copy."""
     boxes = _band_boxes(a, r0, r1)
     w = out.shape[1]
     # the last column tile takes a lone last column: a 1x1 tile would send
@@ -470,7 +469,7 @@ def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
                             out=d[cy, cx])
             d = _normalize(d.reshape(DESCRIPTOR_SIZE, t1 - t0, c1 - c0))
             out[r0 + t0:r0 + t1, c0:c1] = _sigmoid(
-                np.tensordot(model.weights, d.astype(np.float64), axes=1) + model.bias)
+                np.einsum("k,kij->ij", model.weights, d, dtype=np.float64) + model.bias)
 
 
 def dense_scores(img, model: SvmModel, map_fn=map) -> np.ndarray:

@@ -314,11 +314,26 @@ def _scene_image(scene_dir: str, labels: gridio.LabelMask) -> discont.Normalized
     with _stage("inputs", scene_dir):       # captures of different sizes
         nimg = discont.normalize(*[_read_input(gridio.read_gray, os.path.join(scene_dir, name))
                                    for name in CAPTURE_FILES])
-    if labels.data.shape != nimg.combined.shape:
+    _match_labels(scene_dir, labels, nimg.combined.shape)
+    return nimg
+
+
+def _scene_valid(scene_dir: str, labels: gridio.LabelMask) -> np.ndarray:
+    """Where a scene directory's two references are valid
+    (discont.reference_valid); the scene's labels must match them in size."""
+    refs = [_read_input(gridio.read_gray, os.path.join(scene_dir, name))
+            for name in CAPTURE_FILES[2:]]
+    with _stage("inputs", scene_dir):       # references of different sizes
+        valid = discont.reference_valid(*refs)
+    _match_labels(scene_dir, labels, valid.shape)
+    return valid
+
+
+def _match_labels(scene_dir: str, labels: gridio.LabelMask, shape: tuple) -> None:
+    if labels.data.shape != shape:
         raise StageError("inputs", ValueError(
             f"{os.path.join(scene_dir, LABELS_FILE)}: labels {labels.data.shape} "
-            f"do not match images {nimg.combined.shape}"))
-    return nimg
+            f"do not match images {shape}"))
 
 
 def read_scene(scene_dir: str) -> tuple[gridio.LabelMask, discont.NormalizedImage]:
@@ -344,23 +359,27 @@ def build_corpus_training_set(corpus_dir: str, cfg: PipelineConfig,
     """The training set of the scene directories under corpus_dir, one scene
     per task run by map_fn (classify.build_training_set).
 
-    Every scene's labels are read first; each task then reads and normalizes
+    Every scene's labels and references are read first, and only the labels
+    and the references' valid mask (_scene_valid) are kept, so that no pixel
+    with an invalid reference is drawn; each task then reads and normalizes
     its own captures, so only the running tasks' images are held.  Whatever
     threads map_fn runs the tasks on, a bad file is reported as the first one
     in directory order: the scenes in sorted order, and in a scene the
     labels, then the captures.  So when a labels file is bad, the captures of
-    the scenes before it are read first."""
+    the scenes before it are read first, and when a reference is bad, those
+    of its own scene too."""
     dirs = _scene_dirs(corpus_dir)
-    labels = []
+    labels, valid = [], []
     for d in dirs:
         try:
             labels.append(_scene_labels(d))
+            valid.append(_scene_valid(d, labels[-1]))
         except StageError:
             for earlier, lab in zip(dirs, labels):
                 _scene_image(earlier, lab)
             raise
-    scenes = [(lambda d=d, lab=lab: _scene_image(d, lab).combined, lab, cfg.seed + 1000 * idx)
-              for idx, (d, lab) in enumerate(zip(dirs, labels))]
+    scenes = [(lambda d=d, lab=lab: _scene_image(d, lab).combined, lab, cfg.seed + 1000 * idx, ok)
+              for idx, (d, lab, ok) in enumerate(zip(dirs, labels, valid))]
     return classify.build_training_set(scenes, cfg.negatives_per_positive, map_fn)
 
 

@@ -117,10 +117,16 @@ def normalize(i1: np.ndarray, i2: np.ndarray, ref1: np.ndarray,
         raise ValueError(f"image dimensions differ: {sorted(shapes)}")
     r1 = np.asarray(ref1, np.float64)
     r2 = np.asarray(ref2, np.float64)
-    valid = (r1 >= EPS_REF) & (r2 >= EPS_REF)
+    valid = reference_valid(r1, r2)
     n1 = np.where(valid, np.asarray(i1) / np.maximum(r1, EPS_REF), 0.0)
     n2 = np.where(valid, np.asarray(i2) / np.maximum(r2, EPS_REF), 0.0)
     return NormalizedImage(np.sqrt(n1 * n1 + n2 * n2), valid)
+
+
+def reference_valid(ref1: np.ndarray, ref2: np.ndarray) -> np.ndarray:
+    """Where both references reach EPS_REF: the pixels that normalize
+    divides, that score_map may mark and that training samples."""
+    return (np.asarray(ref1, np.float64) >= EPS_REF) & (np.asarray(ref2, np.float64) >= EPS_REF)
 
 
 def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float,

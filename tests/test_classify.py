@@ -101,6 +101,50 @@ def step_edge(w=48, h=48, col=24, lo=0.2, hi=0.8):
     return img
 
 
+@st.composite
+def raw_descriptors(draw):
+    """Raw float32 descriptors as _normalize takes them, (128, rows, cols):
+    bins >= 0, dense or a few spikes (heavily clamped), each pixel at its own
+    scale, many of them near or below the contrast floor."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = np.abs(rng.normal(size=(128, rows, cols)))
+    if draw(st.booleans()):
+        d *= rng.random((128, rows, cols)) < draw(st.sampled_from([0.01, 0.05, 0.3]))
+    lo = draw(st.floats(-5.0, 2.0))
+    d *= 10.0 ** rng.uniform(lo, lo + 3.0, (rows, cols))
+    return d.astype(np.float32)
+
+
+def two_step_normalize(d):
+    """The float64 reference: d/|d|, clamp at 0.2, renormalize; the zero
+    descriptor where |d| does not exceed the contrast floor."""
+    x = d.astype(np.float64)
+    norm = np.sqrt(np.sum(x * x, axis=0))
+    x = np.minimum(x / np.where(norm > classify.MIN_PATCH_NORM, norm, np.inf), 0.2)
+    return x / np.maximum(np.sqrt(np.sum(x * x, axis=0)), np.finfo(np.float64).tiny), norm
+
+
+class TestNormalize:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_descriptors())
+    def test_one_ratio_matches_two_step_oracle(self, d):
+        ref, norm = two_step_normalize(d)
+        got = classify._normalize(d.copy())
+        assert got.dtype == np.float32
+        # pixels whose norm is within float32 rounding of the floor may fall
+        # on either side of it
+        sure = np.abs(norm / classify.MIN_PATCH_NORM - 1.0) > 1e-5
+        assert np.abs(got - ref)[:, sure].max(initial=0.0) <= 1e-6
+        assert (got[:, sure & (norm <= classify.MIN_PATCH_NORM)] == 0.0).all()
+        got_norm = np.sqrt(np.sum(got.astype(np.float64) ** 2, axis=0))
+        assert ((got_norm == 0.0) | (np.abs(got_norm - 1.0) <= 1e-6)).all()
+        # a lone pixel, as descriptor_at builds it, equals the same pixel of a batch
+        for i, j in np.ndindex(d.shape[1:]):
+            lone = classify._normalize(d[:, i:i + 1, j:j + 1].copy())
+            assert np.array_equal(lone[:, 0, 0], got[:, i, j])
+
+
 class TestDescriptor:
     def test_constant_image_zero_descriptor(self):
         d = descriptor_at(np.full((32, 32), 0.6), 16, 16)
@@ -556,6 +600,24 @@ class TestDenseScores:
         assert one.shape == shape
         for map_fn in other_maps():
             assert np.array_equal(classify.dense_scores(img, model, map_fn), one)
+
+    def test_independent_of_blas_threads(self, tmp_path):
+        # the dot product is an einsum, not a BLAS call that may split the
+        # sum between threads
+        code = ("import sys, numpy as np; from ironpath import classify; "
+                "rng = np.random.default_rng(41); img = rng.uniform(0, 1, (130, 301)); "
+                "model = classify.SvmModel(rng.normal(size=128), 0.1, classify.TrainHyper()); "
+                "np.save(sys.argv[1], classify.dense_scores(img, model))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ironpath.__file__)))
+        scores = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"scores{threads}.npy"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True,
+                           timeout=120)
+            scores.append(out.read_bytes())
+        assert scores[0] == scores[1]
 
     def test_float32_engine_float64_scores(self):
         # descriptors are float32 numbers in a float64 matrix; the dot

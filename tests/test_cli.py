@@ -22,7 +22,7 @@ import ironpath
 from ironpath import classify, curvature, discont, gridio, mixture, synth
 from ironpath.cli import (CONFIG_KEYS, SECTIONS, ConfigError, PipelineConfig,
                           build_corpus_training_set, build_parser, dump_report, main,
-                          parse_config, run_detection)
+                          parse_config, read_scene, run_detection)
 
 SCENE_TEXT = """\
 # small test scene
@@ -642,11 +642,13 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("where", ["corpus", "eval-dir"])
     @pytest.mark.parametrize("bad", [("light1.pgm", "labels.pgm"), ("labels.pgm", "light1.pgm"),
-                                     ("light1.pgm", "light1.pgm")],
-                             ids=["light1-labels", "labels-light1", "light1-light1"])
+                                     ("light1.pgm", "light1.pgm"), ("ref1.pgm", "labels.pgm"),
+                                     ("light2.pgm", "ref2.pgm")],
+                             ids=["light1-labels", "labels-light1", "light1-light1",
+                                  "ref1-labels", "light2-ref2"])
     def test_first_bad_file_in_directory_order(self, tmp_path, capsys, monkeypatch, where, bad):
         # scene0 is sound, scene1 and scene2 each have one malformed file:
-        # a truncated capture or a label mask of maxval 3
+        # a truncated capture or reference, or a label mask of maxval 3
         scenes = write_corpus(tmp_path / "scenes", (600, 601, 602))
         for scene, name in zip(("scene1", "scene2"), bad):
             path = scenes / scene / name
@@ -720,6 +722,26 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith(
             f"stage inputs failed: {corpus}: mask contains no wrinkle pixels")
         assert not built
+
+    def test_invalid_reference_pixels_not_drawn(self, tmp_path):
+        # a dark patch of ref1 across the ridge: detect scores those pixels 0
+        # and held-out evaluation leaves them out, so training draws none
+        corpus = write_corpus(tmp_path / "corpus", (610,))
+        scene = corpus / "scene0"
+        ridge = np.argwhere(gridio.read_labels(scene / "labels.pgm").data
+                            == gridio.LABEL_WRINKLE)
+        v, u = ridge[len(ridge) // 2]
+        ref = np.array(gridio.read_gray(scene / "ref1.pgm"))
+        ref[max(v - 12, 0):v + 12, max(u - 12, 0):u + 12] = 0.0
+        gridio.write_gray(ref, scene / "ref1.pgm")
+        cfg = PipelineConfig()
+        labels, nimg = read_scene(str(scene))
+        assert not nimg.valid[tuple(ridge.T)].all() and nimg.valid[tuple(ridge.T)].any()
+        uu, vv, n_pos = classify.sample_pixels(labels, cfg.negatives_per_positive, cfg.seed,
+                                               valid=nimg.valid)
+        ts = build_corpus_training_set(str(corpus), cfg)
+        assert ts.n_pos == n_pos
+        assert np.array_equal(ts.X, classify.descriptors_at(nimg.combined, uu, vv))
 
     def test_training_set_peak_memory(self, tmp_path):
         corpus = write_corpus(tmp_path / "corpus", TRAIN_SEEDS, width=240, height=180)
