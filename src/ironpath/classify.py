@@ -3,8 +3,8 @@
 The descriptor is a fixed-scale, fixed-orientation variant of the classic
 128-dimensional gradient histogram: a 16x16 patch split into 4x4 spatial
 cells with 8 orientation bins each, L2-normalized, clamped at 0.2 and
-renormalized, all as one ratio per bin (_normalize).  Gradient magnitude is
-split linearly between the two nearest orientation bins.
+renormalized: c/|c| for c = min(d, 0.2 |d|), as the raw bins d are >= 0
+(_clamp).  Gradient magnitude is split linearly between the two nearest bins.
 
 Descriptors are computed densely with flat windows (VLFeat's dense SIFT,
 Vedaldi & Fulkerson 2010): a cell's raw bin is the equal-weight sum of its
@@ -19,23 +19,23 @@ and takes the horizontal and then the vertical boxes over them
 (_band_boxes).  When pixels are sampled (descriptors_at), only the bands that
 hold requested pixels are built, and each reads its boxes at the requested
 pixels.  When every pixel is scored (dense_scores), each band is one task,
-and the cell weights, normalization, SVM dot product and sigmoid run on
-tiles of _TILE_ROWS x _TILE_COLS pixels, sliced from the band's boxes, whose
-descriptors (1 MiB) fit in cache.  No task holds more than one band's
-planes.  Both paths run the same arithmetic per pixel, and the band and tile
-grid does not depend on how the tasks are run, so neither do the scores.  A
-training set is built one scene per task, each writing its descriptors_at
-rows straight into the one training matrix, so neither does the matrix.  The
-module starts no threads: dense_scores and build_training_set run their
-tasks through the map function that the caller passes, the builtin map by
-default or the map of an executor that the caller owns.
+and the cell weights, clamp, SVM dot product and sigmoid run on tiles of
+_TILE_ROWS x _TILE_COLS pixels, whose descriptors (1 MiB) fit in cache: the
+16 cells of a tile are one strided view of the band's boxes, weighted in one
+call.  No task holds more than one band's planes.  Both paths run the same
+arithmetic per pixel, and the band and tile grid does not depend on how the
+tasks are run, so neither do the scores.  A training set is built one scene
+per task, each writing its descriptors_at rows straight into the one
+training matrix, so neither does the matrix.  The module starts no threads:
+dense_scores and build_training_set run their tasks through the map
+function that the caller passes, the builtin map by default or the map of an
+executor that the caller owns.
 
-The engine, from the planes to the normalized descriptor, runs in single
-precision (_DTYPE, as in VLFeat's dense SIFT): the gradients and bin weights
-are taken in float64 and rounded once as they are written into the planes.
-The SVM dot product, the sigmoid and the training matrix stay in float64:
-the dot product is an einsum that sums each float32 tile in float64, and
-descriptors_at returns float64 rows whose values are exact float32 numbers.
+The engine runs in single precision up to the clamped descriptor c and
+|c|^2 (_DTYPE, as in VLFeat's dense SIFT): gradients and bin weights are
+rounded once as they are written into the planes.  The rest is float64, one
+division per pixel: a score is (w.c)/|c| + b, the dot product an einsum that
+sums float32 tiles of c in float64, and descriptors_at returns rows c/|c|.
 
 Training minimizes the primal linear-SVM objective
 lambda/2 |w|^2 + mean l(y (w.x + b)) with the Huber-smoothed hinge l
@@ -74,7 +74,7 @@ _DTYPE = np.float32                # the descriptor engine's precision
 _BAND_ROWS = 64                    # rows per band: one task of dense_scores
 _TILE_ROWS = 32                    # a tile of dense_scores' vertical boxes onward,
 _TILE_COLS = 64                    # sized so its descriptors (1 MiB) stay in cache
-_CHUNK_PX = 4096                   # pixels per chunk of descriptors_at (bounds memory)
+_CHUNK_PX = 512                    # pixels per chunk of descriptors_at (bounds memory)
 _GRAM_ROWS = 1024                  # band rows per gathered chunk of a Newton system
 HUBER_H = 0.5                      # width of the smoothed hinge's quadratic band
 _GRAD_TOL = 1e-12                  # converged: gradient norm below this share of the first
@@ -127,11 +127,12 @@ def _orientation_planes(a: np.ndarray, p0: int, p1: int) -> np.ndarray:
     b0 = np.floor(frac_bin).astype(np.int64)
     frac = frac_bin - b0
     # the two bins differ and both weights are >= +0, so each position is
-    # written once and every other bin keeps its +0
+    # written once and every other bin keeps its +0; & (NBINS-1) is the
+    # bin modulo NBINS (a power of two) without an integer division
     planes = np.zeros((NBINS, p1 - p0, len(cols)), _DTYPE)
     flat, at = planes.reshape(-1), np.arange(len(mag))
-    flat[b0 % NBINS * len(mag) + at] = mag * (1.0 - frac)
-    flat[(b0 + 1) % NBINS * len(mag) + at] = mag * frac
+    flat[(b0 & (NBINS - 1)) * len(mag) + at] = mag * (1.0 - frac)
+    flat[((b0 + 1) & (NBINS - 1)) * len(mag) + at] = mag * frac
     return planes
 
 
@@ -170,29 +171,27 @@ def _sum_squares(d: np.ndarray) -> np.ndarray:
     return np.einsum("k...,k...->...", d, d)
 
 
-def _normalize(d: np.ndarray) -> np.ndarray:
-    """Contrast floor, L2 norm, clamp at 0.2 and renormalization of raw
-    descriptors d (bins on axis 0), in place: bins are >= 0, so that is
-    c/|c| for c = min(d, 0.2 |d|), one division per bin."""
+def _clamp(d: np.ndarray) -> np.ndarray:
+    """Clamps raw descriptors d (bins on axis 0) in place to c = min(d, 0.2 |d|)
+    and returns |c| per pixel in float64, or inf where |d| does not exceed
+    the contrast floor (so that c/|c| is the zero descriptor there)."""
     norm = np.sqrt(_sum_squares(d))
     np.minimum(d, 0.2 * norm, out=d)
-    d /= np.where(norm > MIN_PATCH_NORM, np.sqrt(_sum_squares(d)), np.inf)  # else zero
-    return d
+    return np.where(norm > MIN_PATCH_NORM, np.sqrt(_sum_squares(d), dtype=np.float64), np.inf)
 
 
 def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
                    rows: np.ndarray | None = None) -> np.ndarray:
     """Descriptors for pixel coordinates (uu[i], vv[i]); shape (N, 128),
-    float64 holding float32 values.  With `out`, descriptor i is written
-    into row rows[i] of it (rows defaults to 0..N-1), and out is returned.
+    float64.  With `out`, descriptor i is written into row rows[i] of it
+    (rows defaults to 0..N-1), and out is returned.
 
     Only the bands of _BAND_ROWS rows that hold requested pixels are built
     (_band_boxes), one at a time, so memory follows one band and the
-    pixels, not the image.  Each band reads the 16 cells of each requested
-    pixel from its boxes, then scales them by the cell weights: the same
-    float32 operations as a tile of dense_scores, so each descriptor is the
-    one the dense engine computes for its pixel, whichever pixels are
-    requested.
+    pixels, not the image.  Each band takes the 16 cells of each requested
+    pixel from its boxes, then weights and clamps them: the same float32
+    operations as a tile of dense_scores, so c and |c| are the ones the
+    dense engine computes for the pixel, whichever pixels are requested.
     """
     a = np.asarray(img, np.float64)
     uu = np.asarray(uu, np.int64)
@@ -203,18 +202,17 @@ def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
     band = vv // _BAND_ROWS
     order = np.argsort(band, kind="stable")
     bands, starts = np.unique(band[order], return_index=True)
-    bins = np.arange(NBINS)[:, None]
     for b, lo, hi in zip(bands.tolist(), starts, [*starts[1:], len(order)]):
         r0 = b * _BAND_ROWS
         boxes = _band_boxes(a, r0, min(r0 + _BAND_ROWS, a.shape[0]))
+        _, bh, bw = boxes.shape
+        # flat index in boxes of raw bin (cy*NCELLS+cx)*NBINS+o at band pixel (0, 0)
+        first = (np.arange(NBINS) * bh + _CELL_OFFS[:, None, None]) * bw + _CELL_OFFS[:, None]
         for c0 in range(lo, hi, _CHUNK_PX):      # bounds each gathered chunk
             at = order[c0:min(c0 + _CHUNK_PX, hi)]
-            cu, cv = uu[at], vv[at] - r0
-            # raw bin (cy*NCELLS+cx)*NBINS+o: (NCELLS, NCELLS, NBINS, pixels)
-            d = boxes[bins, cv + _CELL_OFFS[:, None, None, None],
-                      cu + _CELL_OFFS[:, None, None]]
-            d *= _CELL_WEIGHT[:, :, None, None]
-            out[rows[at]] = _normalize(d.reshape(DESCRIPTOR_SIZE, len(at))).T
+            d = np.take(boxes, first.reshape(-1, 1) + ((vv[at] - r0) * bw + uu[at]))
+            d *= np.repeat(_CELL_WEIGHT, NBINS)[:, None]
+            out[rows[at]] = (d / _clamp(d)).T
         del boxes               # freed before the next band's boxes are built
     return out
 
@@ -451,25 +449,27 @@ def score_margins(model: SvmModel, X: np.ndarray) -> np.ndarray:
 def _score_band(a: np.ndarray, model: SvmModel, out: np.ndarray,
                 r0: int, r1: int) -> None:
     """Scores of rows r0..r1-1 of image a into out[r0:r1]: the band's boxes
-    (_band_boxes), then the cell weights, normalization, SVM dot product and
-    sigmoid tile by tile, each tile's 16 cells sliced from the boxes; the
-    dot product sums each float32 tile in float64, without a float64 copy."""
+    (_band_boxes), then the cell weights, clamp, SVM dot product and sigmoid
+    tile by tile.  A tile's raw bins are one multiply of a strided view of
+    the boxes, laid out bins first (order="C", so the reshape is free); the
+    dot product sums each float32 tile in float64 and divides by |c|."""
     boxes = _band_boxes(a, r0, r1)
+    s0, s1, s2 = boxes.strides
     w = out.shape[1]
+    # cells[cy, cx, o, v, u]: cell (cy, cx) of bin o of the patch at band pixel (v, u)
+    cells = np.lib.stride_tricks.as_strided(boxes, (NCELLS, NCELLS, NBINS, r1 - r0, w), (
+        CELL_W * s1, CELL_W * s2, s0, s1, s2), writeable=False)
     # the last column tile takes a lone last column: a 1x1 tile would send
     # the dot product to a kernel that rounds differently from the others
     col_edges = list(range(0, max(w - 1, 1), _TILE_COLS)) + [w]
     for t0 in range(0, r1 - r0, _TILE_ROWS):
         t1 = min(t0 + _TILE_ROWS, r1 - r0)
         for c0, c1 in zip(col_edges, col_edges[1:]):
-            d = np.empty((NCELLS, NCELLS, NBINS, t1 - t0, c1 - c0), _DTYPE)
-            for cy, cx in np.ndindex(NCELLS, NCELLS):
-                y, x = t0 + _CELL_OFFS[cy], c0 + _CELL_OFFS[cx]
-                np.multiply(boxes[:, y:y + t1 - t0, x:x + c1 - c0], _CELL_WEIGHT[cy, cx],
-                            out=d[cy, cx])
-            d = _normalize(d.reshape(DESCRIPTOR_SIZE, t1 - t0, c1 - c0))
+            d = np.multiply(cells[..., t0:t1, c0:c1], _CELL_WEIGHT[:, :, None, None, None],
+                            order="C").reshape(DESCRIPTOR_SIZE, t1 - t0, c1 - c0)
+            norm = _clamp(d)
             out[r0 + t0:r0 + t1, c0:c1] = _sigmoid(
-                np.einsum("k,kij->ij", model.weights, d, dtype=np.float64) + model.bias)
+                np.einsum("k,kij->ij", model.weights, d, dtype=np.float64) / norm + model.bias)
 
 
 def dense_scores(img, model: SvmModel, map_fn=map) -> np.ndarray:

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ironpath
 from ironpath import classify
@@ -125,13 +125,19 @@ def two_step_normalize(d):
     return x / np.maximum(np.sqrt(np.sum(x * x, axis=0)), np.finfo(np.float64).tiny), norm
 
 
+def normalize(d):
+    """Normalized descriptors c/|c| of raw ones, as descriptors_at writes them."""
+    c = d.copy()
+    return c / classify._clamp(c)
+
+
 class TestNormalize:
     @settings(max_examples=300, deadline=None)
     @given(raw_descriptors())
     def test_one_ratio_matches_two_step_oracle(self, d):
         ref, norm = two_step_normalize(d)
-        got = classify._normalize(d.copy())
-        assert got.dtype == np.float32
+        got = normalize(d)
+        assert got.dtype == np.float64
         # pixels whose norm is within float32 rounding of the floor may fall
         # on either side of it
         sure = np.abs(norm / classify.MIN_PATCH_NORM - 1.0) > 1e-5
@@ -141,7 +147,7 @@ class TestNormalize:
         assert ((got_norm == 0.0) | (np.abs(got_norm - 1.0) <= 1e-6)).all()
         # a lone pixel, as descriptor_at builds it, equals the same pixel of a batch
         for i, j in np.ndindex(d.shape[1:]):
-            lone = classify._normalize(d[:, i:i + 1, j:j + 1].copy())
+            lone = normalize(d[:, i:i + 1, j:j + 1])
             assert np.array_equal(lone[:, 0, 0], got[:, i, j])
 
 
@@ -620,20 +626,40 @@ class TestDenseScores:
         assert scores[0] == scores[1]
 
     def test_float32_engine_float64_scores(self):
-        # descriptors are float32 numbers in a float64 matrix; the dot
-        # product and sigmoid run in float64 on any number of threads
+        # the engine runs in float32 up to the clamped descriptor c; the
+        # division by |c|, the dot product and the sigmoid run in float64 on
+        # any number of threads
         rng = np.random.default_rng(31)
         img = rng.uniform(0, 1, (70, 90))
         vv, uu = np.mgrid[0:70, 0:90]
         d = descriptors_at(img, uu.ravel(), vv.ravel())
         assert d.dtype == np.float64
-        assert np.array_equal(d.astype(np.float32).astype(np.float64), d)
         model = SvmModel(rng.normal(size=128), 0.1, TrainHyper())
         one = classify.dense_scores(img, model)
         assert one.dtype == np.float64
         assert np.abs(one.ravel() - score_margins(model, d)).max() <= 1e-12
         for map_fn in other_maps():
             assert np.array_equal(classify.dense_scores(img, model, map_fn), one)
+
+    # a partial last tile row (h not a multiple of 32), the lone last column
+    # that joins the tile before it (w = 65, 129), one column, one row
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 100), st.integers(1, 140), st.integers(0, 2**32 - 1))
+    @example(45, 65, 0)
+    @example(97, 129, 1)
+    @example(70, 1, 2)
+    @example(1, 129, 3)
+    @example(1, 1, 4)
+    def test_matches_scored_descriptors_of_every_pixel(self, h, w, seed):
+        rng = np.random.default_rng(seed)
+        img = rng.uniform(0, 1, (h, w))
+        img[:, :w // 3] = 0.4             # flat: zero descriptors, |c| = inf
+        model = SvmModel(rng.normal(size=128), rng.normal(), TrainHyper())
+        vv, uu = np.mgrid[0:h, 0:w]
+        ref = score_margins(model, descriptors_at(img, uu.ravel(), vv.ravel())).reshape(h, w)
+        with ThreadPoolExecutor(2) as pool:
+            for map_fn in (map, pool.map):
+                assert np.abs(classify.dense_scores(img, model, map_fn) - ref).max() <= 1e-12
 
 
 class TestScore:
