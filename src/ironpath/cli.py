@@ -304,42 +304,23 @@ def _plan_dict(plan: planner.IroningPlan, waypoints) -> dict:
 
 # --- scene corpus helpers ---
 
-def _scene_labels(scene_dir: str) -> gridio.LabelMask:
-    return _read_input(gridio.read_labels, os.path.join(scene_dir, LABELS_FILE))
-
-
 def _scene_image(scene_dir: str, labels: gridio.LabelMask) -> discont.NormalizedImage:
     """The normalized image of a scene directory's captures and references
     (its height map is not read); the scene's labels must match its size."""
     with _stage("inputs", scene_dir):       # captures of different sizes
         nimg = discont.normalize(*[_read_input(gridio.read_gray, os.path.join(scene_dir, name))
                                    for name in CAPTURE_FILES])
-    _match_labels(scene_dir, labels, nimg.combined.shape)
-    return nimg
-
-
-def _scene_valid(scene_dir: str, labels: gridio.LabelMask) -> np.ndarray:
-    """Where a scene directory's two references are valid
-    (discont.reference_valid); the scene's labels must match them in size."""
-    refs = [_read_input(gridio.read_gray, os.path.join(scene_dir, name))
-            for name in CAPTURE_FILES[2:]]
-    with _stage("inputs", scene_dir):       # references of different sizes
-        valid = discont.reference_valid(*refs)
-    _match_labels(scene_dir, labels, valid.shape)
-    return valid
-
-
-def _match_labels(scene_dir: str, labels: gridio.LabelMask, shape: tuple) -> None:
-    if labels.data.shape != shape:
+    if labels.data.shape != nimg.combined.shape:
         raise StageError("inputs", ValueError(
             f"{os.path.join(scene_dir, LABELS_FILE)}: labels {labels.data.shape} "
-            f"do not match images {shape}"))
+            f"do not match images {nimg.combined.shape}"))
+    return nimg
 
 
 def read_scene(scene_dir: str) -> tuple[gridio.LabelMask, discont.NormalizedImage]:
     """A scene directory's labels and normalized image: the labels are read
     first, then the captures, and the two must match in size."""
-    labels = _scene_labels(scene_dir)
+    labels = _read_input(gridio.read_labels, os.path.join(scene_dir, LABELS_FILE))
     return labels, _scene_image(scene_dir, labels)
 
 
@@ -359,27 +340,18 @@ def build_corpus_training_set(corpus_dir: str, cfg: PipelineConfig,
     """The training set of the scene directories under corpus_dir, one scene
     per task run by map_fn (classify.build_training_set).
 
-    Every scene's labels and references are read first, and only the labels
-    and the references' valid mask (_scene_valid) are kept, so that no pixel
-    with an invalid reference is drawn; each task then reads and normalizes
-    its own captures, so only the running tasks' images are held.  Whatever
-    threads map_fn runs the tasks on, a bad file is reported as the first one
-    in directory order: the scenes in sorted order, and in a scene the
-    labels, then the captures.  So when a labels file is bad, the captures of
-    the scenes before it are read first, and when a reference is bad, those
-    of its own scene too."""
-    dirs = _scene_dirs(corpus_dir)
-    labels, valid = [], []
-    for d in dirs:
-        try:
-            labels.append(_scene_labels(d))
-            valid.append(_scene_valid(d, labels[-1]))
-        except StageError:
-            for earlier, lab in zip(dirs, labels):
-                _scene_image(earlier, lab)
-            raise
-    scenes = [(lambda d=d, lab=lab: _scene_image(d, lab).combined, lab, cfg.seed + 1000 * idx, ok)
-              for idx, (d, lab, ok) in enumerate(zip(dirs, labels, valid))]
+    Every scene is first read with read_scene, in directory order (the
+    scenes sorted, and in a scene the labels, then the four captures), so a
+    bad file is reported as the first in that order, whatever threads map_fn
+    runs the tasks on.  Of each scene only the labels and where its
+    references are valid (nimg.valid) are kept, so no pixel with an invalid
+    reference is drawn; each task then reads and normalizes its captures
+    again, so only the running tasks hold images."""
+    scenes = []
+    for idx, d in enumerate(_scene_dirs(corpus_dir)):
+        labels, nimg = read_scene(d)
+        scenes.append((lambda d=d, lab=labels: _scene_image(d, lab).combined, labels,
+                       cfg.seed + 1000 * idx, nimg.valid))
     return classify.build_training_set(scenes, cfg.negatives_per_positive, map_fn)
 
 
@@ -497,7 +469,8 @@ def cmd_detect(args) -> None:
     report = run_detection(height, *imgs, model, cfg, timings, threads)
     paths = {"height": args.height, "light1": args.i1, "light2": args.i2,
              "ref1": args.ref1, "ref2": args.ref2, "model": args.model}
-    report["inputs"] = {k: {"path": p, "sha256": _sha256(p)} for k, p in paths.items()}
+    report["inputs"] = {k: {"path": p, "sha256": _read_input(_sha256, p)}
+                        for k, p in paths.items()}
     _print_timings(timings)
     if args.timing:
         report["timing_s"] = timings

@@ -109,7 +109,9 @@ class HoughParams:
 
 def normalize(i1: np.ndarray, i2: np.ndarray, ref1: np.ndarray,
               ref2: np.ndarray) -> NormalizedImage:
-    """I'_k = I_k / ref_k with floor EPS_REF; combined = sqrt(I'_1^2 + I'_2^2).
+    """I'_k = I_k / ref_k where both references reach EPS_REF (`valid`: the
+    pixels that score_map may mark and training samples), else 0;
+    combined = sqrt(I'_1^2 + I'_2^2).
 
     The four images are (h, w) intensity arrays of one shape."""
     shapes = {np.shape(img) for img in (i1, i2, ref1, ref2)}
@@ -117,16 +119,10 @@ def normalize(i1: np.ndarray, i2: np.ndarray, ref1: np.ndarray,
         raise ValueError(f"image dimensions differ: {sorted(shapes)}")
     r1 = np.asarray(ref1, np.float64)
     r2 = np.asarray(ref2, np.float64)
-    valid = reference_valid(r1, r2)
-    n1 = np.where(valid, np.asarray(i1) / np.maximum(r1, EPS_REF), 0.0)
-    n2 = np.where(valid, np.asarray(i2) / np.maximum(r2, EPS_REF), 0.0)
+    valid = (r1 >= EPS_REF) & (r2 >= EPS_REF)
+    n1 = np.divide(i1, r1, out=np.zeros(valid.shape), where=valid)
+    n2 = np.divide(i2, r2, out=np.zeros(valid.shape), where=valid)
     return NormalizedImage(np.sqrt(n1 * n1 + n2 * n2), valid)
-
-
-def reference_valid(ref1: np.ndarray, ref2: np.ndarray) -> np.ndarray:
-    """Where both references reach EPS_REF: the pixels that normalize
-    divides, that score_map may mark and that training samples."""
-    return (np.asarray(ref1, np.float64) >= EPS_REF) & (np.asarray(ref2, np.float64) >= EPS_REF)
 
 
 def score_map(nimg: NormalizedImage, model: SvmModel, threshold: float,

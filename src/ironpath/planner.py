@@ -20,6 +20,8 @@ from .gridio import FloatGrid
 
 STATIC = "static"
 SLIDING = "sliding"
+# how far, in pixels, _surface_z accepts a point past the grid's edge
+EDGE_TOL_PX = 1e-9
 
 
 @dataclass
@@ -151,12 +153,16 @@ def order_actions(ws: list[FusedWrinkle], iron: IronSpec,
 
 
 def _surface_z(surface: FloatGrid, x: float, y: float) -> float:
-    """Bilinear height sample; raises when (x, y) leaves the grid."""
+    """Bilinear height sample; raises when (x, y) leaves the grid by more
+    than EDGE_TOL_PX.  A point within it is clamped onto the grid: the world
+    point of an edge pixel maps back a rounding error past it."""
     u, v = surface.transform.world_to_pixel(x, y)
     d = surface.data
     h, w = d.shape
-    if not (0.0 <= u <= w - 1 and 0.0 <= v <= h - 1):
+    tol = EDGE_TOL_PX
+    if not (-tol <= u <= w - 1 + tol and -tol <= v <= h - 1 + tol):
         raise ValueError(f"point ({x:.4f}, {y:.4f}) outside the surface grid")
+    u, v = min(max(u, 0.0), w - 1), min(max(v, 0.0), h - 1)
     u0, v0 = int(math.floor(u)), int(math.floor(v))
     u1, v1 = min(u0 + 1, w - 1), min(v0 + 1, h - 1)
     fu, fv = u - u0, v - v0

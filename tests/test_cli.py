@@ -643,9 +643,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("where", ["corpus", "eval-dir"])
     @pytest.mark.parametrize("bad", [("light1.pgm", "labels.pgm"), ("labels.pgm", "light1.pgm"),
                                      ("light1.pgm", "light1.pgm"), ("ref1.pgm", "labels.pgm"),
-                                     ("light2.pgm", "ref2.pgm")],
+                                     ("light2.pgm", "ref2.pgm"), ("ref2.pgm", "light1.pgm")],
                              ids=["light1-labels", "labels-light1", "light1-light1",
-                                  "ref1-labels", "light2-ref2"])
+                                  "ref1-labels", "light2-ref2", "ref2-light1"])
     def test_first_bad_file_in_directory_order(self, tmp_path, capsys, monkeypatch, where, bad):
         # scene0 is sound, scene1 and scene2 each have one malformed file:
         # a truncated capture or reference, or a label mask of maxval 3
@@ -723,17 +723,18 @@ class TestTrainCommand:
             f"stage inputs failed: {corpus}: mask contains no wrinkle pixels")
         assert not built
 
-    def test_invalid_reference_pixels_not_drawn(self, tmp_path):
-        # a dark patch of ref1 across the ridge: detect scores those pixels 0
-        # and held-out evaluation leaves them out, so training draws none
+    @pytest.mark.parametrize("dark", ["ref1.pgm", "ref2.pgm"], ids=["ref1", "ref2"])
+    def test_invalid_reference_pixels_not_drawn(self, tmp_path, dark):
+        # a dark patch of one reference across the ridge: detect scores those
+        # pixels 0 and held-out evaluation leaves them out, so training draws none
         corpus = write_corpus(tmp_path / "corpus", (610,))
         scene = corpus / "scene0"
         ridge = np.argwhere(gridio.read_labels(scene / "labels.pgm").data
                             == gridio.LABEL_WRINKLE)
         v, u = ridge[len(ridge) // 2]
-        ref = np.array(gridio.read_gray(scene / "ref1.pgm"))
+        ref = np.array(gridio.read_gray(scene / dark))
         ref[max(v - 12, 0):v + 12, max(u - 12, 0):u + 12] = 0.0
-        gridio.write_gray(ref, scene / "ref1.pgm")
+        gridio.write_gray(ref, scene / dark)
         cfg = PipelineConfig()
         labels, nimg = read_scene(str(scene))
         assert not nimg.valid[tuple(ridge.T)].all() and nimg.valid[tuple(ridge.T)].any()
@@ -821,6 +822,24 @@ class TestDetectCommand:
                 "--model", str(model_file)]
         assert main(args) == 1
         assert "stage inputs failed" in capsys.readouterr().err
+
+    def test_input_removed_after_it_is_read_exit_1(self, tmp_path, model_file, monkeypatch,
+                                                   capsys):
+        # another process removes the model between its read and its hash
+        d = write_scene_dir(tmp_path, "flat5", synth.SceneSpec(96, 72, CELL))
+        model = tmp_path / "gone.svmw"
+        model.write_bytes(model_file.read_bytes())
+        load_model = classify.load_model
+
+        def load_and_remove(path):
+            try:
+                return load_model(path)
+            finally:
+                os.remove(path)
+        monkeypatch.setattr(classify, "load_model", load_and_remove)
+        assert main(detect_args(d, model)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage inputs failed: {model}: ") and "Traceback" not in err
 
     def test_model_of_wrong_size_exit_1(self, tmp_path, capsys):
         d = write_scene_dir(tmp_path, "flat4", synth.SceneSpec(96, 72, CELL))

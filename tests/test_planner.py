@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ironpath.discont import Discontinuity
 from ironpath.fusion import FusedWrinkle
@@ -22,6 +23,30 @@ def wrinkle(p0, p1, p=1.0, wid=0, scores=(0.9,)):
                       scores=np.asarray(scores, float), length=length,
                       direction=math.atan2(p1[1] - p0[1], p1[0] - p0[0]) % math.pi)
     return FusedWrinkle(d, 1.0, p, p, True)
+
+
+def tilted_surface(w, h, cell, origin=(0.0, 0.0)):
+    """A w x h grid whose height at pixel (u, v) is 1e-4 u + 2e-4 v, a plane
+    that bilinear sampling gives exactly."""
+    vv, uu = np.mgrid[0:h, 0:w]
+    return FloatGrid(1e-4 * uu + 2e-4 * vv, cell, origin)
+
+
+def check_sliding_waypoints(surface, p0, p1):
+    """plan_ironing with waypoints on one wrinkle from pixel p0 to pixel p1,
+    slid in one stroke: each waypoint's z is the plane's height under it,
+    lifted or pressed."""
+    t = surface.transform
+    w = wrinkle(t.pixel_to_world(*p0), t.pixel_to_world(*p1))
+    length = w.discontinuity.length
+    iron = IronSpec(long_axis=length, short_axis=length / 2)
+    _, wps = plan_ironing([w], iron, home=t.pixel_to_world(0, 0), surface=surface)
+    assert [p.kind for p in wps[0]] == ["approach", "press", "slide", "retract"]
+    offset = {"approach": iron.lift_height, "press": -iron.press_depth,
+              "slide": -iron.press_depth, "retract": iron.lift_height}
+    for p in wps[0]:
+        u, v = t.world_to_pixel(p.x, p.y)
+        assert p.z == pytest.approx(1e-4 * u + 2e-4 * v + offset[p.kind], abs=1e-9)
 
 
 class TestSplit:
@@ -256,3 +281,24 @@ class TestPlanIroning:
             IronSpec(press_depth=0.1, foam_thickness=0.06)
         with pytest.raises(ValueError):
             IronSpec(lift_height=0.0)
+
+    def test_wrinkle_ending_on_the_last_column(self):
+        # the endpoint at pixel 319 maps back to 319 * 0.0016 / 0.0016 =
+        # 319.00000000000006, a rounding error past the grid
+        check_sliding_waypoints(tilted_surface(320, 200, 0.0016), (200, 150), (319, 154.5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 400), st.integers(3, 400), st.floats(5e-4, 1e-2),
+           st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.booleans(), st.booleans())
+    def test_border_to_border_wrinkle_on_any_grid(self, w, h, cell, ox, oy, a, b,
+                                                  across, reverse):
+        # a wrinkle from the left to the right edge (across) or from the top
+        # to the bottom edge, its endpoints world points of edge pixels
+        if across:
+            ends = [(0, a * (h - 1)), (w - 1, b * (h - 1))]
+        else:
+            ends = [(a * (w - 1), 0), (b * (w - 1), h - 1)]
+        if reverse:
+            ends.reverse()
+        check_sliding_waypoints(tilted_surface(w, h, cell, (ox, oy)), *ends)
