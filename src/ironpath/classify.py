@@ -36,6 +36,8 @@ The engine runs in single precision up to the clamped descriptor c and
 rounded once as they are written into the planes.  The rest is float64, one
 division per pixel: a score is (w.c)/|c| + b, the dot product an einsum that
 sums float32 tiles of c in float64, and descriptors_at returns rows c/|c|.
+A training set stores those rows rounded once to _DTYPE, which halves its
+matrix, the largest array of `train`; held-out evaluation keeps them float64.
 
 Training minimizes the primal linear-SVM objective
 lambda/2 |w|^2 + mean l(y (w.x + b)) with the Huber-smoothed hinge l
@@ -44,8 +46,11 @@ for margins m >= 1, (1-m)^2 / 2h on the band 1-h < m < 1, and 1-m-h/2 below
 it.  The bias is not regularized.  Newton steps (Keerthi & DeCoste 2005)
 with a backtracking line search run until the gradient has fallen by a
 factor 1e12: about a dozen steps on scan corpora, a few hundred on small
-nearly separable sets.  The solver draws nothing at random, and none of its
-sums depends on the BLAS thread count, so the model depends on the training
+nearly separable sets.  The solver takes the matrix in its own dtype: the
+gradient and the outputs are summed in float64, and only the Gram matrix,
+which sets the step direction but not the minimizer, is summed in the
+matrix's dtype.  The solver draws nothing at random, and none of its sums
+depends on the BLAS thread count, so the model depends on the training
 matrix alone (see train_arrays).  A pixel's score is sigmoid(w.x + b), and
 the model file (SVMW) holds lambda, the weights and the bias: this module
 knows what its header means, and gridio frames, reads and writes it.
@@ -184,7 +189,8 @@ def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
                    rows: np.ndarray | None = None) -> np.ndarray:
     """Descriptors for pixel coordinates (uu[i], vv[i]); shape (N, 128),
     float64.  With `out`, descriptor i is written into row rows[i] of it
-    (rows defaults to 0..N-1), and out is returned.
+    (rows defaults to 0..N-1), rounded once to out's dtype, and out is
+    returned.  Raises ValueError on the first pixel outside the image.
 
     Only the bands of _BAND_ROWS rows that hold requested pixels are built
     (_band_boxes), one at a time, so memory follows one band and the
@@ -196,6 +202,11 @@ def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
     a = np.asarray(img, np.float64)
     uu = np.asarray(uu, np.int64)
     vv = np.asarray(vv, np.int64)
+    outside = np.flatnonzero((uu < 0) | (uu >= a.shape[1]) | (vv < 0) | (vv >= a.shape[0]))
+    if len(outside):
+        i = outside[0]
+        raise ValueError(f"pixel (u, v) = ({uu[i]}, {vv[i]}) is outside the "
+                         f"{a.shape[1]}x{a.shape[0]} (width x height) image")
     if out is None:
         out = np.empty((len(uu), DESCRIPTOR_SIZE))
     rows = np.arange(len(uu)) if rows is None else np.asarray(rows, np.int64)
@@ -220,7 +231,8 @@ def descriptors_at(img, uu, vv, out: np.ndarray | None = None,
 @dataclass
 class TrainingSet:
     """Training examples as the rows of one matrix: the positives, then the
-    negatives."""
+    negatives.  build_training_set stores them as _DTYPE; train takes any
+    floating dtype."""
     X: np.ndarray                         # (P + N, 128)
     n_pos: int                            # P
 
@@ -267,7 +279,8 @@ def build_training_set(scenes: list[tuple], negatives_per_positive: int,
     fails before any image is used.  Then each scene is one task, run by
     map_fn (the builtin map or an executor's map): it calls its image
     function, so only the running tasks' images are held, and writes its
-    descriptors straight into its rows of the matrix.  The rows are the
+    descriptors straight into its rows of the matrix, each rounded once
+    from descriptors_at's float64 c/|c| to _DTYPE.  The rows are the
     positives of all scenes in scene order, then their negatives, in
     whatever order and on whatever threads the tasks run.  When tasks fail,
     the error of the first failing scene in scene order is raised, as map
@@ -278,7 +291,7 @@ def build_training_set(scenes: list[tuple], negatives_per_positive: int,
     if any(n_pos == 0 for _, _, n_pos in picks):
         raise ValueError("mask contains no wrinkle pixels")
     n_pos = sum(k for _, _, k in picks)
-    X = np.empty((sum(len(uu) for uu, _, _ in picks), DESCRIPTOR_SIZE))
+    X = np.empty((sum(len(uu) for uu, _, _ in picks), DESCRIPTOR_SIZE), _DTYPE)
     tasks, pos, neg = [], 0, n_pos
     for (img, *_), (uu, vv, k) in zip(scenes, picks):
         n_neg = len(uu) - k
@@ -363,10 +376,17 @@ def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
     is accepted, after _MAX_NEWTON_STEPS steps, or on an overflow or an
     invalid operation (a tiny lambda gives a step too large to represent).
 
-    The model does not depend on the BLAS thread count: the gradient's
-    c @ X and the Gram matrices of the chunks come out bit-identical on any
-    number of threads, X @ w and LAPACK's solvers do not, so the outputs
-    X w are an einsum and the system is solved by _cholesky_solve.
+    X is used in its own dtype (float32 or float64) and never copied whole.
+    The gradient c X and the outputs X d are einsums that sum in float64,
+    as do the loss, the line search and the system; the Gram chunks
+    Xc^T Xc (BLAS syrk) and their column sums stay in X's dtype and are
+    added into the float64 system.  They only set the step direction: the
+    minimizer is where the float64 gradient vanishes.
+
+    The model does not depend on the BLAS thread count: the einsums make no
+    BLAS call, and the Gram chunks come out bit-identical on any number of
+    threads (tests check both dtypes), while X @ d and LAPACK's solvers do
+    not, so the system is solved by _cholesky_solve.
     """
     n, dim = X.shape
     lam = hyper.reg_lambda
@@ -387,7 +407,8 @@ def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
             m = y * out
             loss, slope = _smoothed_hinge(m)
             c = slope * y                 # d loss_i / d out_i
-            g = np.append(lam * w + (c @ X) / n, c.sum() / n)
+            g = np.append(lam * w + np.einsum("i,ij->j", c, X, dtype=np.float64) / n,
+                          c.sum() / n)
             gnorm = math.sqrt(np.sum(g * g))
             g0 = gnorm if g0 is None else g0
             if gnorm <= max(_GRAD_TOL * g0, np.mean(np.abs(c)) * ulp_x):
@@ -403,7 +424,7 @@ def train_arrays(X: np.ndarray, y: np.ndarray, hyper: TrainHyper) -> SvmModel:
             A[range(dim), range(dim)] += lam
             d = -_cholesky_solve(A, g, lam)
             dw, db = d[:dim], d[dim]
-            dout = np.einsum("ij,j->i", X, dw) + db
+            dout = np.einsum("ij,j->i", X, dw, dtype=np.float64) + db
             ww, wd, dd = np.sum(w * w), np.sum(w * dw), np.sum(dw * dw)
             f, gd = 0.5 * lam * ww + np.sum(loss) / n, np.sum(g * d)
             t = 1.0

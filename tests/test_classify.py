@@ -263,6 +263,13 @@ class TestDescriptor:
         for i, (u, v) in enumerate([(3, 5), (12, 20), (47, 39)]):
             assert np.array_equal(descriptor_at(img, u, v), batch[i])
 
+    @pytest.mark.parametrize("u, v", [(50, 0), (-1, 0), (55, 3), (0, -1), (0, 40)])
+    def test_pixel_outside_image_rejected(self, u, v):
+        # after pixels inside the image, so the error names the first outside
+        img = np.random.default_rng(10).uniform(0, 1, (40, 50))
+        with pytest.raises(ValueError, match=rf"\({u}, {v}\) is outside the 50x40"):
+            descriptors_at(img, [3, 49, u, 60], [5, 39, v, 70])
+
 
 class TestTrainingSet:
     def _mask_with_wrinkles(self, n=100, w=60, h=60):
@@ -276,6 +283,17 @@ class TestTrainingSet:
         ts = build_training_set([(lambda: img, self._mask_with_wrinkles(100), 5)], 3)
         assert len(ts.positives) == 100
         assert len(ts.negatives) == 300
+
+    def test_float32_rows_of_descriptors_at(self):
+        # each row is descriptors_at's float64 c/|c| rounded once to float32
+        rng = np.random.default_rng(1)
+        img = rng.uniform(0, 1, (60, 60))
+        mask = self._mask_with_wrinkles(100)
+        ts = build_training_set([(lambda: img, mask, 5)], 3)
+        uu, vv, _ = classify.sample_pixels(mask, 3, 5)
+        assert ts.X.dtype == np.float32
+        assert np.array_equal(ts.X, descriptors_at(img, uu, vv,
+                                                   np.empty((len(uu), 128), np.float32)))
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
@@ -409,6 +427,45 @@ def svm_cases(draw):
     return X, y, TrainHyper(reg_lambda=10.0 ** draw(st.floats(-5.0, -2.0)))
 
 
+def models_on_blas_threads(tmp_path, X, y, counts):
+    """The model files train_arrays writes for (X, y) in a fresh process on
+    each of the given OPENBLAS_NUM_THREADS counts."""
+    np.save(tmp_path / "X.npy", X)
+    np.save(tmp_path / "y.npy", y)
+    code = ("import sys, numpy as np; from ironpath import classify; "
+            "X, y = np.load(sys.argv[1]), np.load(sys.argv[2]); "
+            "classify.save_model(classify.train_arrays(X, y, classify.TrainHyper()), "
+            "sys.argv[3])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ironpath.__file__)))
+    models = []
+    for threads in counts:
+        out = tmp_path / f"model{threads}.svmw"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "X.npy"),
+                        str(tmp_path / "y.npy"), str(out)],
+                       env=env, check=True, timeout=120)
+        models.append(out.read_bytes())
+    return models
+
+
+def ordered_training_set(dtype):
+    """A TrainingSet of 16000 overlapping rows of the given dtype."""
+    X, y = overlapping_set(16000, seed=5)
+    order = np.argsort(-y, kind="stable")
+    return TrainingSet(X[order].astype(dtype), int((y > 0).sum()))
+
+
+def train_peak(ts):
+    """The tracemalloc peak of train on ts, in bytes."""
+    tracemalloc.start()
+    try:
+        train(ts, TrainHyper())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSolverOracle:
     """train_arrays against the optimality conditions and a general-purpose
     optimizer on the same objective."""
@@ -478,35 +535,26 @@ class TestSolverOracle:
         # them between threads; np.linalg.solve and X @ w would then round
         # differently
         X, y = overlapping_set(6000, seed=4)
-        np.save(tmp_path / "X.npy", X)
-        np.save(tmp_path / "y.npy", y)
-        code = ("import sys, numpy as np; from ironpath import classify; "
-                "X, y = np.load(sys.argv[1]), np.load(sys.argv[2]); "
-                "classify.save_model(classify.train_arrays(X, y, classify.TrainHyper()), "
-                "sys.argv[3])")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ironpath.__file__)))
-        models = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"model{threads}.svmw"
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads)
-            subprocess.run([sys.executable, "-c", code, str(tmp_path / "X.npy"),
-                            str(tmp_path / "y.npy"), str(out)],
-                           env=env, check=True, timeout=120)
-            models.append(out.read_bytes())
+        models = models_on_blas_threads(tmp_path, X, y, ("1", "2"))
         assert models[0] == models[1]
 
+    @pytest.mark.parametrize("n", [4678, 12403])
+    def test_float32_model_independent_of_blas_threads(self, tmp_path, n):
+        # float32 Gram chunks go to BLAS ssyrk; these are row counts at which
+        # X @ d was seen to round differently on 1 and 2 BLAS threads
+        X, y = overlapping_set(n, seed=4)
+        models = models_on_blas_threads(tmp_path, X.astype(np.float32), y, ("1", "2", "3"))
+        assert models[0] == models[1] == models[2]
+
     def test_train_allocates_less_than_half_the_matrix(self):
-        X, y = overlapping_set(16000, seed=5)
-        order = np.argsort(-y, kind="stable")
-        ts = TrainingSet(np.ascontiguousarray(X[order]), int((y > 0).sum()))
-        tracemalloc.start()
-        try:
-            train(ts, TrainHyper())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < ts.X.nbytes / 2
+        ts = ordered_training_set(np.float64)
+        assert train_peak(ts) < ts.X.nbytes / 2
+
+    def test_float32_train_allocates_less_than_half_the_matrix(self):
+        # the gradient and the outputs sum a float32 X in float64 without a
+        # float64 copy of it (c @ X made one: 2.2 times the matrix)
+        ts = ordered_training_set(np.float32)
+        assert train_peak(ts) < ts.X.nbytes / 2
 
 
 class TestTrain:

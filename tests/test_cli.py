@@ -742,7 +742,8 @@ class TestTrainCommand:
                                                valid=nimg.valid)
         ts = build_corpus_training_set(str(corpus), cfg)
         assert ts.n_pos == n_pos
-        assert np.array_equal(ts.X, classify.descriptors_at(nimg.combined, uu, vv))
+        assert np.array_equal(ts.X, classify.descriptors_at(
+            nimg.combined, uu, vv, np.empty((len(uu), classify.DESCRIPTOR_SIZE), np.float32)))
 
     def test_training_set_peak_memory(self, tmp_path):
         corpus = write_corpus(tmp_path / "corpus", TRAIN_SEEDS, width=240, height=180)
