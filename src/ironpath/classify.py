@@ -246,21 +246,17 @@ class TrainingSet:
 
 
 def sample_pixels(mask: gridio.LabelMask, negatives_per_positive: int, seed: int,
-                  valid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+                  valid: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The pixels one scene gives a training or held-out set: (uu, vv, P).
 
-    Every wrinkle pixel (P of them), then min(negatives_per_positive * P, C)
-    of the C other pixels, drawn uniformly without replacement by a Philox
-    generator keyed by `seed`; each group in raster order.  With `valid`,
-    pixels where it is false are left out of both groups.
+    Of the pixels where `valid` is true, every wrinkle pixel (P of them),
+    then min(negatives_per_positive * P, C) of the C other pixels, drawn
+    uniformly without replacement by a Philox generator keyed by `seed`;
+    each group in raster order.
     """
     wrinkle = np.asarray(mask.data) == gridio.LABEL_WRINKLE
-    other = ~wrinkle
-    if valid is not None:
-        wrinkle &= valid
-        other &= valid
-    pv, pu = np.nonzero(wrinkle)
-    cv, cu = np.nonzero(other)
+    pv, pu = np.nonzero(wrinkle & valid)
+    cv, cu = np.nonzero(~wrinkle & valid)
     rng = np.random.Generator(np.random.Philox(key=seed))
     pick = rng.choice(len(cu), size=min(negatives_per_positive * len(pu), len(cu)),
                       replace=False)
@@ -270,24 +266,23 @@ def sample_pixels(mask: gridio.LabelMask, negatives_per_positive: int, seed: int
 
 def build_training_set(scenes: list[tuple], negatives_per_positive: int,
                        map_fn=map) -> TrainingSet:
-    """The training set of a corpus of (img, mask, seed[, valid]) scenes: img
-    is a function of no arguments that returns the scene's image, and valid,
-    if given, where the scene's pixels may be drawn (sample_pixels).
+    """The training set of a corpus of (img, mask, seed, valid) scenes: each
+    scene's image, its labels, the seed of its draw and where its pixels may
+    be drawn (sample_pixels).
 
-    Every scene's pixels are drawn first (sample_pixels), so that the matrix
-    is allocated once at its final size and a scene without wrinkle pixels
-    fails before any image is used.  Then each scene is one task, run by
-    map_fn (the builtin map or an executor's map): it calls its image
-    function, so only the running tasks' images are held, and writes its
-    descriptors straight into its rows of the matrix, each rounded once
-    from descriptors_at's float64 c/|c| to _DTYPE.  The rows are the
-    positives of all scenes in scene order, then their negatives, in
-    whatever order and on whatever threads the tasks run.  When tasks fail,
-    the error of the first failing scene in scene order is raised, as map
-    and Executor.map both do.
+    Every scene's pixels are drawn first, so that the matrix is allocated
+    once at its final size and a scene without wrinkle pixels fails before
+    any descriptor is built.  Then each scene is one task, run by map_fn
+    (the builtin map or an executor's map), which writes its descriptors
+    straight into its rows of the matrix, each rounded once from
+    descriptors_at's float64 c/|c| to _DTYPE.  The rows are the positives
+    of all scenes in scene order, then their negatives, in whatever order
+    and on whatever threads the tasks run.  When tasks fail, the error of
+    the first failing scene in scene order is raised, as map and
+    Executor.map both do.
     """
-    picks = [sample_pixels(mask, negatives_per_positive, seed, *valid)
-             for _, mask, seed, *valid in scenes]
+    picks = [sample_pixels(mask, negatives_per_positive, seed, valid)
+             for _, mask, seed, valid in scenes]
     if any(n_pos == 0 for _, _, n_pos in picks):
         raise ValueError("mask contains no wrinkle pixels")
     n_pos = sum(k for _, _, k in picks)
@@ -295,13 +290,9 @@ def build_training_set(scenes: list[tuple], negatives_per_positive: int,
     tasks, pos, neg = [], 0, n_pos
     for (img, *_), (uu, vv, k) in zip(scenes, picks):
         n_neg = len(uu) - k
-        tasks.append((img, uu, vv, np.r_[pos:pos + k, neg:neg + n_neg]))
+        tasks.append((img, uu, vv, X, np.r_[pos:pos + k, neg:neg + n_neg]))
         pos, neg = pos + k, neg + n_neg
-
-    def fill(task):
-        img, uu, vv, rows = task
-        descriptors_at(img(), uu, vv, X, rows)
-    list(map_fn(fill, tasks))
+    list(map_fn(lambda task: descriptors_at(*task), tasks))
     return TrainingSet(X, n_pos)
 
 

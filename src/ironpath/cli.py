@@ -98,8 +98,9 @@ def config_values(cfg: PipelineConfig) -> dict:
 
 
 def parse_config(path) -> PipelineConfig:
-    """Read `key value` lines; unknown keys are rejected.  Every stage object
-    is built here, so a value out of its class's range is a ConfigError."""
+    """Read `key value` lines; unknown and repeated keys are rejected.  Every
+    stage object is built here, so a value out of its class's range is a
+    ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -117,6 +118,8 @@ def parse_config(path) -> PipelineConfig:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         section, f = CONFIG_KEYS[key]
+        if f.name in given[section]:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             if f.type == "int":
                 value = int(sval)
@@ -304,9 +307,11 @@ def _plan_dict(plan: planner.IroningPlan, waypoints) -> dict:
 
 # --- scene corpus helpers ---
 
-def _scene_image(scene_dir: str, labels: gridio.LabelMask) -> discont.NormalizedImage:
-    """The normalized image of a scene directory's captures and references
-    (its height map is not read); the scene's labels must match its size."""
+def read_scene(scene_dir: str) -> tuple[gridio.LabelMask, discont.NormalizedImage]:
+    """A scene directory's labels and normalized image (its height map is not
+    read): the labels are read first, then the captures, and the two must
+    match in size."""
+    labels = _read_input(gridio.read_labels, os.path.join(scene_dir, LABELS_FILE))
     with _stage("inputs", scene_dir):       # captures of different sizes
         nimg = discont.normalize(*[_read_input(gridio.read_gray, os.path.join(scene_dir, name))
                                    for name in CAPTURE_FILES])
@@ -314,14 +319,7 @@ def _scene_image(scene_dir: str, labels: gridio.LabelMask) -> discont.Normalized
         raise StageError("inputs", ValueError(
             f"{os.path.join(scene_dir, LABELS_FILE)}: labels {labels.data.shape} "
             f"do not match images {nimg.combined.shape}"))
-    return nimg
-
-
-def read_scene(scene_dir: str) -> tuple[gridio.LabelMask, discont.NormalizedImage]:
-    """A scene directory's labels and normalized image: the labels are read
-    first, then the captures, and the two must match in size."""
-    labels = _read_input(gridio.read_labels, os.path.join(scene_dir, LABELS_FILE))
-    return labels, _scene_image(scene_dir, labels)
+    return labels, nimg
 
 
 def _scene_dirs(corpus_dir: str) -> list[str]:
@@ -340,18 +338,14 @@ def build_corpus_training_set(corpus_dir: str, cfg: PipelineConfig,
     """The training set of the scene directories under corpus_dir, one scene
     per task run by map_fn (classify.build_training_set).
 
-    Every scene is first read with read_scene, in directory order (the
+    Every scene is first read once with read_scene, in directory order (the
     scenes sorted, and in a scene the labels, then the four captures), so a
     bad file is reported as the first in that order, whatever threads map_fn
-    runs the tasks on.  Of each scene only the labels and where its
-    references are valid (nimg.valid) are kept, so no pixel with an invalid
-    reference is drawn; each task then reads and normalizes its captures
-    again, so only the running tasks hold images."""
-    scenes = []
-    for idx, d in enumerate(_scene_dirs(corpus_dir)):
-        labels, nimg = read_scene(d)
-        scenes.append((lambda d=d, lab=labels: _scene_image(d, lab).combined, labels,
-                       cfg.seed + 1000 * idx, nimg.valid))
+    runs the tasks on.  Each scene's combined image, labels and valid
+    references (nimg.valid, so no pixel with an invalid reference is drawn)
+    are kept until the set is built."""
+    scenes = [(nimg.combined, labels, cfg.seed + 1000 * idx, nimg.valid)
+              for idx, (labels, nimg) in enumerate(map(read_scene, _scene_dirs(corpus_dir)))]
     return classify.build_training_set(scenes, cfg.negatives_per_positive, map_fn)
 
 
@@ -369,7 +363,7 @@ def evaluate_scenes(scenes: list[tuple[gridio.LabelMask, discont.NormalizedImage
     def counts(scene):
         idx, (labels, nimg) = scene
         uu, vv, n_pos = classify.sample_pixels(labels, cfg.negatives_per_positive,
-                                               cfg.seed + 7000 + idx, valid=nimg.valid)
+                                               cfg.seed + 7000 + idx, nimg.valid)
         scores = classify.score_margins(model, classify.descriptors_at(nimg.combined, uu, vv))
         hits = int(np.sum(scores[:n_pos] >= thr))
         return hits + int(np.sum(scores[n_pos:] < thr)), len(scores), hits, n_pos

@@ -182,11 +182,17 @@ def write_atomic(path, data: bytes) -> None:
 # --- FGRID ---
 
 def write_grid(grid: FloatGrid, path) -> None:
-    """The header names the origin only when it is not (0, 0)."""
+    """The header names the origin only when it is not (0, 0).  A grid with a
+    value beyond float32's range, which read_grid would refuse, is a
+    ValueError, and nothing is written."""
     h, w = grid.data.shape
     frame = [grid.cell_size, *grid.origin] if any(grid.origin) else [grid.cell_size]
     header = " ".join(["FGRID", str(w), str(h), *(repr(float(x)) for x in frame)])
-    write_atomic(path, f"{header}\n".encode("ascii") + grid.data.astype("<f4").tobytes())
+    with np.errstate(over="ignore"):
+        data = grid.data.astype("<f4")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("grid value beyond the float32 range of FGRID")
+    write_atomic(path, f"{header}\n".encode("ascii") + data.tobytes())
 
 
 def read_grid(path) -> FloatGrid:

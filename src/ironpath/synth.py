@@ -242,11 +242,13 @@ _SCALARS = {
 
 
 def load_scene(path) -> SceneSpec:
-    """Parse the plain-text scene file (see README for the format)."""
+    """Parse the plain-text scene file (see README for the format).  A scalar
+    key given twice is an error; light, bump and wrinkle lines may repeat."""
     # the defaults of the SceneSpec and NoiseSpec fields the scalars set
-    vals = {"origin_x": SceneSpec.origin[0], "origin_y": SceneSpec.origin[1],
-            "seed": SceneSpec.seed, "albedo": SceneSpec.albedo,
-            "height_noise": NoiseSpec.height_sigma, "image_noise": NoiseSpec.image_sigma}
+    defaults = {"origin_x": SceneSpec.origin[0], "origin_y": SceneSpec.origin[1],
+                "seed": SceneSpec.seed, "albedo": SceneSpec.albedo,
+                "height_noise": NoiseSpec.height_sigma, "image_noise": NoiseSpec.image_sigma}
+    vals: dict = {}             # the scalars the file gives
     bumps: list[BumpSpec] = []
     wrinkles: list[WrinkleSpec] = []
     lights: list[LightSpec] = []
@@ -260,6 +262,8 @@ def load_scene(path) -> SceneSpec:
                 if key in _SCALARS:
                     if len(args) != 1:
                         raise ValueError("expected one value")
+                    if key in vals:
+                        raise ValueError(f"duplicate key {key!r}")
                     vals[key] = _SCALARS[key](args[0])
                 elif key == "light":
                     x, y, z, inten = map(float, args)
@@ -284,6 +288,7 @@ def load_scene(path) -> SceneSpec:
     for req in ("width", "height", "cell_size"):
         if req not in vals:
             raise ValueError(f"{path}: missing required key {req!r}")
+    vals = {**defaults, **vals}
     spec = SceneSpec(
         width=vals["width"], height=vals["height"], cell_size=vals["cell_size"],
         origin=(vals["origin_x"], vals["origin_y"]),

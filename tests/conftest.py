@@ -94,7 +94,7 @@ def build_training_arrays(specs, cfg=None):
     scenes = []
     for idx, spec in enumerate(specs):
         _, nimg, labels = scene_products(spec)
-        scenes.append((lambda img=nimg.combined: img, labels, 1000 * idx))
+        scenes.append((nimg.combined, labels, 1000 * idx, nimg.valid))
     return classify.build_training_set(scenes, cfg.negatives_per_positive)
 
 

@@ -271,6 +271,11 @@ class TestDescriptor:
             descriptors_at(img, [3, 49, u, 60], [5, 39, v, 70])
 
 
+def valid_scene(img, mask, seed):
+    """A build_training_set scene whose every pixel may be drawn."""
+    return img, mask, seed, np.ones(img.shape, bool)
+
+
 class TestTrainingSet:
     def _mask_with_wrinkles(self, n=100, w=60, h=60):
         lab = np.zeros((h, w), np.uint8)
@@ -280,7 +285,7 @@ class TestTrainingSet:
     def test_counts(self):
         rng = np.random.default_rng(1)
         img = rng.uniform(0, 1, (60, 60))
-        ts = build_training_set([(lambda: img, self._mask_with_wrinkles(100), 5)], 3)
+        ts = build_training_set([valid_scene(img, self._mask_with_wrinkles(100), 5)], 3)
         assert len(ts.positives) == 100
         assert len(ts.negatives) == 300
 
@@ -289,8 +294,8 @@ class TestTrainingSet:
         rng = np.random.default_rng(1)
         img = rng.uniform(0, 1, (60, 60))
         mask = self._mask_with_wrinkles(100)
-        ts = build_training_set([(lambda: img, mask, 5)], 3)
-        uu, vv, _ = classify.sample_pixels(mask, 3, 5)
+        ts = build_training_set([valid_scene(img, mask, 5)], 3)
+        uu, vv, _ = classify.sample_pixels(mask, 3, 5, np.ones(img.shape, bool))
         assert ts.X.dtype == np.float32
         assert np.array_equal(ts.X, descriptors_at(img, uu, vv,
                                                    np.empty((len(uu), 128), np.float32)))
@@ -299,10 +304,10 @@ class TestTrainingSet:
         rng = np.random.default_rng(1)
         img = rng.uniform(0, 1, (60, 60))
         mask = self._mask_with_wrinkles(50)
-        a = build_training_set([(lambda: img, mask, 7)], 3)
-        b = build_training_set([(lambda: img, mask, 7)], 3)
+        a = build_training_set([valid_scene(img, mask, 7)], 3)
+        b = build_training_set([valid_scene(img, mask, 7)], 3)
         assert np.array_equal(a.negatives, b.negatives)
-        c = build_training_set([(lambda: img, mask, 8)], 3)
+        c = build_training_set([valid_scene(img, mask, 8)], 3)
         assert not np.array_equal(a.negatives, c.negatives)
 
     def test_negatives_avoid_wrinkle_pixels(self):
@@ -313,7 +318,7 @@ class TestTrainingSet:
         lab[10, 10] = 1
         img = np.zeros((h, w))
         img[10, 10] = 1.0
-        ts = build_training_set([(lambda: img, LabelMask(lab), 3)], 200)
+        ts = build_training_set([valid_scene(img, LabelMask(lab), 3)], 200)
         assert len(ts.positives) == 1
         assert not any(np.array_equal(n, ts.positives[0]) for n in ts.negatives)
 
@@ -321,13 +326,13 @@ class TestTrainingSet:
         img = np.zeros((40, 40))
         lab = LabelMask(np.zeros((40, 40), np.uint8))
         with pytest.raises(ValueError, match="no wrinkle"):
-            build_training_set([(lambda: img, lab, 0)], 3)
+            build_training_set([valid_scene(img, lab, 0)], 3)
 
     def test_corpus_rows_in_scene_order(self):
         # one matrix: the positives of every scene, then the negatives
         rng = np.random.default_rng(2)
-        scenes = [(lambda img=rng.uniform(0, 1, (50, 60 + 7 * i)): img,
-                   self._mask_with_wrinkles(40 + 9 * i, 60 + 7 * i, 50), 11 + i)
+        scenes = [valid_scene(rng.uniform(0, 1, (50, 60 + 7 * i)),
+                              self._mask_with_wrinkles(40 + 9 * i, 60 + 7 * i, 50), 11 + i)
                   for i in range(3)]
         ts = build_training_set(scenes, 2)
         singles = [build_training_set([scene], 2) for scene in scenes]
@@ -340,17 +345,18 @@ class TestTrainingSet:
             other = build_training_set(scenes, 2, map_fn)
             assert np.array_equal(other.X, ts.X) and other.n_pos == ts.n_pos
 
-    def test_first_failing_scene_raised_when_a_later_one_fails_first(self):
+    def test_first_failing_scene_raised_when_a_later_one_fails_first(self, monkeypatch):
         later_failed = threading.Event()
+        scenes = [valid_scene(np.zeros((30, 30)), self._mask_with_wrinkles(20, 30, 30), i)
+                  for i in range(2)]
 
-        def image(i):
-            if i == 0:
+        def descriptors_at(img, *_):
+            if img is scenes[0][0]:
                 later_failed.wait(10)
                 raise ValueError("scene 0")
             later_failed.set()
             raise ValueError("scene 1")
-        scenes = [(lambda i=i: image(i), self._mask_with_wrinkles(20, 30, 30), i)
-                  for i in range(2)]
+        monkeypatch.setattr(classify, "descriptors_at", descriptors_at)
         with ThreadPoolExecutor(2) as pool, pytest.raises(ValueError, match="scene 0"):
             build_training_set(scenes, 2, pool.map)
         assert later_failed.is_set()

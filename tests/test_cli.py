@@ -91,10 +91,11 @@ def report_argv(command: str, rpt, tmp_path, out) -> list:
 BAD_THREAD_COUNTS = ["abc", "0", "-1", "", "2.5"]
 
 # tracemalloc peak of build_corpus_training_set on 2 threads, over its
-# training matrix, on the 10-scene 240x180 corpus of TRAIN_SEEDS.  Measured:
-# 10.2-11.1 MiB on 2 threads (6.3 on 1, 13.8 on 3); 19.9-20.5 MiB on 1 thread
-# when every scene's images were loaded before any descriptor was built and
-# each scene's descriptors were copied into the matrix.
+# training matrix, on the 10-scene 240x180 corpus of TRAIN_SEEDS.  Measured
+# with every scene's combined image held until the set is built: 9.1-9.2 MiB
+# on 2 threads (7.4 on 1, 11.0-11.3 on 3); 19.9-20.5 MiB on 1 thread when
+# every scene's four images were held and each scene's descriptors were
+# copied into the matrix.
 TRAINING_SET_EXTRA_MIB = 15.0
 
 
@@ -125,6 +126,19 @@ class TestConfig:
         p.write_text("warp_speed 9\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(p)
+
+    @pytest.mark.parametrize("key, first, second", [("p_min", "0.3", "0.9"),
+                                                    ("svm_lambda", "1e-4", "1e-3"),
+                                                    ("min_pixels", "12", "12")])
+    def test_key_given_twice_exit_2(self, tmp_path, capsys, key, first, second):
+        # the first value would otherwise be dropped without a word
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"seed 1\n{key} {first}\n# again\n{key} {second}\n")
+        with pytest.raises(ConfigError, match=rf"c\.cfg:4: duplicate key '{key}'"):
+            parse_config(cfg)
+        assert main(["train", str(tmp_path / "corpus"), str(tmp_path / "m.svmw"),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}:4: duplicate key '{key}'\n"
 
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -479,6 +493,25 @@ class TestSynthCommand:
         assert err.startswith("config error: bad scene file") and "Traceback" not in err
         assert not out.exists()
 
+    def test_scalar_key_given_twice_exit_2(self, tmp_path, capsys):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE_TEXT + "width 50\n")
+        out = tmp_path / "o"
+        assert main(["synth", str(scene), str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: bad scene file: {scene}:9: duplicate key 'width'\n")
+        assert not out.exists()
+
+    def test_height_beyond_float32_exit_1_and_writes_no_grid(self, tmp_path, capsys):
+        # the float64 height is finite, but FGRID's float32 payload would not be
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE_TEXT + "bump 0.04 0.03 0.02 0.01 0.3 1e39\n")
+        out = tmp_path / "o"
+        assert main(["synth", str(scene), str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"stage outputs failed: {out}: grid value beyond the float32 range of FGRID\n")
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("step", ["generate_height", "render_illumination",
                                       "render_reference", "ground_truth"])
     def test_failed_scene_step_exit_1_and_writes_nothing(self, tmp_path, capsys,
@@ -509,6 +542,24 @@ class TestTrainCommand:
         assert m1.read_bytes() == m2.read_bytes()
         model = classify.load_model(m1)
         assert np.all(np.isfinite(model.weights))
+
+    def test_each_input_file_read_once(self, tmp_path, monkeypatch):
+        # the training tasks take the images read_scene built; no capture is
+        # read again, and no height map is read
+        corpus = write_corpus(tmp_path / "corpus", (510, 511))
+        holdout = write_corpus(tmp_path / "holdout", (520,))
+        reads = Counter()
+        for name in ("read_gray", "read_labels"):
+            def counted(path, read=getattr(gridio, name)):
+                reads[str(path)] += 1
+                return read(path)
+            monkeypatch.setattr(gridio, name, counted)
+        monkeypatch.setenv("IRONPATH_THREADS", "2")
+        assert main(["train", str(corpus), str(tmp_path / "m.svmw"),
+                     "--eval-dir", str(holdout)]) == 0
+        scenes = [corpus / "scene0", corpus / "scene1", holdout / "scene0"]
+        assert reads == {str(d / name): 1 for d in scenes for name in (
+            "labels.pgm", "light1.pgm", "light2.pgm", "ref1.pgm", "ref2.pgm")}
 
     def test_empty_corpus_fails(self, tmp_path, capsys):
         empty = tmp_path / "none"

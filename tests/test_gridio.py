@@ -32,6 +32,16 @@ class TestFloatGrid:
         assert np.array_equal(back.data, g.data)
         assert back.transform == g.transform == WorldTransform(0.0016, (0.5, -0.25))
 
+    @pytest.mark.parametrize("value", [3.5e38, -1e39, 1e300])
+    def test_value_beyond_float32_refused_and_nothing_written(self, tmp_path, value):
+        # read_grid would refuse the inf that float32 rounds it to
+        grid = np.zeros((3, 4))
+        grid[1, 2] = value
+        p = tmp_path / "big.fgrid"
+        with pytest.raises(ValueError, match="beyond the float32 range"):
+            gridio.write_grid(FloatGrid(grid, 0.002), p)
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("header, why", [
         (b"FGRID 3 3 0.002 inf 0\n", "origin must be finite"),
         (b"FGRID 3 3 0.002 0 nan\n", "origin must be finite"),

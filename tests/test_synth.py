@@ -193,6 +193,26 @@ class TestSceneFile:
         with pytest.raises(ValueError, match="unknown key"):
             load_scene(p)
 
+    @pytest.mark.parametrize("key, value", [("width", "40"), ("cell_size", "0.002"),
+                                            ("seed", "3"), ("origin_x", "0.1"),
+                                            ("image_noise", "0.01")])
+    def test_scalar_key_given_twice_rejected(self, tmp_path, key, value):
+        # the second line would otherwise replace the first without a word
+        scalars = {"width": "40", "height": "30", "cell_size": "0.002", key: value}
+        p = tmp_path / "twice.txt"
+        p.write_text(f"{key} {value}\n" + "".join(f"{k} {v}\n" for k, v in scalars.items()))
+        line = 2 + list(scalars).index(key)
+        with pytest.raises(ValueError, match=rf"twice\.txt:{line}: duplicate key '{key}'"):
+            load_scene(p)
+
+    def test_bump_wrinkle_and_light_lines_repeat(self, tmp_path):
+        p = tmp_path / "scene.txt"
+        p.write_text("width 64\nheight 48\ncell_size 0.002\n"
+                     + "light 1 0 1 1.0\nbump 0.06 0.05 0.03 0.015 0.4 0.018\n"
+                       "wrinkle 0.003 0.002 0.01 0.02 0.10 0.06\n" * 2)
+        spec = load_scene(p)
+        assert len(spec.lights) == len(spec.bumps) == len(spec.wrinkles) == 2
+
     def test_missing_required_key(self, tmp_path):
         p = tmp_path / "noheight.txt"
         p.write_text("width 64\ncell_size 0.002\n")
